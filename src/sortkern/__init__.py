@@ -64,6 +64,8 @@ from .interpolation import (
     interpolant_norm_sq,
     l2_error,
     make_invariant_target,
+    mc_points,
+    rmse_stderr,
 )
 from .kernels import (
     PERM_DOUBLE_DIM_CAP,
@@ -94,7 +96,8 @@ __all__ = [
     "cone_parameters", "covering_design", "cube_corners", "distinct_orbits",
     "fill_distance_estimate", "simplex_inradius", "sort_point", "sort_points",
     "Interpolant", "InvariantTarget", "evaluate", "fit",
-    "interpolant_norm_sq", "l2_error", "make_invariant_target",
+    "interpolant_norm_sq", "l2_error", "make_invariant_target", "mc_points",
+    "rmse_stderr",
     "PERM_DOUBLE_DIM_CAP", "PERM_SINGLE_DIM_CAP", "KernelFamily",
     "KernelMode", "KernelSpec", "check_mode_cap", "gram", "kernel_cross",
     "kernel_value", "sup_kernel_constant",

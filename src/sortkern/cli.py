@@ -2,13 +2,15 @@
 
 Usage: sortkern <experiment> [flags]. Every flag has a default, so
 `sortkern table1` reproduces the reference fill-distance table as is.
-Exit codes: 0 success, 1 configuration error, 2 numerical failure.
+Exit codes: 0 success, 1 configuration, input or file-system error, 2
+numerical failure; each failure prints one line on stderr.
 """
 
 import argparse
+import os
 import sys
 
-from .errors import CapExceededError, ConfigError, FactorizationError, NumericalError
+from .errors import ConfigError, FactorizationError, NumericalError, SortkernError
 from .experiments import Experiment, ExperimentConfig, run
 from .kernels import KernelFamily, KernelSpec
 
@@ -100,17 +102,30 @@ def _config_from_args(args):
         seed=args.seed, out_path=args.out or f"{experiment.value}.csv")
 
 
+def _check_out_path(path):
+    # fail before the experiment runs, not after it has spent its time
+    folder = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(folder):
+        raise ConfigError(f"output directory {folder!r} does not exist")
+    if not os.access(folder, os.W_OK):
+        raise ConfigError(f"output directory {folder!r} is not writable")
+    if os.path.isdir(path):
+        raise ConfigError(f"output path {path!r} is a directory")
+
+
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         cfg = _config_from_args(args)
+        _check_out_path(cfg.out_path)
         run(cfg)
-    except (ConfigError, CapExceededError) as exc:
-        print(f"sortkern: error: {exc}", file=sys.stderr)
-        return 1
+    # numerical failures are SortkernErrors too, so they are caught first
     except (NumericalError, FactorizationError) as exc:
         print(f"sortkern: numerical failure: {exc}", file=sys.stderr)
         return 2
+    except (SortkernError, OSError) as exc:
+        print(f"sortkern: error: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -20,7 +20,7 @@ import numpy as np
 from .bounds import BoundInputs, eigen_bound_covering, eigen_bound_weyl, h_tail_bound, l2_bound, p_constant, tilde_constant
 from .errors import ConfigError, FactorizationError
 from .geometry import Domain, cone_parameters, cube_corners, fill_distance_estimate
-from .interpolation import evaluate, fit, l2_error, make_invariant_target
+from .interpolation import evaluate, fit, make_invariant_target, mc_points, rmse_stderr
 from .kernels import PERM_SINGLE_DIM_CAP, KernelMode, KernelSpec, sup_kernel_constant
 from .rng import stream, substream_seed
 from .spectral import decay_slope, nystrom_spectrum
@@ -208,6 +208,14 @@ def run_interp_compare(cfg):
                 b = BoundInputs(nu=cfg.nu, d=d, c_k0=c_k0, c_knu=c_knu,
                                 norm_h=math.sqrt(target.norm_sq),
                                 rho_low=1.0, rho_high=1.0, alpha=cfg.alpha)
+                # the error samples do not depend on the mode, so the target
+                # is evaluated on them once per trial
+                Xmc = mc_points(d, cfg.mc_samples,
+                                seed=substream_seed(cfg.seed, exp_id, d, n, t, 13))
+                y_mc = target.value(Xmc)
+                P = stream(substream_seed(cfg.seed, exp_id, d, n, t, 14)).random(
+                    (POINTWISE_POINTS, d))
+                y_pw = target.value(P)
                 h_cache = {}
                 for mode, bound_mode, domain in _INTERP_MODES:
                     if domain not in h_cache:
@@ -218,11 +226,8 @@ def run_interp_compare(cfg):
                     try:
                         f = fit(cfg.kernel, mode, X, y)
                         fit_ms = (time.perf_counter() - t0) * 1000.0
-                        err, _ = l2_error(target, f, cfg.mc_samples,
-                                          seed=substream_seed(cfg.seed, exp_id, d, n, t, 13))
-                        P = stream(substream_seed(cfg.seed, exp_id, d, n, t, 14)).random(
-                            (POINTWISE_POINTS, d))
-                        pw = float(np.max(np.abs(target.value(P) - evaluate(f, P))))
+                        err, _ = rmse_stderr(y_mc - evaluate(f, Xmc))
+                        pw = float(np.max(np.abs(y_pw - evaluate(f, P))))
                     except FactorizationError:
                         fit_ms = (time.perf_counter() - t0) * 1000.0
                         err = math.nan

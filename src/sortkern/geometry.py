@@ -47,23 +47,29 @@ class ConeParams:
             raise ConfigError(f"cone radius must be positive, got {self.radius}")
 
 
+def _check_unit_range(A, what):
+    # NaN fails every comparison, so finiteness is checked on its own
+    if not np.all(np.isfinite(A)):
+        raise ConfigError(f"{what} coordinates must be finite")
+    if np.any(A < 0.0) or np.any(A > 1.0):
+        raise ConfigError(f"{what} coordinates must lie in [0, 1]")
+
+
 def as_point(p):
-    """Validate and return a point as a 1-D float array with entries in [0,1]."""
+    """Validate and return a point as a 1-D float array with finite entries in [0,1]."""
     p = np.asarray(p, dtype=float)
     if p.ndim != 1 or p.shape[0] < 1:
         raise DimensionMismatchError(f"point must be a 1-D vector, got shape {p.shape}")
-    if np.any(p < 0.0) or np.any(p > 1.0):
-        raise ConfigError("point coordinates must lie in [0, 1]")
+    _check_unit_range(p, "point")
     return p
 
 
 def as_design(X):
-    """Validate and return a design as an (n, d) float array with entries in [0,1]."""
+    """Validate and return a design as an (n, d) float array with finite entries in [0,1]."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] < 1 or X.shape[1] < 1:
         raise DimensionMismatchError(f"design must be an (n, d) array, got shape {X.shape}")
-    if np.any(X < 0.0) or np.any(X > 1.0):
-        raise ConfigError("design coordinates must lie in [0, 1]")
+    _check_unit_range(X, "design")
     return X
 
 
@@ -186,11 +192,12 @@ def fill_distance_estimate(X, domain, candidates):
     max_c min_i ||sort c - sort x_i||. The result is an exact max-min over
     the given finite candidate set, hence a lower estimate of the true
     supremum over the continuous domain, converging as candidates densify.
+    A design with non-finite or out-of-range coordinates raises ConfigError.
     """
-    X = np.asarray(X, dtype=float)
+    X = as_design(X)
     C = np.asarray(candidates, dtype=float)
-    if X.ndim != 2 or C.ndim != 2:
-        raise DimensionMismatchError("design and candidates must be (n, d) arrays")
+    if C.ndim != 2:
+        raise DimensionMismatchError("candidates must be an (n, d) array")
     if C.shape[0] == 0:
         raise ConfigError("candidate set is empty")
     if X.shape[1] != C.shape[1]:

@@ -135,6 +135,31 @@ def make_invariant_target(k, d, m, seed):
     return InvariantTarget(atoms=atoms, weights=weights, kernel=k, norm_sq=norm_sq)
 
 
+def rmse_stderr(diff):
+    """Root mean square of pointwise differences and its standard error.
+
+    The standard error is the delta-method one for the square root of the
+    sample mean of diff**2; it is 0 for one sample or an exact fit.
+    """
+    sq = diff * diff
+    mean = float(sq.mean())
+    rmse = mean ** 0.5
+    n = sq.shape[0]
+    if n > 1 and rmse > 0.0:
+        se_mean = float(sq.std(ddof=1)) / n ** 0.5
+        stderr = se_mean / (2.0 * rmse)
+    else:
+        stderr = 0.0
+    return rmse, stderr
+
+
+def mc_points(d, mc_samples, seed):
+    """The seeded uniform cube sample that l2_error averages over."""
+    if mc_samples < 1:
+        raise DimensionMismatchError(f"mc_samples must be >= 1, got {mc_samples}")
+    return stream(seed).random((mc_samples, d))
+
+
 def l2_error(target, f, mc_samples, seed):
     """Monte Carlo L2(Unif) distance between target and interpolant.
 
@@ -142,18 +167,5 @@ def l2_error(target, f, mc_samples, seed):
     difference over mc_samples seeded uniform cube points, and the
     delta-method standard error of that square root.
     """
-    if mc_samples < 1:
-        raise DimensionMismatchError(f"mc_samples must be >= 1, got {mc_samples}")
-    d = f.design.shape[1]
-    g = stream(seed)
-    X = g.random((mc_samples, d))
-    diff = target.value(X) - evaluate(f, X)
-    sq = diff * diff
-    mean = float(sq.mean())
-    rmse = mean ** 0.5
-    if mc_samples > 1 and rmse > 0.0:
-        se_mean = float(sq.std(ddof=1)) / mc_samples ** 0.5
-        stderr = se_mean / (2.0 * rmse)
-    else:
-        stderr = 0.0
-    return rmse, stderr
+    X = mc_points(f.design.shape[1], mc_samples, seed)
+    return rmse_stderr(target.value(X) - evaluate(f, X))

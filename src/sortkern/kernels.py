@@ -2,9 +2,14 @@
 
 Four evaluation modes turn a base kernel into a permutation-aware one:
 Plain leaves it untouched, Sorted canonicalizes both arguments through the
-descending sort, PermDouble averages over all (d!)^2 permutation pairs,
-and PermSingle averages over d! permutations of one argument (equivalent
-to PermDouble for isotropic kernels such as the Gaussian).
+descending sort, PermSingle averages over the d! permutations of one
+argument, and PermDouble averages over all (d!)^2 permutation pairs. For
+an isotropic kernel such as the Gaussian the double average equals the
+single one, so both are computed as the same d!-term sum.
+
+Every mode goes through one evaluator that walks row tiles of the first
+argument with cache-sized buffers and reproduces, bit for bit, the result
+of building one full distance matrix per permutation term.
 """
 
 import math
@@ -20,6 +25,10 @@ from .geometry import distinct_orbits, sort_points
 
 PERM_SINGLE_DIM_CAP = 6
 PERM_DOUBLE_DIM_CAP = 4
+
+# working-buffer bytes per row tile of kernel_cross, sized to stay in a
+# core's L2 cache
+_TILE_BYTES = 1 << 20
 
 _HERMITE_GRID = 20001  # 1-D maximization grid on [-1, 1]
 _SAFETY = 1.01
@@ -71,24 +80,92 @@ def check_mode_cap(mode, d):
             f"PermDouble averages (d!)^2 terms; d={d} exceeds the cap {PERM_DOUBLE_DIM_CAP}")
 
 
-def _pairwise_sq(A, B):
-    # per-coordinate accumulation: (a-b)^2 terms are bitwise symmetric in (a,b)
-    D = np.zeros((A.shape[0], B.shape[0]))
-    for k in range(A.shape[1]):
-        diff = A[:, k, None] - B[None, :, k]
-        D += diff * diff
-    return D
+def _terms(mode, d):
+    # coordinate permutations summed by the mode, in itertools order
+    if mode in (KernelMode.PLAIN, KernelMode.SORTED):
+        return [tuple(range(d))]
+    return list(permutations(range(d)))
 
 
-def _gauss(k, D2):
-    return k.amplitude * np.exp(D2 / (-2.0 * k.bandwidth * k.bandwidth))
+def _plan(terms):
+    # Table slots of the (p, q) coordinate pairs the terms read, and per term
+    # the (level, slot) additions that rebuild its distance. Level k is the
+    # sum over coordinates 0..k; lexicographic neighbours share their longest
+    # common prefix, so only the levels past it are recomputed.
+    pairs = sorted({(p, q) for t in terms for q, p in enumerate(t)})
+    slot = {pq: i for i, pq in enumerate(pairs)}
+    steps = []
+    prev = ()
+    for t in terms:
+        keep = 0
+        while keep < len(prev) and prev[keep] == t[keep]:
+            keep += 1
+        steps.append([(q, slot[t[q], q]) for q in range(keep, len(t))])
+        prev = t
+    return pairs, steps
 
 
-def _all_perms(X):
-    # rows of X expanded to every coordinate permutation: (n, d!, d)
-    d = X.shape[1]
-    perms = np.array(list(permutations(range(d))))
-    return X[:, perms.T].transpose(0, 2, 1)
+def _buffer_count(npairs, d):
+    # the table, the levels strictly between the first and the last, and
+    # the distance buffer that each term's exp and product overwrite
+    return npairs + max(d - 2, 0) + 1
+
+
+def _tile_rows(npairs, d, m):
+    """Rows of W per tile, at least one, for m columns."""
+    return max(1, _TILE_BYTES // (8 * _buffer_count(npairs, d) * m))
+
+
+def _evaluate(k, W, Z, terms):
+    """Average over terms pi of amplitude * exp(-||W[pi] - Z||^2 / (2 bw^2)).
+
+    Rows of W are processed in tiles whose buffers fit _TILE_BYTES. Every
+    element sees the same operations in the same order as a direct
+    evaluation: squared differences summed from coordinate 0 upwards,
+    division by -2 bw^2, exp, amplitude product, terms summed in order,
+    and one final division by the term count.
+    """
+    n, d = W.shape
+    m = Z.shape[0]
+    out = np.empty((n, m))
+    if n == 0 or m == 0:
+        return out
+    pairs, steps = _plan(terms)
+    npairs = len(pairs)
+    rows = _tile_rows(npairs, d, m)
+    buf = np.empty((_buffer_count(npairs, d), rows * m))
+    WT = np.ascontiguousarray(W.T)
+    ZT = np.ascontiguousarray(Z.T)
+    scale = -2.0 * k.bandwidth * k.bandwidth
+    for r0 in range(0, n, rows):
+        r1 = min(n, r0 + rows)
+        views = [b[:(r1 - r0) * m].reshape(r1 - r0, m) for b in buf]
+        table, dist = views[:npairs], views[-1]
+        # level[q] is the distance summed over coordinates 0..q: level 0 is a
+        # table entry, the last level is dist
+        level = [None, *views[npairs:-1], dist]
+        for (p, q), T in zip(pairs, table):
+            np.subtract(WT[p, r0:r1, None], ZT[q], out=T)
+            np.multiply(T, T, out=T)
+        if d == 0:
+            dist.fill(0.0)  # points without coordinates are at distance 0
+        acc = out[r0:r1]
+        for j, step in enumerate(steps):
+            for q, s in step:
+                if q == 0:
+                    level[0] = table[s]
+                else:
+                    np.add(level[q - 1], table[s], out=level[q])
+            np.divide(level[d - 1], scale, out=dist)
+            np.exp(dist, out=dist)
+            if j == 0:
+                np.multiply(dist, k.amplitude, out=acc)
+            else:
+                np.multiply(dist, k.amplitude, out=dist)
+                np.add(acc, dist, out=acc)
+        if len(terms) > 1:
+            np.divide(acc, len(terms), out=acc)
+    return out
 
 
 def kernel_cross(k, mode, W, Z):
@@ -102,27 +179,13 @@ def kernel_cross(k, mode, W, Z):
             f"dimension mismatch: {W.shape[1]} vs {Z.shape[1]}")
     d = W.shape[1]
     check_mode_cap(mode, d)
-    if mode is KernelMode.PLAIN:
-        return _gauss(k, _pairwise_sq(W, Z))
-    if mode is KernelMode.SORTED:
-        return _gauss(k, _pairwise_sq(sort_points(W), sort_points(Z)))
-    # averaged modes are permutation-invariant argument-wise, so inputs are
-    # canonicalized first; the sum then runs over the identical term multiset
+    # sorted mode is defined on the canonical representatives; the averaged
+    # modes are permutation-invariant argument-wise, so inputs are
+    # canonicalized first and the sum runs over the identical term multiset
     # for any permutation of w or z, making the invariance exact in floats
-    if mode is KernelMode.PERM_SINGLE:
-        PW = _all_perms(sort_points(W))
-        Zc = sort_points(Z)
-        out = np.zeros((W.shape[0], Z.shape[0]))
-        for j in range(PW.shape[1]):
-            out += _gauss(k, _pairwise_sq(PW[:, j], Zc))
-        return out / PW.shape[1]
-    PW, PZ = _all_perms(sort_points(W)), _all_perms(sort_points(Z))
-    nf = PW.shape[1]
-    out = np.zeros((W.shape[0], Z.shape[0]))
-    for a in range(nf):
-        for b in range(nf):
-            out += _gauss(k, _pairwise_sq(PW[:, a], PZ[:, b]))
-    return out / (nf * nf)
+    if mode is not KernelMode.PLAIN:
+        W, Z = sort_points(W), sort_points(Z)
+    return _evaluate(k, W, Z, _terms(mode, d))
 
 
 def kernel_value(k, mode, w, z):

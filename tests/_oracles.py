@@ -1,11 +1,17 @@
-"""Independent scalar re-implementations of every closed-form bound.
+"""Independent re-implementations that the package is tested against.
 
-Written directly from the displayed formulas with plain math-module
-arithmetic, deliberately sharing no code with the package. Tests compare
-the package's vectorized/structured implementations against these.
+The closed-form bounds are written directly from the displayed formulas
+with plain math-module arithmetic. The kernel evaluation is the direct
+enumeration that the tiled kernel_cross replaced: one full (n, m)
+distance matrix per permutation term, with the same per-element operation
+order, so the package must match it bit for bit. Nothing here shares code
+with the package.
 """
 
 import math
+from itertools import permutations
+
+import numpy as np
 
 
 def omega(d):
@@ -83,3 +89,46 @@ def eigen_weyl(j, nu, d, c_knu, rho_low, sorted_mode):
     if sorted_mode:
         v /= math.factorial(d) ** (nu / d - 1.0)
     return v
+
+
+def _sort_rows(X):
+    return np.ascontiguousarray(np.sort(X, axis=1)[:, ::-1])
+
+
+def _pairwise_sq(A, B):
+    # per-coordinate accumulation: (a-b)^2 terms are bitwise symmetric in (a,b)
+    D = np.zeros((A.shape[0], B.shape[0]))
+    for k in range(A.shape[1]):
+        diff = A[:, k, None] - B[None, :, k]
+        D += diff * diff
+    return D
+
+
+def _gauss(amplitude, bandwidth, D2):
+    return amplitude * np.exp(D2 / (-2.0 * bandwidth * bandwidth))
+
+
+def _all_perms(X):
+    # rows of X expanded to every coordinate permutation: (n, d!, d)
+    d = X.shape[1]
+    perms = np.array(list(permutations(range(d))))
+    return X[:, perms.T].transpose(0, 2, 1)
+
+
+def kernel_cross_enum(amplitude, bandwidth, mode, W, Z):
+    """Gaussian kernel matrix by direct enumeration; mode is "plain",
+    "sorted" or "perm_single"."""
+    W = np.asarray(W, dtype=float)
+    Z = np.asarray(Z, dtype=float)
+    if mode == "plain":
+        return _gauss(amplitude, bandwidth, _pairwise_sq(W, Z))
+    if mode == "sorted":
+        return _gauss(amplitude, bandwidth, _pairwise_sq(_sort_rows(W), _sort_rows(Z)))
+    if mode != "perm_single":
+        raise ValueError(f"unknown mode {mode!r}")
+    PW = _all_perms(_sort_rows(W))
+    Zc = _sort_rows(Z)
+    out = np.zeros((W.shape[0], Z.shape[0]))
+    for j in range(PW.shape[1]):
+        out += _gauss(amplitude, bandwidth, _pairwise_sq(PW[:, j], Zc))
+    return out / PW.shape[1]

@@ -5,7 +5,12 @@ import csv
 import pytest
 
 import sortkern.cli as cli
-from sortkern.errors import NumericalError
+from sortkern.errors import (
+    DimensionMismatchError,
+    DuplicateOrbitError,
+    FactorizationError,
+    NumericalError,
+)
 
 
 def run_cli(argv):
@@ -74,6 +79,38 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "run", boom)
         assert run_cli(["table1"]) == 2
         assert "numerical failure" in capsys.readouterr().err
+
+
+    def test_factorization_failure_is_two(self, monkeypatch, capsys, tmp_path):
+        def boom(cfg):
+            raise FactorizationError("Gram factorization failed")
+        monkeypatch.setattr(cli, "run", boom)
+        assert run_cli(["interp_compare", "--out", str(tmp_path / "x.csv")]) == 2
+        assert "numerical failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("exc", [
+        DuplicateOrbitError("design has points in the same permutation orbit"),
+        DimensionMismatchError("dimension mismatch: 2 vs 3"),
+        PermissionError(13, "Permission denied", "x.csv"),
+    ])
+    def test_other_failures_are_one_line_and_one(self, exc, monkeypatch, capsys, tmp_path):
+        def boom(cfg):
+            raise exc
+        monkeypatch.setattr(cli, "run", boom)
+        assert run_cli(["table1", "--out", str(tmp_path / "x.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("sortkern: error: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("where", ["missing/x.csv", "."])
+    def test_bad_out_path_fails_before_running(self, where, monkeypatch, capsys, tmp_path):
+        def never(cfg):
+            raise AssertionError("the experiment ran")
+        monkeypatch.setattr(cli, "run", never)
+        assert run_cli(["table1", "--out", str(tmp_path / where)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("sortkern: error: output ")
+        assert err.count("\n") == 1
 
 
 class TestEndToEnd:

@@ -1,6 +1,8 @@
 """Experiment runner tests: schemas, determinism, dominance, small-scale sanity."""
 
 import csv
+import hashlib
+import io
 import math
 
 import numpy as np
@@ -19,6 +21,7 @@ from sortkern.experiments import (
     run_tail_curves,
 )
 from sortkern.geometry import Domain, cone_parameters
+from sortkern.interpolation import InvariantTarget
 from sortkern.kernels import KernelSpec
 from sortkern.spectral import SpectrumEstimate
 
@@ -181,6 +184,44 @@ class TestInterpCompare:
             for col in ("d", "n", "trial", "mode", "l2_error", "l2_bound_value",
                         "pointwise_max_error", "fill_distance", "bound_valid"):
                 assert x[col] == y[col]
+
+    # sha256 of the CSV without its fit_ms column, written by the direct
+    # enumeration kernel (one full distance matrix per permutation term)
+    # before the tiled evaluator replaced it; the tiled evaluator must
+    # reproduce those bytes
+    GOLDEN = {
+        2: "843fdbf57ad6c18c648c682080401ab64b3994e37c31467ae22fe506d58b7269",
+        4: "f0a4f5a418a44ec4547520d40f1bea6e1841dd1421840ec87049669fe5e466db",
+    }
+
+    @pytest.mark.parametrize("d", sorted(GOLDEN))
+    def test_golden_digest(self, d, tmp_path):
+        c = cfg(tmp_path, "g.csv", Experiment.INTERP_COMPARE, dims=(d,), ns=(12, 30),
+                trials=2, mc_samples=5000, candidate_count=3000, seed=11,
+                kernel=KernelSpec(amplitude=0.1591549, bandwidth=0.3))
+        run_interp_compare(c)
+        with open(c.out_path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        col = rows[0].index("fit_ms")
+        buf = io.StringIO()
+        w = csv.writer(buf, lineterminator="\n")
+        for r in rows:
+            w.writerow([v for i, v in enumerate(r) if i != col])
+        assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == self.GOLDEN[d]
+
+    def test_target_evaluated_once_per_sample(self, tmp_path, monkeypatch):
+        # the error samples are shared by the three modes, so the target is
+        # evaluated on the design, the MC sample and the pointwise sample once
+        points = []
+        value = InvariantTarget.value
+
+        def counting(self, x):
+            points.append(len(x))
+            return value(self, x)
+        monkeypatch.setattr(InvariantTarget, "value", counting)
+        run_interp_compare(cfg(tmp_path, "ic.csv", Experiment.INTERP_COMPARE,
+                               dims=(2,), trials=2, mc_samples=500))
+        assert sorted(points) == sorted([40, 500, 1000] * 2)
 
     def test_dim_above_averaged_cap_rejected(self, tmp_path):
         c = cfg(tmp_path, "ic.csv", Experiment.INTERP_COMPARE, dims=(9,))

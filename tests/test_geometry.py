@@ -96,6 +96,19 @@ class TestFillDistance:
         with pytest.raises(DimensionMismatchError):
             fill_distance_estimate([[0.5, 0.5]], Domain.CUBE, [[0.1, 0.2, 0.3]])
 
+    @pytest.mark.parametrize("d", [2, 6])
+    @pytest.mark.parametrize("dom", list(Domain))
+    def test_invalid_design_rejected(self, d, dom):
+        # both the kd-tree path (d <= 4) and the pruned scan validate the
+        # design: a NaN design used to return nan, a scaled one a number
+        rng = np.random.default_rng(90 + d)
+        X, C = rng.random((60, d)), rng.random((800, d))
+        bad_nan = X.copy()
+        bad_nan[3, 1] = np.nan
+        for bad in (bad_nan, 3.0 * X):
+            with pytest.raises(ConfigError):
+                fill_distance_estimate(bad, dom, C)
+
     @pytest.mark.parametrize("d,n,nc", [(2, 60, 500), (3, 150, 800), (4, 40, 300)])
     def test_matches_brute_force_tree_path(self, d, n, nc):
         rng = np.random.default_rng(100 + d)
@@ -247,3 +260,10 @@ class TestHelpers:
             as_design([[0.5, -0.1]])
         with pytest.raises(DimensionMismatchError):
             as_design([0.5, 0.5])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_validators_reject_non_finite(self, bad):
+        with pytest.raises(ConfigError, match="finite"):
+            as_point([0.5, bad])
+        with pytest.raises(ConfigError, match="finite"):
+            as_design([[0.5, 0.2], [bad, 0.1]])

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from sortkern.errors import DimensionMismatchError, DuplicateOrbitError, FactorizationError
+from sortkern.errors import ConfigError, DimensionMismatchError, DuplicateOrbitError, FactorizationError
 from sortkern.interpolation import (
     Interpolant,
     InvariantTarget,
@@ -51,6 +51,14 @@ class TestFit:
     def test_duplicate_orbits_rejected(self):
         with pytest.raises(DuplicateOrbitError):
             fit(unit_kernel(), KernelMode.SORTED, [[0.1, 0.2], [0.2, 0.1]], [1.0, 2.0])
+
+    def test_non_finite_design_rejected(self):
+        # the range check alone let NaN through to scipy's own ValueError
+        X = np.random.default_rng(4).random((6, 2))
+        X[2, 0] = np.nan
+        for mode in (KernelMode.PLAIN, KernelMode.SORTED):
+            with pytest.raises(ConfigError, match="finite"):
+                fit(unit_kernel(), mode, X, np.zeros(6))
 
     def test_length_mismatch(self):
         with pytest.raises(DimensionMismatchError):

@@ -8,6 +8,8 @@ import pytest
 from numpy.polynomial import hermite_e
 from scipy.linalg import cholesky
 
+import _oracles as oracle
+from sortkern import kernels
 from sortkern.errors import CapExceededError, ConfigError, DuplicateOrbitError
 from sortkern.kernels import (
     KernelMode,
@@ -165,6 +167,77 @@ class TestGram:
             for i in range(6):
                 for j in range(i, 6):
                     assert G[i, j] == pytest.approx(kernel_value(k, mode, X[i], X[j]), rel=1e-13)
+
+
+# the modes the enumeration oracle reproduces bit for bit
+ORACLE_MODES = (KernelMode.PLAIN, KernelMode.SORTED, KernelMode.PERM_SINGLE)
+
+
+def enum_cross(k, mode, W, Z):
+    return oracle.kernel_cross_enum(k.amplitude, k.bandwidth, mode.value, W, Z)
+
+
+def tile_geometry(mode, d, m):
+    # (rows per tile, elements per buffer) that kernel_cross uses for m columns
+    npairs = len(kernels._plan(kernels._terms(mode, d))[0])
+    budget = kernels._TILE_BYTES // (8 * kernels._buffer_count(npairs, d))
+    return kernels._tile_rows(npairs, d, m), budget
+
+
+class TestBitIdentity:
+    """The tiled evaluator against the direct enumeration, with array_equal."""
+
+    K = KernelSpec(amplitude=AMP, bandwidth=0.3)
+
+    @pytest.mark.parametrize("mode", ORACLE_MODES)
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_rows_around_one_tile(self, mode, d):
+        rng = np.random.default_rng(40 + d)
+        Z = rng.random((7, d))
+        rows, _ = tile_geometry(mode, d, 7)
+        for n in (rows - 1, rows, rows + 1):
+            W = rng.random((n, d))
+            assert np.array_equal(kernel_cross(self.K, mode, W, Z),
+                                  enum_cross(self.K, mode, W, Z))
+
+    @pytest.mark.parametrize("mode", ORACLE_MODES)
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_one_column_and_columns_over_budget(self, mode, d):
+        rng = np.random.default_rng(60 + d)
+        _, budget = tile_geometry(mode, d, 1)
+        assert tile_geometry(mode, d, budget + 1)[0] == 1
+        for n, m in ((9, 1), (3, budget + 1)):
+            W, Z = rng.random((n, d)), rng.random((m, d))
+            assert np.array_equal(kernel_cross(self.K, mode, W, Z),
+                                  enum_cross(self.K, mode, W, Z))
+
+    @pytest.mark.parametrize("mode", ORACLE_MODES)
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_many_small_tiles(self, mode, d, monkeypatch):
+        # a tiny budget puts a few rows in each tile, so the distance
+        # levels are rebuilt on every tile
+        monkeypatch.setattr(kernels, "_TILE_BYTES", 4096)
+        rng = np.random.default_rng(80 + d)
+        W, Z = rng.random((23, d)), rng.random((5, d))
+        k = KernelSpec(amplitude=0.7, bandwidth=0.08)
+        assert np.array_equal(kernel_cross(k, mode, W, Z), enum_cross(k, mode, W, Z))
+
+    @pytest.mark.parametrize("mode", ORACLE_MODES)
+    def test_empty_design(self, mode):
+        Z = np.random.default_rng(3).random((4, 3))
+        got = kernel_cross(self.K, mode, np.empty((0, 3)), Z)
+        assert got.shape == (0, 4)
+        assert np.array_equal(got, enum_cross(self.K, mode, np.empty((0, 3)), Z))
+
+    @pytest.mark.parametrize("mode", list(KernelMode))
+    def test_gram_symmetric_across_tiles(self, mode, monkeypatch):
+        monkeypatch.setattr(kernels, "_TILE_BYTES", 4096)
+        X = np.random.default_rng(13).random((30, 3))
+        G = gram(self.K, mode, X)
+        assert np.array_equal(G, G.T)
+        if mode in ORACLE_MODES:
+            iu = np.triu_indices(30)
+            assert np.array_equal(G[iu], enum_cross(self.K, mode, X, X)[iu])
 
 
 class TestSupConstants:
