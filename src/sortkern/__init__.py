@@ -68,7 +68,6 @@ from .interpolation import (
     rmse_stderr,
 )
 from .kernels import (
-    PERM_DOUBLE_DIM_CAP,
     PERM_SINGLE_DIM_CAP,
     KernelFamily,
     KernelMode,
@@ -98,9 +97,9 @@ __all__ = [
     "Interpolant", "InvariantTarget", "evaluate", "fit",
     "interpolant_norm_sq", "l2_error", "make_invariant_target", "mc_points",
     "rmse_stderr",
-    "PERM_DOUBLE_DIM_CAP", "PERM_SINGLE_DIM_CAP", "KernelFamily",
-    "KernelMode", "KernelSpec", "check_mode_cap", "gram", "kernel_cross",
-    "kernel_value", "sup_kernel_constant",
+    "PERM_SINGLE_DIM_CAP", "KernelFamily", "KernelMode", "KernelSpec",
+    "check_mode_cap", "gram", "kernel_cross", "kernel_value",
+    "sup_kernel_constant",
     "SpectrumEstimate", "decay_slope", "nystrom_spectrum",
 ]
 

@@ -11,6 +11,7 @@ fit_ms column of the interpolation comparison.
 
 import csv
 import math
+import os
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -92,11 +93,21 @@ def _fmt(x):
 
 
 def _write_csv(path, header, rows):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
-        for row in rows:
-            w.writerow([_fmt(row[col]) for col in header])
+    # written beside the target and moved into place, so a run that fails
+    # while writing leaves neither a partial CSV nor the temporary file
+    head, tail = os.path.split(os.path.abspath(path))
+    tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+    fh = open(tmp, "x", newline="")
+    try:
+        with fh:
+            w = csv.writer(fh, lineterminator="\n")
+            w.writerow(header)
+            for row in rows:
+                w.writerow([_fmt(row[col]) for col in header])
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 def _trial_draws(cfg, exp_id, d, n, trial):

@@ -25,6 +25,10 @@ _TREE_MAX_DIM = 4
 # 2^d corner enumeration is capped to keep candidate sets bounded.
 CORNER_DIM_CAP = 14
 
+# working-buffer bytes of one prescan tile of the pruned scan, sized to stay
+# in a core's L2 cache
+_PRESCAN_TILE_BYTES = 1 << 19
+
 
 class Domain(Enum):
     """Approximation domain: the unit cube or its sorted fundamental simplex."""
@@ -64,10 +68,13 @@ def as_point(p):
     return p
 
 
-def as_design(X):
-    """Validate and return a design as an (n, d) float array with finite entries in [0,1]."""
+def as_design(X, min_rows=1):
+    """Validate and return a design as an (n, d) float array with finite entries in [0,1].
+
+    The design needs at least min_rows rows and one column.
+    """
     X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[0] < 1 or X.shape[1] < 1:
+    if X.ndim != 2 or X.shape[0] < min_rows or X.shape[1] < 1:
         raise DimensionMismatchError(f"design must be an (n, d) array, got shape {X.shape}")
     _check_unit_range(X, "design")
     return X
@@ -132,6 +139,70 @@ def _exact_min_sq(C, X, xsq, cand_chunk=65536, block=4096):
     return out
 
 
+def _candidate_sq_norms(C):
+    # one pass over the candidates; a NaN, an infinity or a square that
+    # overflows leaves a non-finite norm
+    csq = np.einsum("ij,ij->i", C, C)
+    if not np.isfinite(csq).all():
+        raise ConfigError("candidate coordinates and their squared norms must be finite")
+    return csq
+
+
+def _prescan_sq(X, C, xsq, csq, k0):
+    """Squared distance from each row of C to its nearest point among X[:k0].
+
+    Every element sees the operations of one (N, k0) product C @ X[:k0].T:
+    dot product, times -2, plus the design point's squared norm, min over
+    the k0 points, plus the candidate's squared norm. The product is formed
+    transposed, (k0, cols) per column tile of _PRESCAN_TILE_BYTES, so the
+    (N, k0) matrix never exists and the min is an elementwise minimum of
+    contiguous rows. Every tile has the same width, a multiple of 64 (the
+    last one is zero-padded): a partial micro-tile at a ragged edge of a
+    BLAS product can round differently.
+    """
+    N, d = C.shape
+    cols = max(64, _PRESCAN_TILE_BYTES // (8 * k0) // 64 * 64)
+    XT = X[:k0]
+    xs = xsq[:k0, None]
+    m = np.empty(N)
+    T = np.empty((k0, cols))
+    for s in range(0, N, cols):
+        e = min(N, s + cols)
+        tile = C[s:e]
+        if e - s < cols:
+            tile = np.zeros((cols, d))
+            tile[:e - s] = C[s:e]
+        np.matmul(XT, tile.T, out=T)
+        T *= -2.0
+        T += xs
+        np.minimum.reduce(T[:, :e - s], axis=0, out=m[s:e])
+    m += csq
+    return m
+
+
+def _warm_set(m, warm):
+    """The first `warm` indices of the best-first order, in that order.
+
+    Best-first is descending prescan score with ties in index order, the
+    order of a stable sort of -m. A partial selection finds the warm set,
+    so only it and the warm pass's survivors are ever sorted.
+    """
+    kth = np.partition(m, m.shape[0] - warm)[m.shape[0] - warm]
+    top = np.flatnonzero(m > kth)
+    # ties at the boundary go in by lowest index; each run of equal scores
+    # stays ascending, which the stable sort keeps
+    top = np.concatenate([top, np.flatnonzero(m == kth)[:warm - top.shape[0]]])
+    return top[np.argsort(-m[top], kind="stable")]
+
+
+def _survivors(m, top, h2):
+    """The indices after the warm set `top` in best-first order with m > h2."""
+    live = m > h2
+    live[top] = False
+    rest = np.flatnonzero(live)
+    return rest[np.argsort(-m[rest], kind="stable")]
+
+
 def _maxmin_sq_pruned(X, C, prescan=32, warm=512, chunk=32768):
     """Exact max over rows of C of squared NN distance to X.
 
@@ -139,22 +210,19 @@ def _maxmin_sq_pruned(X, C, prescan=32, warm=512, chunk=32768):
     few design points; candidates are then processed best-first in chunks,
     and the running maximum prunes candidates that provably cannot win.
     The returned value equals the full brute-force max-min exactly.
+    Candidates whose coordinates or squared norms are not finite raise
+    ConfigError.
     """
     n = X.shape[0]
     xsq = np.einsum("ij,ij->i", X, X)
+    csq = _candidate_sq_norms(C)
     if n <= prescan or C.shape[0] <= warm:
         return float(_exact_min_sq(C, X, xsq).max())
-    csq = np.einsum("ij,ij->i", C, C)
     k0 = prescan
-    T = C @ X[:k0].T
-    T *= -2.0
-    T += xsq[:k0][None, :]
-    m = T.min(axis=1)
-    m += csq
-    order = np.argsort(-m, kind="stable")
-    h2 = float(_exact_min_sq(C[order[:warm]], X, xsq).max())
-    rest = order[warm:]
-    rest = rest[m[rest] > h2]
+    m = _prescan_sq(X, C, xsq, csq, k0)
+    top = _warm_set(m, warm)
+    h2 = float(_exact_min_sq(C[top], X, xsq).max())
+    rest = _survivors(m, top, h2)
     for s in range(0, rest.shape[0], chunk):
         idx = rest[s:s + chunk]
         idx = idx[m[idx] > h2]
@@ -192,7 +260,9 @@ def fill_distance_estimate(X, domain, candidates):
     max_c min_i ||sort c - sort x_i||. The result is an exact max-min over
     the given finite candidate set, hence a lower estimate of the true
     supremum over the continuous domain, converging as candidates densify.
-    A design with non-finite or out-of-range coordinates raises ConfigError.
+    A design with non-finite or out-of-range coordinates raises ConfigError,
+    and so do candidates whose coordinates or squared norms are not finite;
+    finite candidates outside the cube are allowed.
     """
     X = as_design(X)
     C = np.asarray(candidates, dtype=float)
@@ -212,6 +282,7 @@ def fill_distance_estimate(X, domain, candidates):
         X = np.ascontiguousarray(X)
         C = np.ascontiguousarray(C)
     if X.shape[1] <= _TREE_MAX_DIM:
+        _candidate_sq_norms(C)
         dist, _ = cKDTree(X).query(C, k=1)
         return float(dist.max())
     return float(math.sqrt(max(_maxmin_sq_pruned(X, C), 0.0)))

@@ -14,8 +14,8 @@ import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .errors import DimensionMismatchError, FactorizationError
-from .geometry import as_design, sort_points
-from .kernels import KernelMode, KernelSpec, check_mode_cap, gram, kernel_cross
+from .geometry import as_design, as_point, sort_points
+from .kernels import KernelMode, KernelSpec, _cross, check_mode_cap, gram
 from .rng import stream
 
 # diagonal jitter escalation, relative to mean diagonal magnitude
@@ -51,11 +51,20 @@ class InvariantTarget:
 
     def value(self, x):
         """Target values at a point (scalar) or at rows of an array."""
-        x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        X = np.atleast_2d(x)
-        out = kernel_cross(self.kernel, KernelMode.PERM_SINGLE, X, self.atoms) @ self.weights
+        X, single = _as_points(x, self.atoms.shape[1])
+        out = _cross(self.kernel, KernelMode.PERM_SINGLE, X, self.atoms) @ self.weights
         return float(out[0]) if single else out
+
+
+def _as_points(x, d):
+    # a point or an (n, d) array, validated once per public call, as rows
+    # and whether a scalar result is wanted
+    x = np.asarray(x, dtype=float)
+    single = x.ndim == 1
+    X = as_point(x)[None, :] if single else as_design(x)
+    if X.shape[1] != d:
+        raise DimensionMismatchError(f"dimension mismatch: point d={X.shape[1]}, expected d={d}")
+    return X, single
 
 
 def fit(k, mode, X, y):
@@ -99,17 +108,15 @@ def fit(k, mode, X, y):
 
 
 def evaluate(f, x):
-    """Interpolant value at a point (scalar) or at rows of an array."""
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    X = np.atleast_2d(x)
-    if X.shape[1] != f.design.shape[1]:
-        raise DimensionMismatchError(
-            f"dimension mismatch: point d={X.shape[1]}, design d={f.design.shape[1]}")
+    """Interpolant value at a point (scalar) or at rows of an array.
+
+    Points must have finite coordinates in [0, 1]; others raise ConfigError.
+    """
+    X, single = _as_points(x, f.design.shape[1])
     out = np.empty(X.shape[0])
     for s in range(0, X.shape[0], _EVAL_CHUNK):
         out[s:s + _EVAL_CHUNK] = (
-            kernel_cross(f.kernel, f.mode, X[s:s + _EVAL_CHUNK], f.design) @ f.coeffs)
+            _cross(f.kernel, f.mode, X[s:s + _EVAL_CHUNK], f.design) @ f.coeffs)
     return float(out[0]) if single else out
 
 

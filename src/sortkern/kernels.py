@@ -21,10 +21,10 @@ import numpy as np
 from numpy.polynomial import hermite_e
 
 from .errors import CapExceededError, ConfigError, DimensionMismatchError, DuplicateOrbitError
-from .geometry import distinct_orbits, sort_points
+from .geometry import as_design, distinct_orbits, sort_points
 
+# both averaged modes sum the same d! terms, so they share one cap
 PERM_SINGLE_DIM_CAP = 6
-PERM_DOUBLE_DIM_CAP = 4
 
 # working-buffer bytes per row tile of kernel_cross, sized to stay in a
 # core's L2 cache
@@ -71,13 +71,10 @@ class KernelSpec:
 
 
 def check_mode_cap(mode, d):
-    """Raise if the averaged mode's factorial term count is over its cap."""
-    if mode is KernelMode.PERM_SINGLE and d > PERM_SINGLE_DIM_CAP:
+    """Raise if an averaged mode's d! term count is over its cap."""
+    if mode in (KernelMode.PERM_SINGLE, KernelMode.PERM_DOUBLE) and d > PERM_SINGLE_DIM_CAP:
         raise CapExceededError(
-            f"PermSingle averages d! terms; d={d} exceeds the cap {PERM_SINGLE_DIM_CAP}")
-    if mode is KernelMode.PERM_DOUBLE and d > PERM_DOUBLE_DIM_CAP:
-        raise CapExceededError(
-            f"PermDouble averages (d!)^2 terms; d={d} exceeds the cap {PERM_DOUBLE_DIM_CAP}")
+            f"{mode.value} averages d! terms; d={d} exceeds the cap {PERM_SINGLE_DIM_CAP}")
 
 
 def _terms(mode, d):
@@ -147,8 +144,6 @@ def _evaluate(k, W, Z, terms):
         for (p, q), T in zip(pairs, table):
             np.subtract(WT[p, r0:r1, None], ZT[q], out=T)
             np.multiply(T, T, out=T)
-        if d == 0:
-            dist.fill(0.0)  # points without coordinates are at distance 0
         acc = out[r0:r1]
         for j, step in enumerate(steps):
             for q, s in step:
@@ -169,14 +164,22 @@ def _evaluate(k, W, Z, terms):
 
 
 def kernel_cross(k, mode, W, Z):
-    """All pairwise kernel values between the rows of W and the rows of Z."""
-    W = np.asarray(W, dtype=float)
-    Z = np.asarray(Z, dtype=float)
-    if W.ndim != 2 or Z.ndim != 2:
-        raise DimensionMismatchError("kernel_cross expects (n, d) arrays")
+    """All pairwise kernel values between the rows of W and the rows of Z.
+
+    Both arguments must be (n, d) arrays, possibly without rows, with
+    finite entries in [0, 1]; anything else raises ConfigError or
+    DimensionMismatchError.
+    """
+    W = as_design(W, min_rows=0)
+    Z = as_design(Z, min_rows=0)
     if W.shape[1] != Z.shape[1]:
         raise DimensionMismatchError(
             f"dimension mismatch: {W.shape[1]} vs {Z.shape[1]}")
+    return _cross(k, mode, W, Z)
+
+
+def _cross(k, mode, W, Z):
+    # kernel_cross on arguments the caller has validated
     d = W.shape[1]
     check_mode_cap(mode, d)
     # sorted mode is defined on the canonical representatives; the averaged

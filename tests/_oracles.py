@@ -4,8 +4,11 @@ The closed-form bounds are written directly from the displayed formulas
 with plain math-module arithmetic. The kernel evaluation is the direct
 enumeration that the tiled kernel_cross replaced: one full (n, m)
 distance matrix per permutation term, with the same per-element operation
-order, so the package must match it bit for bit. Nothing here shares code
-with the package.
+order, so the package must match it bit for bit. The pruned max-min scan
+is the one the tiled prescan and partial selection replaced: a full
+(N, 32) prescan matrix and a stable argsort of every candidate; the
+package must return the same float. Nothing here shares code with the
+package.
 """
 
 import math
@@ -132,3 +135,64 @@ def kernel_cross_enum(amplitude, bandwidth, mode, W, Z):
     for j in range(PW.shape[1]):
         out += _gauss(amplitude, bandwidth, _pairwise_sq(PW[:, j], Zc))
     return out / PW.shape[1]
+
+
+def _exact_min_sq(C, X, xsq, cand_chunk=65536, block=4096):
+    out = np.empty(C.shape[0])
+    n = X.shape[0]
+    for s in range(0, C.shape[0], cand_chunk):
+        c = C[s:s + cand_chunk]
+        m = np.full(c.shape[0], np.inf)
+        for j in range(0, n, block):
+            T = c @ X[j:j + block].T
+            T *= -2.0
+            T += xsq[j:j + block][None, :]
+            np.minimum(m, T.min(axis=1), out=m)
+        m += np.einsum("ij,ij->i", c, c)
+        out[s:s + cand_chunk] = m
+    return out
+
+
+def maxmin_sq_pruned(X, C, prescan=32, warm=512, chunk=32768):
+    """Squared max-min distance by the full-prescan, full-argsort scan."""
+    n = X.shape[0]
+    xsq = np.einsum("ij,ij->i", X, X)
+    if n <= prescan or C.shape[0] <= warm:
+        return float(_exact_min_sq(C, X, xsq).max())
+    csq = np.einsum("ij,ij->i", C, C)
+    k0 = prescan
+    T = C @ X[:k0].T
+    T *= -2.0
+    T += xsq[:k0][None, :]
+    m = T.min(axis=1)
+    m += csq
+    order = np.argsort(-m, kind="stable")
+    h2 = float(_exact_min_sq(C[order[:warm]], X, xsq).max())
+    rest = order[warm:]
+    rest = rest[m[rest] > h2]
+    for s in range(0, rest.shape[0], chunk):
+        idx = rest[s:s + chunk]
+        idx = idx[m[idx] > h2]
+        if idx.shape[0] == 0:
+            continue
+        c = C[idx]
+        cs = csq[idx]
+        mm = m[idx] - cs
+        j, b = k0, k0
+        while j < n and idx.shape[0]:
+            if idx.shape[0] * (n - j) <= 262144:
+                b = n - j
+            k = min(b, n - j)
+            T = c @ X[j:j + k].T
+            T *= -2.0
+            T += xsq[j:j + k][None, :]
+            np.minimum(mm, T.min(axis=1), out=mm)
+            alive = (mm + cs) > h2
+            if alive.mean() < 0.7:
+                keep = np.flatnonzero(alive)
+                idx, c, cs, mm = idx[keep], c[keep], cs[keep], mm[keep]
+            j += k
+            b = min(2 * b, 4096)
+        if idx.shape[0]:
+            h2 = max(h2, float((mm + cs).max()))
+    return h2

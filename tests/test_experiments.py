@@ -11,6 +11,7 @@ import pytest
 from sortkern.errors import ConfigError
 from sortkern.experiments import (
     Experiment,
+    _write_csv,
     ExperimentConfig,
     resolved_slope_depth,
     run,
@@ -66,6 +67,24 @@ class TestConfigValidation:
     def test_tail_needs_eps_grid(self, tmp_path):
         with pytest.raises(ConfigError, match="eps"):
             run_tail_curves(cfg(tmp_path, "x.csv", Experiment.TAIL_CURVES))
+
+
+class TestCsvWrite:
+    def test_failed_row_leaves_nothing(self, tmp_path):
+        # the second row lacks a column, so writing raises mid-file
+        path = tmp_path / "out.csv"
+        with pytest.raises(KeyError):
+            _write_csv(str(path), ["a", "b"], [{"a": 1.0, "b": 2}, {"a": 3.0}])
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_row_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "out.csv"
+        _write_csv(str(path), ["a"], [{"a": 0.5}])
+        before = path.read_bytes()
+        with pytest.raises(KeyError):
+            _write_csv(str(path), ["a"], [{"a": 1.0}, {}])
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
 
 
 class TestTable1:

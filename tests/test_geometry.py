@@ -4,8 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
+import _oracles as oracle
+from sortkern import geometry
 from sortkern.errors import CapExceededError, ConfigError, DimensionMismatchError
 from sortkern.geometry import (
     ConeParams,
@@ -130,6 +134,111 @@ class TestFillDistance:
         rng = np.random.default_rng(7)
         X = rng.random((300, 6))
         C = np.vstack([X, rng.random((4000, 6))])
+        got = fill_distance_estimate(X, Domain.CUBE, C)
+        assert got == pytest.approx(brute_fill(X, C), rel=1e-12)
+
+
+def adversarial_cloud(kind, d, n, nc, seed):
+    # a design and candidates built to stress the pruned scan's ordering
+    rng = np.random.default_rng(seed)
+    if kind == "lattice":
+        # coordinates on a 5-level lattice: prescan scores tie exactly,
+        # also across the warm-set boundary
+        return rng.integers(0, 5, (n, d)) / 4.0, rng.integers(0, 5, (nc, d)) / 4.0
+    X = rng.random((n, d))
+    if kind == "uniform":
+        C = rng.random((nc, d))
+    elif kind == "duplicates":
+        C = rng.random((nc // 5 + 1, d))[rng.integers(0, nc // 5 + 1, nc)]
+    elif kind == "design_rows":
+        C = np.vstack([X[rng.integers(0, n, nc // 2)], rng.random((nc - nc // 2, d))])
+    elif kind == "all_tied":
+        C = np.repeat(rng.random((1, d)), nc, axis=0)
+    return X, C
+
+
+class TestPrunedScanOracle:
+    """The tiled prescan and partial selection against the full-argsort scan,
+    compared with ==: same warm set, same visiting order, same float."""
+
+    @pytest.mark.parametrize("kind", ["uniform", "lattice", "duplicates", "design_rows", "all_tied"])
+    @pytest.mark.parametrize("d", [5, 6, 9, 12])
+    @pytest.mark.parametrize("n", [32, 33, 200])
+    @pytest.mark.parametrize("nc", [512, 513, 4165])
+    def test_bit_identical(self, kind, d, n, nc):
+        X, C = adversarial_cloud(kind, d, n, nc, seed=1000 * d + 10 * n + nc % 7)
+        for A, B in ((X, C), (sort_points(X), sort_points(C))):
+            A, B = np.ascontiguousarray(A), np.ascontiguousarray(B)
+            assert geometry._maxmin_sq_pruned(A, B) == oracle.maxmin_sq_pruned(A, B)
+
+    @pytest.mark.parametrize("kind", ["uniform", "lattice", "duplicates", "design_rows"])
+    @pytest.mark.parametrize("warm,chunk,prescan", [(1, 7, 32), (64, 100, 16), (511, 4096, 32)])
+    def test_bit_identical_small_warm_and_chunks(self, kind, warm, chunk, prescan):
+        # many survivor chunks, and a running maximum that moves between them
+        X, C = adversarial_cloud(kind, 6, 300, 6000, seed=warm + chunk)
+        kw = dict(prescan=prescan, warm=warm, chunk=chunk)
+        assert geometry._maxmin_sq_pruned(X, C, **kw) == oracle.maxmin_sq_pruned(X, C, **kw)
+
+    @pytest.mark.parametrize("kind", ["lattice", "duplicates", "all_tied"])
+    def test_visit_order_matches_stable_sort(self, kind):
+        # warm set and survivors in the order a stable argsort of every
+        # score visits them, with tied scores across the warm boundary
+        X, C = adversarial_cloud(kind, 6, 200, 4165, seed=1)
+        xsq = np.einsum("ij,ij->i", X, X)
+        m = geometry._prescan_sq(X, C, xsq, np.einsum("ij,ij->i", C, C), 32)
+        order = np.argsort(-m, kind="stable")
+        assert m[order[511]] == m[order[512]]
+        top = geometry._warm_set(m, 512)
+        assert np.array_equal(top, order[:512])
+        for h2 in np.unique(m)[::7]:
+            rest = order[512:]
+            assert np.array_equal(geometry._survivors(m, top, h2), rest[m[rest] > h2])
+
+    @pytest.mark.parametrize("nc", [2047, 2048, 2049, 4096 + 63])
+    def test_prescan_tiles_match_one_product(self, nc):
+        # ragged last tiles: the score of every candidate is the one the
+        # single (N, 32) product gives
+        rng = np.random.default_rng(nc)
+        X, C = rng.random((100, 9)), rng.random((nc, 9))
+        xsq, csq = np.einsum("ij,ij->i", X, X), np.einsum("ij,ij->i", C, C)
+        T = C @ X[:32].T
+        T *= -2.0
+        T += xsq[:32][None, :]
+        assert np.array_equal(geometry._prescan_sq(X, C, xsq, csq, 32), T.min(axis=1) + csq)
+
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.integers(5, 9), n=st.integers(1, 120), nc=st.integers(1, 1500),
+           seed=st.integers(0, 2 ** 32 - 1), levels=st.sampled_from([0, 2, 5]),
+           repeat=st.booleans())
+    def test_equals_brute_force(self, d, n, nc, seed, levels, repeat):
+        rng = np.random.default_rng(seed)
+        X, C = rng.random((n, d)), rng.random((nc, d))
+        if levels:
+            X, C = np.round(X * (levels - 1)) / (levels - 1), np.round(C * (levels - 1)) / (levels - 1)
+        if repeat:
+            C = np.vstack([C, X, C[: nc // 2]])
+        want = cdist(C, X, "sqeuclidean").min(axis=1).max()
+        assert abs(geometry._maxmin_sq_pruned(X, C) - want) <= 1e-12
+
+
+class TestCandidateValidation:
+    @pytest.mark.parametrize("d", [2, 6])
+    @pytest.mark.parametrize("n", [20, 60])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200])
+    def test_non_finite_candidates_rejected(self, d, n, bad):
+        # kd-tree path (d <= 4) and pruned scan, with and without the
+        # prescan; 1e200 is finite but its square overflows
+        rng = np.random.default_rng(d + n)
+        X, C = rng.random((n, d)), rng.random((900, d))
+        C[417, d - 1] = bad
+        for dom in Domain:
+            with pytest.raises(ConfigError, match="finite"):
+                fill_distance_estimate(X, dom, C)
+
+    @pytest.mark.parametrize("d", [2, 6])
+    def test_out_of_range_candidates_allowed(self, d):
+        rng = np.random.default_rng(30 + d)
+        X, C = rng.random((60, d)), 3.0 * rng.random((900, d)) - 1.0
         got = fill_distance_estimate(X, Domain.CUBE, C)
         assert got == pytest.approx(brute_fill(X, C), rel=1e-12)
 

@@ -15,6 +15,7 @@ from sortkern.interpolation import (
     l2_error,
     make_invariant_target,
 )
+from sortkern import interpolation, kernels
 from sortkern.kernels import KernelMode, KernelSpec, gram, kernel_cross
 from sortkern.rng import stream
 
@@ -144,6 +145,27 @@ class TestEvaluate:
         with pytest.raises(DimensionMismatchError):
             evaluate(f, [0.1, 0.2, 0.3])
 
+    @pytest.mark.parametrize("bad", [[np.nan, 0.5], [0.5, np.inf], [3.0, -2.0]])
+    def test_invalid_points_rejected(self, bad):
+        f = fit(unit_kernel(), KernelMode.SORTED, np.random.default_rng(4).random((5, 2)),
+                np.arange(5.0))
+        with pytest.raises(ConfigError):
+            evaluate(f, bad)
+        rows = np.random.default_rng(5).random((9, 2))
+        rows[6] = bad
+        with pytest.raises(ConfigError):
+            evaluate(f, rows)
+
+    def test_points_validated_once_per_call(self, monkeypatch):
+        # one check for the whole array, none per evaluation chunk
+        f = fit(unit_kernel(), KernelMode.PLAIN, [[0.2, 0.4], [0.9, 0.1]], [1.0, -1.0])
+        calls = []
+        check = interpolation.as_design
+        monkeypatch.setattr(interpolation, "as_design", lambda X: calls.append(1) or check(X))
+        monkeypatch.setattr(kernels, "as_design", None)  # kernel_cross is not called
+        evaluate(f, np.random.default_rng(6).random((3 * interpolation._EVAL_CHUNK + 1, 2)))
+        assert calls == [1]
+
 
 class TestMinimalNorm:
     @pytest.mark.parametrize("n", [2, 3, 5])
@@ -197,6 +219,14 @@ class TestInvariantTarget:
         base = t.value(x)
         for p in [(1, 0, 2), (2, 1, 0), (1, 2, 0)]:
             assert t.value(x[list(p)]) == pytest.approx(base, abs=1e-12)
+
+    @pytest.mark.parametrize("bad", [[np.nan, 0.5], [0.5, -np.inf], [3.0, -2.0]])
+    def test_invalid_points_rejected(self, bad):
+        t = make_invariant_target(unit_kernel(), 2, 3, seed=12)
+        with pytest.raises(ConfigError):
+            t.value(bad)
+        with pytest.raises(ConfigError):
+            t.value(np.array([[0.1, 0.2], bad]))
 
     def test_atoms_in_simplex(self):
         t = make_invariant_target(unit_kernel(), 4, 6, seed=10)

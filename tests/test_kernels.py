@@ -124,8 +124,20 @@ class TestEval:
         k = unit_kernel()
         with pytest.raises(CapExceededError):
             kernel_value(k, KernelMode.PERM_SINGLE, np.zeros(7), np.zeros(7))
+        # PERM_DOUBLE runs the same d!-term sum, so it shares the cap
+        assert kernel_value(k, KernelMode.PERM_DOUBLE, np.zeros(5), np.zeros(5)) > 0.0
         with pytest.raises(CapExceededError):
-            kernel_value(k, KernelMode.PERM_DOUBLE, np.zeros(5), np.zeros(5))
+            kernel_value(k, KernelMode.PERM_DOUBLE, np.zeros(7), np.zeros(7))
+
+    @pytest.mark.parametrize("bad", [[np.nan, 0.5], [0.5, np.inf], [3.0, -2.0]])
+    def test_invalid_points_rejected(self, bad):
+        k = unit_kernel()
+        ok = np.random.default_rng(2).random((4, 2))
+        for mode in KernelMode:
+            with pytest.raises(ConfigError):
+                kernel_cross(k, mode, np.vstack([ok, bad]), ok)
+            with pytest.raises(ConfigError):
+                kernel_cross(k, mode, ok, np.vstack([bad, ok]))
 
 
 class TestGram:
