@@ -10,7 +10,7 @@ and clip to [0,1] where the raw display would be a vacuous probability.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -59,19 +59,18 @@ class BoundInputs:
 
 @dataclass(frozen=True)
 class BoundReport:
-    """One evaluated bound: value, echoed inputs, precondition status."""
+    """One evaluated bound: its value and whether its preconditions hold."""
 
-    name: str
     value: float
-    inputs: dict = field(default_factory=dict)
-    validity: bool = True
+    validity: bool
 
 
-def _mode_is_sorted(mode):
+def _mode_domain(mode):
+    # the domain whose fill distance and cone condition a mode's bounds use
     if mode is KernelMode.PLAIN:
-        return False
+        return Domain.CUBE
     if mode is KernelMode.SORTED:
-        return True
+        return Domain.SORTED_SIMPLEX
     raise ConfigError(
         f"bounds are stated for Plain and Sorted modes, got {mode!r}")
 
@@ -127,17 +126,13 @@ def pointwise_bound(b, h, mode, region=Region.INTERIOR):
     """
     if h <= 0.0:
         raise ConfigError(f"h must be positive, got {h}")
-    srt = _mode_is_sorted(mode)
+    dom = _mode_domain(mode)
     ct = tilde_constant(b)
-    arg = (2.0 * b.d * b.d * h) ** b.nu if (srt and region is Region.NEAR_DIAGONAL) \
-        else h ** b.nu
+    near = dom is Domain.SORTED_SIMPLEX and region is Region.NEAR_DIAGONAL
+    arg = (2.0 * b.d * b.d * h) ** b.nu if near else h ** b.nu
     value = b.norm_h * math.sqrt(ct * arg)
-    dom = Domain.SORTED_SIMPLEX if srt else Domain.CUBE
     validity = math.isfinite(value) and cone_condition_holds(h, b.nu, b.d, dom)
-    return BoundReport(name="pointwise", value=value,
-                       inputs={"h": h, "mode": mode.value, "region": region.value,
-                               "nu": b.nu, "d": b.d, "norm_h": b.norm_h},
-                       validity=validity)
+    return BoundReport(value=value, validity=validity)
 
 
 def l2_bound(b, h, mode, form="exact"):
@@ -152,12 +147,11 @@ def l2_bound(b, h, mode, form="exact"):
         raise ConfigError(f"h must be positive, got {h}")
     if form not in ("exact", "alpha"):
         raise ConfigError(f"form must be 'exact' or 'alpha', got {form!r}")
-    srt = _mode_is_sorted(mode)
+    dom = _mode_domain(mode)
     ct = tilde_constant(b)
     base = b.norm_h ** 2 * ct * h ** b.nu
-    dom = Domain.SORTED_SIMPLEX if srt else Domain.CUBE
     validity = cone_condition_holds(h, b.nu, b.d, dom)
-    if srt:
+    if dom is Domain.SORTED_SIMPLEX:
         growth = 1.0 + p_constant(b) * h
         if form == "alpha":
             value = base * b.alpha
@@ -167,10 +161,21 @@ def l2_bound(b, h, mode, form="exact"):
     else:
         value = base
     validity = validity and math.isfinite(value)
-    return BoundReport(name="l2", value=value,
-                       inputs={"h": h, "mode": mode.value, "form": form,
-                               "nu": b.nu, "d": b.d, "norm_h": b.norm_h},
-                       validity=validity)
+    return BoundReport(value=value, validity=validity)
+
+
+def _log_ball_volume(d):
+    # log of geometry.ball_volume, finite where its math.gamma overflows
+    return 0.5 * d * math.log(math.pi) - math.lgamma(0.5 * d + 1.0)
+
+
+def _tail_from_logs(log_pref, log_t, n):
+    # exp(log_pref) * max(1 - exp(log_t), 0)^n clipped to [0, 1], for tail
+    # displays whose factors overflow a float
+    if log_t >= 0.0:
+        return 0.0
+    log_value = log_pref + n * math.log1p(-math.exp(log_t))
+    return 1.0 if log_value >= 0.0 else math.exp(log_value)
 
 
 def h_tail_valid(epsilon, d, domain):
@@ -189,7 +194,8 @@ def h_tail_bound(epsilon, n, d, rho_low, domain):
     SortedSimplex divides the prefactor by d!. The value is clipped to
     [0,1] (the display exceeds 1 where it is vacuous); where the decay
     base would be negative (epsilon far beyond the precondition, see
-    h_tail_valid) it is floored at zero.
+    h_tail_valid) it is floored at zero. Where the display overflows a
+    float (large d), it is evaluated in log space.
     """
     if epsilon <= 0.0:
         raise ConfigError(f"epsilon must be positive, got {epsilon}")
@@ -197,21 +203,29 @@ def h_tail_bound(epsilon, n, d, rho_low, domain):
         raise ConfigError(f"n must be >= 1, got {n}")
     if rho_low <= 0.0:
         raise ConfigError(f"rho_low must be positive, got {rho_low}")
-    wd = ball_volume(d)
-    pref = (6.0 / epsilon) ** d / wd
-    if domain is Domain.SORTED_SIMPLEX:
-        pref /= math.factorial(d)
-    elif domain is not Domain.CUBE:
+    if domain not in (Domain.CUBE, Domain.SORTED_SIMPLEX):
         raise ConfigError(f"unknown domain {domain!r}")
-    base = max(1.0 - rho_low * wd * (epsilon / 4.0) ** d, 0.0)
-    return min(max(pref * base ** n, 0.0), 1.0)
+    srt = domain is Domain.SORTED_SIMPLEX
+    try:
+        wd = ball_volume(d)
+        pref = (6.0 / epsilon) ** d / wd
+        if srt:
+            pref /= math.factorial(d)
+        base = max(1.0 - rho_low * wd * (epsilon / 4.0) ** d, 0.0)
+        value = pref * base ** n
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        log_wd = _log_ball_volume(d)
+        log_pref = d * math.log(6.0 / epsilon) - log_wd - (math.lgamma(d + 1.0) if srt else 0.0)
+        log_t = math.log(rho_low) + log_wd + d * math.log(epsilon / 4.0)
+        value = _tail_from_logs(log_pref, log_t, n)
+    return min(max(value, 0.0), 1.0)
 
 
 def error_tail_valid(epsilon, b, mode):
     """Floor precondition of the error tail bound, at h = epsilon^(1/nu)."""
-    srt = _mode_is_sorted(mode)
-    dom = Domain.SORTED_SIMPLEX if srt else Domain.CUBE
-    return cone_condition_holds(epsilon ** (1.0 / b.nu), b.nu, b.d, dom)
+    return cone_condition_holds(epsilon ** (1.0 / b.nu), b.nu, b.d, _mode_domain(mode))
 
 
 def error_tail_bound(epsilon, n, b, mode):
@@ -220,25 +234,37 @@ def error_tail_bound(epsilon, n, b, mode):
     With M = max(1, norm_h^2 Ctilde) (Plain) or
     M = max(1, norm_h^2 Ctilde (1 + P epsilon^(1/nu))) (Sorted):
     (6^d/omega_d) (M/eps)^(d/nu) (1 - (rho_low omega_d/4^d)(eps/M)^(d/nu))^n,
-    with the Sorted prefactor divided by d!. Clipped to [0,1] like
-    h_tail_bound; precondition via error_tail_valid.
+    with the Sorted prefactor divided by d!. Clipped to [0,1] and
+    evaluated in log space where it overflows, like h_tail_bound;
+    precondition via error_tail_valid.
     """
     if epsilon <= 0.0:
         raise ConfigError(f"epsilon must be positive, got {epsilon}")
     if n < 1:
         raise ConfigError(f"n must be >= 1, got {n}")
-    srt = _mode_is_sorted(mode)
+    srt = _mode_domain(mode) is Domain.SORTED_SIMPLEX
     ct = tilde_constant(b)
-    wd = ball_volume(b.d)
     if srt:
         m = max(1.0, b.norm_h ** 2 * ct * (1.0 + p_constant(b) * epsilon ** (1.0 / b.nu)))
-        pref = 6.0 ** b.d / (math.factorial(b.d) * wd)
     else:
         m = max(1.0, b.norm_h ** 2 * ct)
-        pref = 6.0 ** b.d / wd
-    ratio = (epsilon / m) ** (b.d / b.nu)
-    base = max(1.0 - (b.rho_low * wd / 4.0 ** b.d) * ratio, 0.0)
-    return min(max(pref * (m / epsilon) ** (b.d / b.nu) * base ** n, 0.0), 1.0)
+    power = b.d / b.nu
+    try:
+        wd = ball_volume(b.d)
+        pref = 6.0 ** b.d / (math.factorial(b.d) * wd) if srt else 6.0 ** b.d / wd
+        ratio = (epsilon / m) ** power
+        base = max(1.0 - (b.rho_low * wd / 4.0 ** b.d) * ratio, 0.0)
+        value = pref * (m / epsilon) ** power * base ** n
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        log_wd = _log_ball_volume(b.d)
+        log_ratio = power * (math.log(epsilon) - math.log(m))
+        log_pref = (b.d * math.log(6.0) - log_wd - (math.lgamma(b.d + 1.0) if srt else 0.0)
+                    - log_ratio)
+        log_t = math.log(b.rho_low) + log_wd - b.d * math.log(4.0) + log_ratio
+        value = _tail_from_logs(log_pref, log_t, n)
+    return min(max(value, 0.0), 1.0)
 
 
 def eigen_bound_fill(j, h, b, mode):
@@ -251,13 +277,11 @@ def eigen_bound_fill(j, h, b, mode):
         raise ConfigError(f"j must be >= 2, got {j}")
     if h <= 0.0:
         raise ConfigError(f"h must be positive, got {h}")
-    srt = _mode_is_sorted(mode)
+    srt = _mode_domain(mode) is Domain.SORTED_SIMPLEX
     value = math.sqrt(b.c_k0 * tilde_constant(b)) * h ** (b.nu / 2.0)
     if srt:
         value *= b.alpha
-    return BoundReport(name="eigen_fill", value=value,
-                       inputs={"j": j, "h": h, "mode": mode.value, "nu": b.nu, "d": b.d},
-                       validity=math.isfinite(value))
+    return BoundReport(value=value, validity=math.isfinite(value))
 
 
 def eigen_bound_covering(j, b, mode):
@@ -269,7 +293,7 @@ def eigen_bound_covering(j, b, mode):
     """
     if j < 2:
         raise ConfigError(f"j must be >= 2, got {j}")
-    srt = _mode_is_sorted(mode)
+    srt = _mode_domain(mode) is Domain.SORTED_SIMPLEX
     try:
         lead = math.sqrt(8.0 * float(math.comb(b.nu + 2 * b.d, 2 * b.d)) * b.c_k0 * b.c_knu)
         num = (48.0 * b.nu * b.nu * b.d) ** (b.nu / 2.0)
@@ -281,9 +305,7 @@ def eigen_bound_covering(j, b, mode):
             value *= b.alpha
     except OverflowError:
         value = math.inf
-    return BoundReport(name="eigen_covering", value=value,
-                       inputs={"j": j, "mode": mode.value, "nu": b.nu, "d": b.d},
-                       validity=math.isfinite(value))
+    return BoundReport(value=value, validity=math.isfinite(value))
 
 
 def eigen_bound_weyl(j, b, mode):
@@ -294,7 +316,7 @@ def eigen_bound_weyl(j, b, mode):
     """
     if j < 1:
         raise ConfigError(f"j must be >= 1, got {j}")
-    srt = _mode_is_sorted(mode)
+    srt = _mode_domain(mode) is Domain.SORTED_SIMPLEX
     try:
         lead = math.factorial(b.nu + b.d) / math.factorial(b.d) \
             * b.c_knu / (2.0 * math.pi) ** b.nu
@@ -305,6 +327,4 @@ def eigen_bound_weyl(j, b, mode):
             value /= math.factorial(b.d) ** (b.nu / b.d - 1.0)
     except OverflowError:
         value = math.inf
-    return BoundReport(name="eigen_weyl", value=value,
-                       inputs={"j": j, "mode": mode.value, "nu": b.nu, "d": b.d},
-                       validity=math.isfinite(value))
+    return BoundReport(value=value, validity=math.isfinite(value))

@@ -7,12 +7,17 @@ numerical failure; each failure prints one line on stderr.
 """
 
 import argparse
+import dataclasses
 import os
 import sys
 
 from .errors import ConfigError, FactorizationError, NumericalError, SortkernError
 from .experiments import Experiment, ExperimentConfig, run
 from .kernels import KernelFamily, KernelSpec
+
+
+# flags that set an ExperimentConfig field take that field's default
+_DEFAULTS = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -61,11 +66,11 @@ def _build_parser():
     names = sorted(e.value for e in Experiment)
     p.add_argument("experiment",
                    help=f"one of: {', '.join(names)} (hyphens accepted)")
-    p.add_argument("--d", type=_int_list, default=(3, 6, 9, 12), metavar="D1,D2,...",
+    p.add_argument("--d", type=_int_list, default=_DEFAULTS["dims"], metavar="D1,D2,...",
                    help="dimensions")
-    p.add_argument("--n", type=_int_list, default=(50, 500, 5000), metavar="N1,N2,...",
+    p.add_argument("--n", type=_int_list, default=_DEFAULTS["ns"], metavar="N1,N2,...",
                    help="design sizes")
-    p.add_argument("--trials", type=int, default=200, help="Monte Carlo trials")
+    p.add_argument("--trials", type=int, default=_DEFAULTS["trials"], help="Monte Carlo trials")
     p.add_argument("--eps", type=_eps_range, default="0.05:1.5:0.05",
                    metavar="START:STOP:STEP", help="epsilon grid for tail curves")
     p.add_argument("--kernel", choices=["gaussian"], default="gaussian",
@@ -73,14 +78,14 @@ def _build_parser():
     p.add_argument("--amplitude", type=float, default=0.1591549,
                    help="kernel amplitude")
     p.add_argument("--bandwidth", type=float, default=1.0, help="kernel bandwidth")
-    p.add_argument("--nu", type=int, default=2, help="smoothness order for bounds")
-    p.add_argument("--alpha", type=float, default=1.05,
+    p.add_argument("--nu", type=int, default=_DEFAULTS["nu"], help="smoothness order for bounds")
+    p.add_argument("--alpha", type=float, default=_DEFAULTS["alpha"],
                    help="slack factor in sorted-mode bounds")
-    p.add_argument("--mc-samples", type=int, default=20000,
+    p.add_argument("--mc-samples", type=int, default=_DEFAULTS["mc_samples"],
                    help="Monte Carlo samples for L2 error estimates")
-    p.add_argument("--candidates", type=int, default=200000,
+    p.add_argument("--candidates", type=int, default=_DEFAULTS["candidate_count"],
                    help="candidate points per fill-distance trial")
-    p.add_argument("--seed", type=int, default=20240601, help="master seed")
+    p.add_argument("--seed", type=int, default=_DEFAULTS["seed"], help="master seed")
     p.add_argument("--out", default=None, metavar="PATH",
                    help="output CSV path (default: <experiment>.csv)")
     return p

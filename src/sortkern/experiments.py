@@ -13,7 +13,7 @@ import csv
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -22,7 +22,7 @@ from .bounds import BoundInputs, eigen_bound_covering, eigen_bound_weyl, h_tail_
 from .errors import ConfigError, FactorizationError
 from .geometry import Domain, cone_parameters, cube_corners, fill_distance_estimate
 from .interpolation import evaluate, fit, make_invariant_target, mc_points, rmse_stderr
-from .kernels import PERM_SINGLE_DIM_CAP, KernelMode, KernelSpec, sup_kernel_constant
+from .kernels import KernelMode, KernelSpec, check_mode_cap, sup_kernel_constant
 from .rng import stream, substream_seed
 from .spectral import decay_slope, nystrom_spectrum
 
@@ -30,6 +30,8 @@ from .spectral import decay_slope, nystrom_spectrum
 INTERP_ATOMS = 3
 # points used for the pointwise max-error column
 POINTWISE_POINTS = 1000
+# eigenvalues below this multiple of eps times the top one are roundoff
+_NOISE_FLOOR_FACTOR = 1e3
 
 
 class Experiment(Enum):
@@ -123,14 +125,18 @@ def _trial_draws(cfg, exp_id, d, n, trial):
     return X, C
 
 
-def _fill_pair(cfg, exp_id, d, n, trial):
-    X, C = _trial_draws(cfg, exp_id, d, n, trial)
-    h = fill_distance_estimate(X, Domain.CUBE, C)
-    hs = fill_distance_estimate(X, Domain.SORTED_SIMPLEX, C)
-    # the sorted estimate over shared candidates is <= the plain one by
-    # the rearrangement principle; min() shields the invariant from
-    # last-ulp rounding between the two runs
-    return h, min(hs, h)
+def _fill_trials(cfg, exp_id, d, n):
+    """Plain and sorted fill distances of every trial at (d, n), as two arrays."""
+    h = np.empty(cfg.trials)
+    hs = np.empty(cfg.trials)
+    for t in range(cfg.trials):
+        X, C = _trial_draws(cfg, exp_id, d, n, t)
+        h[t] = fill_distance_estimate(X, Domain.CUBE, C)
+        # the sorted estimate over shared candidates is <= the plain one by
+        # the rearrangement principle; min() shields the invariant from
+        # last-ulp rounding between the two runs
+        hs[t] = min(fill_distance_estimate(X, Domain.SORTED_SIMPLEX, C), h[t])
+    return h, hs
 
 
 def run_table1(cfg):
@@ -139,10 +145,7 @@ def run_table1(cfg):
     rows = []
     for d in cfg.dims:
         for n in cfg.ns:
-            hs = np.empty(cfg.trials)
-            hss = np.empty(cfg.trials)
-            for t in range(cfg.trials):
-                hs[t], hss[t] = _fill_pair(cfg, exp_id, d, n, t)
+            hs, hss = _fill_trials(cfg, exp_id, d, n)
             se = hs.std(ddof=1) / math.sqrt(cfg.trials) if cfg.trials > 1 else 0.0
             ses = hss.std(ddof=1) / math.sqrt(cfg.trials) if cfg.trials > 1 else 0.0
             rows.append({
@@ -164,10 +167,7 @@ def run_tail_curves(cfg):
     rows = []
     for d in cfg.dims:
         for n in cfg.ns:
-            h = np.empty(cfg.trials)
-            hsrt = np.empty(cfg.trials)
-            for t in range(cfg.trials):
-                h[t], hsrt[t] = _fill_pair(cfg, exp_id, d, n, t)
+            h, hsrt = _fill_trials(cfg, exp_id, d, n)
             for eps in cfg.eps_grid:
                 rows.append({
                     "d": d, "n": n, "eps": float(eps),
@@ -200,11 +200,9 @@ def run_interp_compare(cfg):
     that the CSV omits.
     """
     exp_id = _EXPERIMENT_IDS[Experiment.INTERP_COMPARE]
+    # the targets and the PermSingle rows are averaged; fail before any trial
     for d in cfg.dims:
-        if d > PERM_SINGLE_DIM_CAP:
-            raise ConfigError(
-                f"interp comparison needs d <= {PERM_SINGLE_DIM_CAP} for averaged "
-                f"targets, got {d}")
+        check_mode_cap(KernelMode.PERM_SINGLE, d)
     rows = []
     consts = {d: sup_kernel_constant(cfg.kernel, cfg.nu, d) for d in cfg.dims}
     for d in cfg.dims:
@@ -256,19 +254,19 @@ def run_interp_compare(cfg):
     return rows
 
 
-def resolved_slope_depth(spectra, j_top, floor_factor=1e3):
+def resolved_slope_depth(spectra, j_top):
     """Deepest index usable for slope fits across a family of spectra.
 
     Eigenvalues below ~eps times the top eigenvalue are dense-solver
     roundoff, and a log-log slope fitted through them measures noise.
-    Returns the largest j <= j_top with lambda_j >= floor_factor * eps *
-    lambda_1 in every spectrum.
+    Returns the largest j <= j_top with lambda_j >= _NOISE_FLOOR_FACTOR *
+    eps * lambda_1 in every spectrum.
     """
     depth = j_top
     eps = float(np.finfo(float).eps)
     for s in spectra:
         lam = s.eigenvalues
-        above = np.nonzero(lam >= floor_factor * eps * lam[0])[0]
+        above = np.nonzero(lam >= _NOISE_FLOOR_FACTOR * eps * lam[0])[0]
         if above.size == 0:
             raise ConfigError("spectrum is entirely at the noise floor")
         depth = min(depth, int(above[-1]) + 1)

@@ -25,6 +25,9 @@ _TREE_MAX_DIM = 4
 # 2^d corner enumeration is capped to keep candidate sets bounded.
 CORNER_DIM_CAP = 14
 
+# most points a covering design may have
+COVERING_POINT_CAP = 10 ** 7
+
 # working-buffer bytes of one prescan tile of the pruned scan, sized to stay
 # in a core's L2 cache
 _PRESCAN_TILE_BYTES = 1 << 19
@@ -81,9 +84,11 @@ def as_design(X, min_rows=1):
 
 
 def sort_point(p):
-    """Map a point to its orbit representative: coordinates in non-increasing order."""
+    """Map a 1-D point to its orbit representative: coordinates in non-increasing order."""
     p = np.asarray(p, dtype=float)
-    return np.sort(p)[::-1].copy()
+    if p.ndim != 1:
+        raise DimensionMismatchError(f"point must be a 1-D vector, got shape {p.shape}")
+    return sort_points(p[None])[0]
 
 
 def sort_points(X):
@@ -105,9 +110,9 @@ def distinct_orbits(X):
     return np.unique(reps, axis=0).shape[0] == X.shape[0]
 
 
-def cube_corners(d, cap=CORNER_DIM_CAP):
-    """The 2^d vertices of [0,1]^d, or an empty set when d exceeds the cap."""
-    if d > cap:
+def cube_corners(d):
+    """The 2^d vertices of [0,1]^d, or an empty set when d exceeds CORNER_DIM_CAP."""
+    if d > CORNER_DIM_CAP:
         return np.empty((0, d))
     return np.indices((2,) * d).reshape(d, -1).T.astype(float)
 
@@ -288,7 +293,7 @@ def fill_distance_estimate(X, domain, candidates):
     return float(math.sqrt(max(_maxmin_sq_pruned(X, C), 0.0)))
 
 
-def covering_design(epsilon, d, domain, cap=10 ** 7):
+def covering_design(epsilon, d, domain):
     """Deterministic design whose fill distance over the domain is <= epsilon.
 
     Cube: the centers of a regular grid with at least 2 cells per axis and
@@ -307,16 +312,16 @@ def covering_design(epsilon, d, domain, cap=10 ** 7):
     q = max(2, math.ceil(math.sqrt(d) / (2.0 * epsilon) - 1e-9))
     if domain is Domain.CUBE:
         count = q ** d
-        if count > cap:
+        if count > COVERING_POINT_CAP:
             raise CapExceededError(
-                f"covering grid needs {count} points, above the cap {cap}")
+                f"covering grid needs {count} points, above the cap {COVERING_POINT_CAP}")
         idx = np.indices((q,) * d).reshape(d, -1).T
         return (idx + 0.5) / q
     # multisets of d cell levels, i.e. the grid's distinct sorted rows
     count = math.comb(q + d - 1, d)
-    if count > cap:
+    if count > COVERING_POINT_CAP:
         raise CapExceededError(
-            f"simplex covering needs {count} points, above the cap {cap}")
+            f"simplex covering needs {count} points, above the cap {COVERING_POINT_CAP}")
     from itertools import combinations_with_replacement
     levels = np.array(list(combinations_with_replacement(range(q), d)), dtype=float)
     return (levels[:, ::-1] + 0.5) / q

@@ -15,7 +15,7 @@ from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .errors import DimensionMismatchError, FactorizationError
 from .geometry import as_design, as_point, sort_points
-from .kernels import KernelMode, KernelSpec, _cross, check_mode_cap, gram
+from .kernels import KernelMode, KernelSpec, _cross, gram
 from .rng import stream
 
 # diagonal jitter escalation, relative to mean diagonal magnitude
@@ -133,7 +133,6 @@ def make_invariant_target(k, d, m, seed):
     weights are uniform in [-1, 1]. The permutation averaging uses the
     single-sum form, valid for the isotropic Gaussian.
     """
-    check_mode_cap(KernelMode.PERM_SINGLE, d)
     g = stream(seed)
     atoms = sort_points(g.random((m, d)))
     weights = g.uniform(-1.0, 1.0, m)

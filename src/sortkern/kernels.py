@@ -21,7 +21,7 @@ import numpy as np
 from numpy.polynomial import hermite_e
 
 from .errors import CapExceededError, ConfigError, DimensionMismatchError, DuplicateOrbitError
-from .geometry import as_design, distinct_orbits, sort_points
+from .geometry import as_design, as_point, distinct_orbits, sort_points
 
 # both averaged modes sum the same d! terms, so they share one cap
 PERM_SINGLE_DIM_CAP = 6
@@ -47,16 +47,15 @@ class KernelMode(Enum):
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Base kernel: family with amplitude, length-scale, and smoothness degree.
+    """Base kernel: family with amplitude and length-scale.
 
-    The Gaussian is amplitude * exp(-||w - z||^2 / (2 bandwidth^2)). The
-    smoothness degree nu only enters the theoretical bounds; the Gaussian
-    itself is smooth of every order.
+    The Gaussian is amplitude * exp(-||w - z||^2 / (2 bandwidth^2)). It is
+    smooth of every order; the smoothness degree nu that the bounds use is
+    theirs (BoundInputs.nu, sup_kernel_constant).
     """
 
     amplitude: float
     bandwidth: float
-    nu: int = 2
     family: KernelFamily = KernelFamily.GAUSSIAN
 
     def __post_init__(self):
@@ -66,15 +65,13 @@ class KernelSpec:
             raise ConfigError(f"amplitude must be positive, got {self.amplitude}")
         if self.bandwidth <= 0.0:
             raise ConfigError(f"bandwidth must be positive, got {self.bandwidth}")
-        if self.nu < 1:
-            raise ConfigError(f"smoothness degree must be >= 1, got {self.nu}")
 
 
 def check_mode_cap(mode, d):
     """Raise if an averaged mode's d! term count is over its cap."""
     if mode in (KernelMode.PERM_SINGLE, KernelMode.PERM_DOUBLE) and d > PERM_SINGLE_DIM_CAP:
         raise CapExceededError(
-            f"{mode.value} averages d! terms; d={d} exceeds the cap {PERM_SINGLE_DIM_CAP}")
+            f"{mode.value} is averaged over d! terms; d={d} exceeds the cap {PERM_SINGLE_DIM_CAP}")
 
 
 def _terms(mode, d):
@@ -192,10 +189,8 @@ def _cross(k, mode, W, Z):
 
 
 def kernel_value(k, mode, w, z):
-    """Single kernel evaluation between two points."""
-    w = np.atleast_2d(np.asarray(w, dtype=float))
-    z = np.atleast_2d(np.asarray(z, dtype=float))
-    return float(kernel_cross(k, mode, w, z)[0, 0])
+    """Single kernel evaluation between two 1-D points."""
+    return float(kernel_cross(k, mode, as_point(w)[None], as_point(z)[None])[0, 0])
 
 
 def gram(k, mode, X):
@@ -205,10 +200,7 @@ def gram(k, mode, X):
     once and mirrored. Sorted mode requires pairwise-distinct orbits and
     reports duplicates before any factorization is attempted.
     """
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[0] < 1:
-        raise DimensionMismatchError(f"design must be an (n, d) array, got shape {X.shape}")
-    check_mode_cap(mode, X.shape[1])
+    X = as_design(X)
     if mode is KernelMode.SORTED and not distinct_orbits(X):
         raise DuplicateOrbitError(
             "design has points in the same permutation orbit; the sorted "
@@ -257,8 +249,6 @@ def sup_kernel_constant(k, nu, d):
         raise ConfigError(f"nu must be >= 0, got {nu}")
     if d < 1:
         raise ConfigError(f"dimension must be >= 1, got {d}")
-    if k.family is not KernelFamily.GAUSSIAN:
-        raise ConfigError(f"unsupported kernel family {k.family!r}")
     c0 = k.amplitude
     if nu == 0:
         return c0, c0

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import _oracles as oracle
+from sortkern import bounds
 from sortkern.bounds import (
     BoundInputs,
     Region,
@@ -305,3 +306,48 @@ class TestMonotonicity:
                 v = f(inputs(nu=2, d=3, c_knu=cn))
                 assert v >= prev
                 prev = v
+
+
+class TestTailOverflow:
+    """Tail bounds at dimensions where the display overflows a float."""
+
+    @pytest.mark.parametrize("d", [200, 400])
+    @pytest.mark.parametrize("domain", list(Domain))
+    def test_h_tail_large_d(self, d, domain):
+        assert h_tail_bound(0.05, 1, d, 1.0, domain) == 1.0
+
+    @pytest.mark.parametrize("d", [200, 400])
+    @pytest.mark.parametrize("mode", [KernelMode.PLAIN, KernelMode.SORTED])
+    def test_error_tail_large_d(self, d, mode):
+        b = inputs(nu=2, d=d, c_k0=0.16, c_knu=0.4, norm_h=0.5)
+        assert error_tail_bound(0.05, 1, b, mode) == 1.0
+
+    def test_log_space_matches_direct(self, monkeypatch):
+        # the log-space path, forced by an overflowing ball volume, against
+        # the direct display wherever that is finite and inside (0, 1)
+        h_args = [(eps, n, d, 0.8, dom) for d in (2, 3, 5, 8) for eps in (0.05, 0.2, 0.5, 1.0)
+                  for n in (1, 10, 1000, 10 ** 5) for dom in Domain]
+        e_args = [(eps, n, inputs(nu=nu, d=d, c_k0=0.16, c_knu=0.4, norm_h=0.001,
+                                  rho_low=0.7), mode)
+                  for d in (1, 2, 3) for nu in (1, 2) for eps in (0.2, 0.5, 0.9)
+                  for n in (1, 100, 10 ** 4) for mode in (KernelMode.PLAIN, KernelMode.SORTED)]
+        direct = [h_tail_bound(*a) for a in h_args] + [error_tail_bound(*a) for a in e_args]
+
+        def overflow(d):
+            raise OverflowError("forced")
+
+        monkeypatch.setattr(bounds, "ball_volume", overflow)
+        logs = [h_tail_bound(*a) for a in h_args] + [error_tail_bound(*a) for a in e_args]
+        inside = [(x, y) for x, y in zip(direct, logs) if 1e-250 < x < 1.0]
+        assert len(inside) >= 40
+        for x, y in inside:
+            assert y == pytest.approx(x, rel=1e-9)
+        for x, y in zip(direct, logs):
+            if x in (0.0, 1.0):
+                assert y == x
+
+
+class TestNuOwner:
+    def test_nu_below_one_rejected(self):
+        with pytest.raises(ConfigError, match="nu"):
+            inputs(nu=0)

@@ -1,10 +1,14 @@
 """CLI surface tests: parsing, defaults, exit codes, output files."""
 
 import csv
+import dataclasses
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sortkern.cli as cli
+from sortkern.experiments import ExperimentConfig
 from sortkern.errors import (
     DimensionMismatchError,
     DuplicateOrbitError,
@@ -138,3 +142,44 @@ class TestEndToEnd:
         assert run_cli(["eigen_decay", "--d", "2", "--n", "40",
                         "--trials", "2"]) == 0
         assert (tmp_path / "eigen_decay.csv").exists()
+
+
+class TestOwnedDefaults:
+    def test_flags_take_config_defaults(self):
+        args = cli._build_parser().parse_args(["table1"])
+        got = cli._config_from_args(args)
+        for f in dataclasses.fields(ExperimentConfig):
+            if f.name not in ("experiment", "kernel", "eps_grid", "out_path"):
+                assert getattr(got, f.name) == f.default, f.name
+
+    def test_nu_zero_is_one_line_and_one(self, tmp_path, capsys):
+        out = tmp_path / "br.csv"
+        assert run_cli(["bounds_report", "--nu", "0", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "nu" in err and len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
+    def test_tail_curves_at_large_d(self, tmp_path):
+        out = tmp_path / "tc.csv"
+        assert run_cli(["tail_curves", "--d", "200", "--n", "1", "--trials", "2",
+                        "--candidates", "10", "--eps", "0.05:0.1:0.05",
+                        "--out", str(out)]) == 0
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [float(r["bound_plain"]) for r in rows] == [1.0, 1.0]
+        assert [float(r["bound_sorted"]) for r in rows] == [1.0, 1.0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(start=st.integers(1, 2_000_000), step=st.integers(1, 1_000_000),
+       count=st.integers(0, 60), extra=st.floats(0.0, 0.999))
+def test_eps_range_round_trip(start, step, count, extra):
+    # start and step as a user types them: decimals with up to 6 places
+    start, step = start / 10 ** 6, step / 10 ** 6
+    stop = start + (count + extra) * step
+    grid = cli._eps_range(f"{start:.6f}:{stop!r}:{step:.6f}")
+    assert len(grid) == count + 1
+    assert abs(grid[0] - start) <= 1e-12
+    for a, b in zip(grid, grid[1:]):
+        assert a < b and abs(b - a - step) <= 1e-12
+    assert grid[-1] <= stop + 1e-12 < grid[-1] + step

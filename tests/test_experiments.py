@@ -8,7 +8,8 @@ import math
 import numpy as np
 import pytest
 
-from sortkern.errors import ConfigError
+from sortkern import experiments
+from sortkern.errors import CapExceededError, ConfigError
 from sortkern.experiments import (
     Experiment,
     _write_csv,
@@ -326,3 +327,20 @@ class TestDispatch:
         c = cfg(tmp_path, "br.csv", Experiment.BOUNDS_REPORT, dims=(2,))
         assert run(c) == run_bounds_report(
             cfg(tmp_path, "br2.csv", Experiment.BOUNDS_REPORT, dims=(2,)))
+
+
+class TestCheckedUpFront:
+    def test_nu_below_one_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="nu"):
+            cfg(tmp_path, "x.csv", Experiment.BOUNDS_REPORT, nu=0)
+
+    def test_interp_cap_before_any_trial(self, tmp_path, monkeypatch):
+        def no_trial(*args, **kwargs):
+            raise AssertionError("a trial ran before the cap check")
+
+        monkeypatch.setattr(experiments, "make_invariant_target", no_trial)
+        monkeypatch.setattr(experiments, "_trial_draws", no_trial)
+        c = cfg(tmp_path, "ic.csv", Experiment.INTERP_COMPARE, dims=(2, 7), ns=(10,))
+        with pytest.raises(CapExceededError, match="averaged"):
+            run_interp_compare(c)
+        assert list(tmp_path.iterdir()) == []

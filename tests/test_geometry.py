@@ -376,3 +376,15 @@ class TestHelpers:
             as_point([0.5, bad])
         with pytest.raises(ConfigError, match="finite"):
             as_design([[0.5, 0.2], [bad, 0.1]])
+
+
+class TestSortPointShape:
+    @pytest.mark.parametrize("bad", [0.5, [[0.1, 0.2], [0.3, 0.4]], [[0.4, 0.2]]])
+    def test_non_vectors_rejected(self, bad):
+        with pytest.raises(DimensionMismatchError):
+            sort_point(bad)
+
+    def test_matches_sort_points_row(self):
+        X = np.random.default_rng(4).random((5, 4))
+        for row, srt in zip(X, sort_points(X)):
+            assert np.array_equal(sort_point(row), srt)

@@ -23,7 +23,7 @@ AMP = 1.0 / (2.0 * math.pi)
 
 
 def unit_kernel():
-    return KernelSpec(amplitude=AMP, bandwidth=1.0, nu=2)
+    return KernelSpec(amplitude=AMP, bandwidth=1.0)
 
 
 class TestFit:
@@ -281,7 +281,7 @@ class TestL2Error:
     def test_sorted_beats_plain_in_median(self):
         # a shorter length-scale keeps errors well above the solver floor,
         # so the mode comparison measures approximation, not roundoff
-        k = KernelSpec(amplitude=AMP, bandwidth=0.08, nu=2)
+        k = KernelSpec(amplitude=AMP, bandwidth=0.08)
         for d, n in ((2, 20), (2, 80), (3, 20)):
             plain, srt = [], []
             for trial in range(20):

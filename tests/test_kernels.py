@@ -5,12 +5,15 @@ from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.polynomial import hermite_e
 from scipy.linalg import cholesky
 
 import _oracles as oracle
 from sortkern import kernels
-from sortkern.errors import CapExceededError, ConfigError, DuplicateOrbitError
+from sortkern.errors import CapExceededError, ConfigError, DimensionMismatchError, DuplicateOrbitError
+from sortkern.interpolation import make_invariant_target
 from sortkern.kernels import (
     KernelMode,
     KernelSpec,
@@ -19,12 +22,13 @@ from sortkern.kernels import (
     kernel_value,
     sup_kernel_constant,
 )
+from sortkern.spectral import nystrom_spectrum
 
 AMP = 1.0 / (2.0 * math.pi)
 
 
-def unit_kernel(nu=2, bandwidth=1.0):
-    return KernelSpec(amplitude=AMP, bandwidth=bandwidth, nu=nu)
+def unit_kernel(bandwidth=1.0):
+    return KernelSpec(amplitude=AMP, bandwidth=bandwidth)
 
 
 def gauss(w, z, amp=AMP, sig=1.0):
@@ -67,7 +71,7 @@ class TestEval:
     @pytest.mark.parametrize("mode", list(KernelMode))
     def test_matches_brute_enumeration(self, mode):
         rng = np.random.default_rng(5)
-        k = KernelSpec(amplitude=0.7, bandwidth=0.9, nu=2)
+        k = KernelSpec(amplitude=0.7, bandwidth=0.9)
         for d in (1, 2, 3):
             w, z = rng.random(d), rng.random(d)
             got = kernel_value(k, mode, w, z)
@@ -268,7 +272,7 @@ class TestSupConstants:
         assert c2 == pytest.approx(1.01 * AMP, rel=1e-9)
 
     def test_c0_always_amplitude(self):
-        k = KernelSpec(amplitude=0.37, bandwidth=0.8, nu=3)
+        k = KernelSpec(amplitude=0.37, bandwidth=0.8)
         for nu in (0, 1, 2, 3):
             c0, _ = sup_kernel_constant(k, nu, 4)
             assert c0 == 0.37
@@ -305,16 +309,72 @@ class TestSupConstants:
                         prod *= envelope(a + b) / (math.factorial(a) * math.factorial(b))
                     best = max(best, prod)
         want = amp * best
-        k = KernelSpec(amplitude=amp, bandwidth=sig, nu=max(nu, 1))
+        k = KernelSpec(amplitude=amp, bandwidth=sig)
         _, got = sup_kernel_constant(k, nu, d)
         assert got / 1.01 == pytest.approx(want, rel=1e-6)
 
     def test_spec_validation(self):
         with pytest.raises(ConfigError):
-            KernelSpec(amplitude=0.0, bandwidth=1.0, nu=2)
+            KernelSpec(amplitude=0.0, bandwidth=1.0)
         with pytest.raises(ConfigError):
-            KernelSpec(amplitude=1.0, bandwidth=-1.0, nu=2)
-        with pytest.raises(ConfigError):
-            KernelSpec(amplitude=1.0, bandwidth=1.0, nu=0)
+            KernelSpec(amplitude=1.0, bandwidth=-1.0)
         with pytest.raises(ConfigError):
             sup_kernel_constant(unit_kernel(), -1, 2)
+
+
+AVERAGED = (KernelMode.PERM_SINGLE, KernelMode.PERM_DOUBLE)
+
+
+class TestCheckedOnce:
+    """Checks that each live in one place still guard every entry point."""
+
+    @pytest.mark.parametrize("entry, mode", [
+        *((name, mode) for name in ("kernel_cross", "gram", "nystrom_spectrum")
+          for mode in AVERAGED),
+        ("make_invariant_target", KernelMode.PERM_SINGLE),
+    ])
+    def test_averaged_cap_at_d7(self, entry, mode):
+        k = unit_kernel()
+        X = np.random.default_rng(3).random((4, 7))
+        calls = {
+            "kernel_cross": lambda: kernel_cross(k, mode, X, X),
+            "gram": lambda: gram(k, mode, X),
+            "nystrom_spectrum": lambda: nystrom_spectrum(k, mode, 4, 7, seed=1),
+            "make_invariant_target": lambda: make_invariant_target(k, 7, 3, seed=1),
+        }
+        with pytest.raises(CapExceededError, match="averaged"):
+            calls[entry]()
+
+    @pytest.mark.parametrize("mode", list(KernelMode))
+    def test_gram_rejects_nan_design(self, mode):
+        with pytest.raises(ConfigError, match="finite"):
+            gram(unit_kernel(), mode, [[0.1, 0.2], [np.nan, 0.5]])
+
+    @pytest.mark.parametrize("mode", list(KernelMode))
+    def test_kernel_value_rejects_matrices(self, mode):
+        k = unit_kernel()
+        W = [[0.1, 0.2], [0.9, 0.9]]
+        Z = [[0.1, 0.2], [0.5, 0.5]]
+        for w, z in ((W, Z), (W, Z[0]), (W[0], Z), (0.5, 0.5)):
+            with pytest.raises(DimensionMismatchError):
+                kernel_value(k, mode, w, z)
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(1, 6), n=st.integers(1, 6), m=st.integers(1, 6),
+       levels=st.sampled_from([0, 2, 5]), seed=st.integers(0, 2 ** 32 - 1))
+def test_sorted_kernel_bitwise_permutation_invariant(d, n, m, levels, seed):
+    # levels > 0 snaps coordinates to a coarse grid, so rows carry ties
+    g = np.random.default_rng(seed)
+    W, Z = g.random((n, d)), g.random((m, d))
+    if levels:
+        W, Z = np.round(W * levels) / levels, np.round(Z * levels) / levels
+    k = unit_kernel(bandwidth=float(g.uniform(0.05, 2.0)))
+    base = kernel_cross(k, KernelMode.SORTED, W, Z)
+
+    def shuffle_rows(A):
+        # an independent random permutation of each row's coordinates
+        return np.take_along_axis(A, np.argsort(g.random(A.shape), axis=1), axis=1)
+
+    assert np.array_equal(kernel_cross(k, KernelMode.SORTED, shuffle_rows(W), Z), base)
+    assert np.array_equal(kernel_cross(k, KernelMode.SORTED, W, shuffle_rows(Z)), base)

@@ -15,7 +15,7 @@ AMP = 1.0 / (2.0 * math.pi)
 
 
 def unit_kernel():
-    return KernelSpec(amplitude=AMP, bandwidth=1.0, nu=2)
+    return KernelSpec(amplitude=AMP, bandwidth=1.0)
 
 
 class TestNystrom:
