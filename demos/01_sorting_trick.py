@@ -1,4 +1,6 @@
 """The sorting trick: canonicalize inputs instead of averaging over permutations."""
+from itertools import permutations
+
 import numpy as np
 
 from sortkern import KernelMode, KernelSpec, kernel_value, sort_points
@@ -21,8 +23,11 @@ vals = {kernel_value(k, KernelMode.SORTED, w[g.permutation(3)], z)
         for _ in range(10)}
 print("values over permuted inputs:", vals)
 
-# the averaged kernels agree with an explicit sum over permutations
+# the group average over one argument's permutations equals the explicit
+# average over all (d!)^2 permutation pairs, since the Gaussian is isotropic
+perms = [list(p) for p in permutations(range(3))]
 v_single = kernel_value(k, KernelMode.PERM_SINGLE, w, z)
-v_double = kernel_value(k, KernelMode.PERM_DOUBLE, w, z)
+v_double = sum(kernel_value(k, KernelMode.PLAIN, w[p], z[q])
+               for p in perms for q in perms) / len(perms) ** 2
 print("single-sum average   ", v_single)
 print("double-sum average   ", v_double)

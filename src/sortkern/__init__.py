@@ -69,7 +69,6 @@ from .interpolation import (
 )
 from .kernels import (
     PERM_SINGLE_DIM_CAP,
-    KernelFamily,
     KernelMode,
     KernelSpec,
     check_mode_cap,
@@ -97,7 +96,7 @@ __all__ = [
     "Interpolant", "InvariantTarget", "evaluate", "fit",
     "interpolant_norm_sq", "l2_error", "make_invariant_target", "mc_points",
     "rmse_stderr",
-    "PERM_SINGLE_DIM_CAP", "KernelFamily", "KernelMode", "KernelSpec",
+    "PERM_SINGLE_DIM_CAP", "KernelMode", "KernelSpec",
     "check_mode_cap", "gram", "kernel_cross", "kernel_value",
     "sup_kernel_constant",
     "SpectrumEstimate", "decay_slope", "nystrom_spectrum",

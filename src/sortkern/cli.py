@@ -8,12 +8,13 @@ numerical failure; each failure prints one line on stderr.
 
 import argparse
 import dataclasses
+import math
 import os
 import sys
 
 from .errors import ConfigError, FactorizationError, NumericalError, SortkernError
 from .experiments import Experiment, ExperimentConfig, run
-from .kernels import KernelFamily, KernelSpec
+from .kernels import KernelSpec
 
 
 # flags that set an ExperimentConfig field take that field's default
@@ -45,7 +46,8 @@ def _eps_range(text):
         start, stop, step = (float(v) for v in parts)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected numeric start:stop:step, got {text!r}")
-    if step <= 0 or start <= 0 or stop < start:
+    # every comparison with nan is False, so non-finite bounds are refused too
+    if not (0 < start <= stop < math.inf and 0 < step < math.inf):
         raise argparse.ArgumentTypeError(f"bad range {text!r}")
     out = []
     k = 0
@@ -73,8 +75,6 @@ def _build_parser():
     p.add_argument("--trials", type=int, default=_DEFAULTS["trials"], help="Monte Carlo trials")
     p.add_argument("--eps", type=_eps_range, default="0.05:1.5:0.05",
                    metavar="START:STOP:STEP", help="epsilon grid for tail curves")
-    p.add_argument("--kernel", choices=["gaussian"], default="gaussian",
-                   help="kernel family")
     p.add_argument("--amplitude", type=float, default=0.1591549,
                    help="kernel amplitude")
     p.add_argument("--bandwidth", type=float, default=1.0, help="kernel bandwidth")
@@ -98,8 +98,7 @@ def _config_from_args(args):
     except ValueError:
         raise ConfigError(f"unknown experiment {args.experiment!r}; "
                           f"choose from {sorted(e.value for e in Experiment)}")
-    kernel = KernelSpec(amplitude=args.amplitude, bandwidth=args.bandwidth,
-                        family=KernelFamily(args.kernel))
+    kernel = KernelSpec(amplitude=args.amplitude, bandwidth=args.bandwidth)
     return ExperimentConfig(
         experiment=experiment, kernel=kernel, dims=args.d, ns=args.n,
         trials=args.trials, eps_grid=args.eps, nu=args.nu, alpha=args.alpha,

@@ -78,6 +78,8 @@ class ExperimentConfig:
             raise ConfigError("dims and ns must be positive")
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
+        if not all(0.0 < eps < math.inf for eps in self.eps_grid):
+            raise ConfigError(f"eps_grid entries must be finite and positive, got {self.eps_grid}")
         if self.nu < 1:
             raise ConfigError(f"nu must be >= 1, got {self.nu}")
         if self.alpha <= 1.0:

@@ -1,11 +1,11 @@
-"""Kernel families, symmetrization modes, Gram assembly, derivative constants.
+"""The Gaussian kernel, symmetrization modes, Gram assembly, derivative constants.
 
-Four evaluation modes turn a base kernel into a permutation-aware one:
+Three evaluation modes turn the Gaussian into a permutation-aware kernel:
 Plain leaves it untouched, Sorted canonicalizes both arguments through the
-descending sort, PermSingle averages over the d! permutations of one
-argument, and PermDouble averages over all (d!)^2 permutation pairs. For
-an isotropic kernel such as the Gaussian the double average equals the
-single one, so both are computed as the same d!-term sum.
+descending sort, and PermSingle averages over the d! permutations of one
+argument. The Gaussian is invariant under a joint permutation of both
+arguments, so this one-sided group average is also the two-sided average
+over all (d!)^2 permutation pairs.
 
 Every mode goes through one evaluator that walks row tiles of the first
 argument with cache-sized buffers and reproduces, bit for bit, the result
@@ -23,7 +23,7 @@ from numpy.polynomial import hermite_e
 from .errors import CapExceededError, ConfigError, DimensionMismatchError, DuplicateOrbitError
 from .geometry import as_design, as_point, distinct_orbits, sort_points
 
-# both averaged modes sum the same d! terms, so they share one cap
+# PERM_SINGLE sums d! terms per pair, so larger dimensions are refused
 PERM_SINGLE_DIM_CAP = 6
 
 # working-buffer bytes per row tile of kernel_cross, sized to stay in a
@@ -32,53 +32,50 @@ _TILE_BYTES = 1 << 20
 
 _HERMITE_GRID = 20001  # 1-D maximization grid on [-1, 1]
 _SAFETY = 1.01
-
-
-class KernelFamily(Enum):
-    GAUSSIAN = "gaussian"
+# below this bandwidth the grid's 1e-4 spacing misses derivative peaks
+_ENVELOPE_MIN_BANDWIDTH = 1e-3
 
 
 class KernelMode(Enum):
     PLAIN = "plain"
     SORTED = "sorted"
-    PERM_DOUBLE = "perm_double"
     PERM_SINGLE = "perm_single"
 
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Base kernel: family with amplitude and length-scale.
+    """Base Gaussian kernel: amplitude and length-scale.
 
     The Gaussian is amplitude * exp(-||w - z||^2 / (2 bandwidth^2)). It is
     smooth of every order; the smoothness degree nu that the bounds use is
-    theirs (BoundInputs.nu, sup_kernel_constant).
+    theirs (BoundInputs.nu, sup_kernel_constant). A bandwidth so small that
+    -2 bandwidth^2 rounds to zero is rejected.
     """
 
     amplitude: float
     bandwidth: float
-    family: KernelFamily = KernelFamily.GAUSSIAN
 
     def __post_init__(self):
-        if self.family is not KernelFamily.GAUSSIAN:
-            raise ConfigError(f"unsupported kernel family {self.family!r}")
         if self.amplitude <= 0.0:
             raise ConfigError(f"amplitude must be positive, got {self.amplitude}")
         if self.bandwidth <= 0.0:
             raise ConfigError(f"bandwidth must be positive, got {self.bandwidth}")
+        if -2.0 * self.bandwidth * self.bandwidth == 0.0:
+            raise ConfigError(f"bandwidth {self.bandwidth} is too small: its square underflows to zero")
 
 
 def check_mode_cap(mode, d):
-    """Raise if an averaged mode's d! term count is over its cap."""
-    if mode in (KernelMode.PERM_SINGLE, KernelMode.PERM_DOUBLE) and d > PERM_SINGLE_DIM_CAP:
+    """Raise if the averaged mode's d! term count is over its cap."""
+    if mode is KernelMode.PERM_SINGLE and d > PERM_SINGLE_DIM_CAP:
         raise CapExceededError(
             f"{mode.value} is averaged over d! terms; d={d} exceeds the cap {PERM_SINGLE_DIM_CAP}")
 
 
 def _terms(mode, d):
     # coordinate permutations summed by the mode, in itertools order
-    if mode in (KernelMode.PLAIN, KernelMode.SORTED):
-        return [tuple(range(d))]
-    return list(permutations(range(d)))
+    if mode is KernelMode.PERM_SINGLE:
+        return list(permutations(range(d)))
+    return [tuple(range(d))]
 
 
 def _plan(terms):
@@ -180,7 +177,7 @@ def _cross(k, mode, W, Z):
     d = W.shape[1]
     check_mode_cap(mode, d)
     # sorted mode is defined on the canonical representatives; the averaged
-    # modes are permutation-invariant argument-wise, so inputs are
+    # mode is permutation-invariant argument-wise, so inputs are
     # canonicalized first and the sum runs over the identical term multiset
     # for any permutation of w or z, making the invariance exact in floats
     if mode is not KernelMode.PLAIN:
@@ -231,8 +228,14 @@ def _derivative_envelope(g, sigma):
     t = np.linspace(-1.0, 1.0, _HERMITE_GRID)
     coeffs = np.zeros(g + 1)
     coeffs[g] = 1.0
-    vals = np.abs(hermite_e.hermeval(t / sigma, coeffs)) * np.exp(-t * t / (2.0 * sigma * sigma))
-    return float(vals.max()) / sigma ** g
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = np.abs(hermite_e.hermeval(t / sigma, coeffs)) * np.exp(-t * t / (2.0 * sigma * sigma))
+    peak, scale = float(vals.max()), sigma ** g
+    # an overflowed polynomial value (inf, or inf * 0 = nan) or an underflowed
+    # sigma^g means the envelope is past the float range
+    if not math.isfinite(peak) or scale == 0.0:
+        return math.inf
+    return peak / scale
 
 
 def sup_kernel_constant(k, nu, d):
@@ -243,7 +246,9 @@ def sup_kernel_constant(k, nu, d):
     total order nu of |d^alpha_1 d^beta_2 K| / (alpha! beta!). The
     Gaussian factorizes per coordinate, so the maximum reduces to integer
     partitions of nu with per-order 1-D envelopes; the grid maximum
-    carries a 1.01 safety factor.
+    carries a 1.01 safety factor. For nu >= 1 a bandwidth below 1e-3, where
+    the grid is too coarse, raises ConfigError; a C_Knu past the float
+    range is returned as inf.
     """
     if nu < 0:
         raise ConfigError(f"nu must be >= 0, got {nu}")
@@ -252,6 +257,10 @@ def sup_kernel_constant(k, nu, d):
     c0 = k.amplitude
     if nu == 0:
         return c0, c0
+    if k.bandwidth < _ENVELOPE_MIN_BANDWIDTH:
+        raise ConfigError(
+            f"bandwidth {k.bandwidth} is below {_ENVELOPE_MIN_BANDWIDTH}, where the "
+            "derivative envelopes are not resolved")
     env = {g: _derivative_envelope(g, k.bandwidth) for g in range(1, nu + 1)}
     best = 0.0
     for part in _partitions(nu, d):

@@ -12,7 +12,7 @@ import numpy as np
 from scipy.linalg import eigh
 
 from .errors import ConfigError, NumericalError
-from .kernels import KernelMode, gram
+from .kernels import gram
 from .rng import stream
 
 
@@ -20,10 +20,8 @@ from .rng import stream
 class SpectrumEstimate:
     """Descending Nystrom eigenvalue estimates from m samples."""
 
-    mode: KernelMode
     m: int
     eigenvalues: np.ndarray
-    seed: int
 
 
 def nystrom_spectrum(k, mode, m, d, seed):
@@ -59,7 +57,7 @@ def nystrom_spectrum(k, mode, m, d, seed):
         raise NumericalError(
             f"trace identity violated: sum of eigenvalues {total!r} vs "
             f"mean diagonal {trace!r}")
-    return SpectrumEstimate(mode=mode, m=m, eigenvalues=vals, seed=seed)
+    return SpectrumEstimate(m=m, eigenvalues=vals)
 
 
 def decay_slope(s, j_min, j_max):

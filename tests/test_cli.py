@@ -2,6 +2,9 @@
 
 import csv
 import dataclasses
+import re
+import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -26,7 +29,8 @@ class TestParsing:
         assert cli._eps_range("0.05:0.2:0.05") == (0.05, 0.1, 0.15, 0.2)
 
     def test_eps_range_rejects_malformed(self):
-        for bad in ("0.1:0.5", "a:b:c", "0.5:0.1:0.1", "0:1:0.1", "0.1:1:0"):
+        for bad in ("0.1:0.5", "a:b:c", "0.5:0.1:0.1", "0:1:0.1", "0.1:1:0",
+                    "nan:1:0.1", "0.05:inf:0.05", "0.05:1:nan", "0.05:1:inf"):
             with pytest.raises(Exception):
                 cli._eps_range(bad)
 
@@ -117,6 +121,35 @@ class TestExitCodes:
         assert err.count("\n") == 1
 
 
+def one_line_failure(argv, out, capsys):
+    # exit 1 with a single stderr line, no warning and no output file
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("sortkern: error: ") and err.count("\n") == 1
+    assert not out.exists()
+    return err
+
+
+class TestBadValues:
+    def test_negative_seed(self, tmp_path, capsys):
+        err = one_line_failure(["table1", "--d", "3", "--n", "5", "--trials", "1",
+                                "--candidates", "10", "--seed", "-1"],
+                               tmp_path / "t1.csv", capsys)
+        assert "nonnegative" in err
+
+    @pytest.mark.parametrize("bw", ["1e-300", "1e-4"])
+    @pytest.mark.parametrize("argv", [
+        ["interp_compare", "--d", "2", "--n", "5", "--trials", "1", "--mc-samples", "10"],
+        ["eigen_decay", "--d", "2", "--n", "40", "--trials", "1"],
+        ["bounds_report", "--d", "2"],
+    ], ids=lambda a: a[0])
+    def test_tiny_bandwidth(self, argv, bw, tmp_path, capsys):
+        err = one_line_failure(argv + ["--bandwidth", bw], tmp_path / "x.csv", capsys)
+        assert "bandwidth" in err
+
+
 class TestEndToEnd:
     def test_small_table1(self, tmp_path):
         out = tmp_path / "t1.csv"
@@ -183,3 +216,28 @@ def test_eps_range_round_trip(start, step, count, extra):
     for a, b in zip(grid, grid[1:]):
         assert a < b and abs(b - a - step) <= 1e-12
     assert grid[-1] <= stop + 1e-12 < grid[-1] + step
+
+
+def readme_flag_table():
+    # {flag: default} from the CLI section's table, backticks stripped
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| `(--[a-z-]+)` \| `([^`]*)` \|", text, flags=re.M)
+    assert rows, "no flag table found in README.md"
+    return dict(rows)
+
+
+def test_readme_flag_table_matches_parser():
+    parser = cli._build_parser()
+    defaults = vars(parser.parse_args(["table1"]))
+    actions = {a.option_strings[-1]: a for a in parser._actions
+               if a.option_strings and a.dest != "help"}
+    table = readme_flag_table()
+    assert sorted(table) == sorted(actions)
+    for flag, text in table.items():
+        action = actions[flag]
+        if flag == "--out":
+            # derived from the experiment name when the flag is absent
+            assert action.default is None and text == "<experiment>.csv"
+            continue
+        parse = action.type or str
+        assert parse(text) == defaults[action.dest], flag

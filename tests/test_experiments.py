@@ -285,8 +285,7 @@ class TestEigenDecay:
 
 class TestResolvedSlopeDepth:
     def make(self, lam):
-        return SpectrumEstimate(mode=None, m=len(lam),
-                                eigenvalues=np.asarray(lam, dtype=float), seed=0)
+        return SpectrumEstimate(m=len(lam), eigenvalues=np.asarray(lam, dtype=float))
 
     def test_truncates_at_noise_floor(self):
         lam = np.concatenate([np.geomspace(1.0, 1e-10, 8), np.full(8, 1e-18)])
@@ -343,4 +342,15 @@ class TestCheckedUpFront:
         c = cfg(tmp_path, "ic.csv", Experiment.INTERP_COMPARE, dims=(2, 7), ns=(10,))
         with pytest.raises(CapExceededError, match="averaged"):
             run_interp_compare(c)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("bad", [0.0, -0.1, math.nan, math.inf])
+    def test_eps_grid_before_any_fill(self, bad, tmp_path, monkeypatch):
+        def no_fill(*args, **kwargs):
+            raise AssertionError("a fill-distance trial ran before the eps check")
+
+        monkeypatch.setattr(experiments, "fill_distance_estimate", no_fill)
+        with pytest.raises(ConfigError, match="eps_grid"):
+            run_tail_curves(cfg(tmp_path, "tc.csv", Experiment.TAIL_CURVES,
+                                eps_grid=(0.1, bad), trials=20, ns=(50,)))
         assert list(tmp_path.iterdir()) == []

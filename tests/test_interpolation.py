@@ -1,6 +1,7 @@
 """Interpolation: fitting, canonicalization, invariant targets, L2 error."""
 
 import math
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -205,10 +206,13 @@ class TestInvariantTarget:
         assert np.all(z.value(np.random.default_rng(0).random((10, 2))) == 0.0)
 
     def test_norm_matches_double_average(self):
-        # single-sum and double-sum averaging agree for isotropic kernels
+        # the single-sum norm equals the one from the two-sided average over
+        # all (d!)^2 permutation pairs, since the Gaussian is isotropic
         k = unit_kernel()
         t = make_invariant_target(k, 2, 3, seed=42)
-        Gd = gram(k, KernelMode.PERM_DOUBLE, t.atoms)
+        perms = [list(p) for p in permutations(range(2))]
+        Gd = sum(kernel_cross(k, KernelMode.PLAIN, t.atoms[:, p], t.atoms[:, q])
+                 for p in perms for q in perms) / len(perms) ** 2
         want = t.weights @ Gd @ t.weights
         assert t.norm_sq == pytest.approx(want, abs=1e-12)
 

@@ -1,6 +1,7 @@
 """Kernels: evaluation modes, Gram assembly, derivative sup-constants."""
 
 import math
+import warnings
 from itertools import permutations
 
 import numpy as np
@@ -45,8 +46,13 @@ def brute_eval(mode, w, z, amp=AMP, sig=1.0):
         return gauss(w, z, amp, sig)
     if mode is KernelMode.SORTED:
         return gauss(np.sort(w)[::-1], np.sort(z)[::-1], amp, sig)
-    if mode is KernelMode.PERM_SINGLE:
-        return sum(gauss(w[list(p)], z, amp, sig) for p in perms) / len(perms)
+    return sum(gauss(w[list(p)], z, amp, sig) for p in perms) / len(perms)
+
+
+def brute_double(w, z, amp=AMP, sig=1.0):
+    # the two-sided group average over all (d!)^2 permutation pairs
+    w, z = np.asarray(w, float), np.asarray(z, float)
+    perms = list(permutations(range(len(w))))
     total = sum(
         gauss(w[list(p)], z[list(q)], amp, sig) for p in perms for q in perms)
     return total / len(perms) ** 2
@@ -63,10 +69,15 @@ class TestEval:
         assert v == pytest.approx(AMP, rel=1e-15)
 
     def test_perm_double_enumeration(self):
+        # the Gaussian is invariant under joint permutations, so the one-sided
+        # group average equals the two-sided (d!)^2 double enumeration
         k = unit_kernel()
-        w, z = [0.0, 0.2], [0.2, 0.0]
-        v = kernel_value(k, KernelMode.PERM_DOUBLE, w, z)
-        assert v == pytest.approx(brute_eval(KernelMode.PERM_DOUBLE, w, z), rel=1e-14)
+        rng = np.random.default_rng(4)
+        pairs = [([0.0, 0.2], [0.2, 0.0])]
+        pairs += [(rng.random(d), rng.random(d)) for d in (1, 2, 3, 4)]
+        for w, z in pairs:
+            v = kernel_value(k, KernelMode.PERM_SINGLE, w, z)
+            assert v == pytest.approx(brute_double(w, z), rel=1e-14)
 
     @pytest.mark.parametrize("mode", list(KernelMode))
     def test_matches_brute_enumeration(self, mode):
@@ -87,7 +98,7 @@ class TestEval:
         b = kernel_cross(k, KernelMode.PLAIN, Ws, Zs)
         assert np.array_equal(a, b)
 
-    @pytest.mark.parametrize("mode", [KernelMode.SORTED, KernelMode.PERM_DOUBLE, KernelMode.PERM_SINGLE])
+    @pytest.mark.parametrize("mode", [KernelMode.SORTED, KernelMode.PERM_SINGLE])
     def test_permutation_invariance(self, mode):
         rng = np.random.default_rng(7)
         k = unit_kernel()
@@ -99,17 +110,8 @@ class TestEval:
                 v = kernel_value(k, mode, w[list(p)], z[list(q)])
                 assert v == pytest.approx(base, abs=1e-12)
 
-    def test_perm_single_equals_perm_double(self):
-        rng = np.random.default_rng(8)
-        k = unit_kernel()
-        for d in (2, 3, 4):
-            W, Z = rng.random((5, d)), rng.random((5, d))
-            a = kernel_cross(k, KernelMode.PERM_SINGLE, W, Z)
-            b = kernel_cross(k, KernelMode.PERM_DOUBLE, W, Z)
-            assert np.allclose(a, b, atol=1e-12, rtol=0)
-
     def test_diagonal_dominance(self):
-        # strict form holds for Plain and Sorted; averaged modes only obey
+        # strict form holds for Plain and Sorted; the averaged mode only obeys
         # the positive-semidefinite Cauchy-Schwarz form (the average over
         # mismatched permutation pairs can exceed the averaged diagonal)
         rng = np.random.default_rng(9)
@@ -118,20 +120,17 @@ class TestEval:
             w, z = rng.random(3), rng.random(3)
             for mode in (KernelMode.PLAIN, KernelMode.SORTED):
                 assert kernel_value(k, mode, w, w) >= kernel_value(k, mode, w, z)
-            for mode in (KernelMode.PERM_SINGLE, KernelMode.PERM_DOUBLE):
-                kww = kernel_value(k, mode, w, w)
-                kzz = kernel_value(k, mode, z, z)
-                kwz = kernel_value(k, mode, w, z)
-                assert kwz * kwz <= kww * kzz + 1e-15
+            mode = KernelMode.PERM_SINGLE
+            kww = kernel_value(k, mode, w, w)
+            kzz = kernel_value(k, mode, z, z)
+            kwz = kernel_value(k, mode, w, z)
+            assert kwz * kwz <= kww * kzz + 1e-15
 
     def test_factorial_caps(self):
         k = unit_kernel()
+        assert kernel_value(k, KernelMode.PERM_SINGLE, np.zeros(6), np.zeros(6)) > 0.0
         with pytest.raises(CapExceededError):
             kernel_value(k, KernelMode.PERM_SINGLE, np.zeros(7), np.zeros(7))
-        # PERM_DOUBLE runs the same d!-term sum, so it shares the cap
-        assert kernel_value(k, KernelMode.PERM_DOUBLE, np.zeros(5), np.zeros(5)) > 0.0
-        with pytest.raises(CapExceededError):
-            kernel_value(k, KernelMode.PERM_DOUBLE, np.zeros(7), np.zeros(7))
 
     @pytest.mark.parametrize("bad", [[np.nan, 0.5], [0.5, np.inf], [3.0, -2.0]])
     def test_invalid_points_rejected(self, bad):
@@ -185,10 +184,6 @@ class TestGram:
                     assert G[i, j] == pytest.approx(kernel_value(k, mode, X[i], X[j]), rel=1e-13)
 
 
-# the modes the enumeration oracle reproduces bit for bit
-ORACLE_MODES = (KernelMode.PLAIN, KernelMode.SORTED, KernelMode.PERM_SINGLE)
-
-
 def enum_cross(k, mode, W, Z):
     return oracle.kernel_cross_enum(k.amplitude, k.bandwidth, mode.value, W, Z)
 
@@ -205,7 +200,7 @@ class TestBitIdentity:
 
     K = KernelSpec(amplitude=AMP, bandwidth=0.3)
 
-    @pytest.mark.parametrize("mode", ORACLE_MODES)
+    @pytest.mark.parametrize("mode", list(KernelMode))
     @pytest.mark.parametrize("d", range(1, 7))
     def test_rows_around_one_tile(self, mode, d):
         rng = np.random.default_rng(40 + d)
@@ -216,7 +211,7 @@ class TestBitIdentity:
             assert np.array_equal(kernel_cross(self.K, mode, W, Z),
                                   enum_cross(self.K, mode, W, Z))
 
-    @pytest.mark.parametrize("mode", ORACLE_MODES)
+    @pytest.mark.parametrize("mode", list(KernelMode))
     @pytest.mark.parametrize("d", range(1, 7))
     def test_one_column_and_columns_over_budget(self, mode, d):
         rng = np.random.default_rng(60 + d)
@@ -227,7 +222,7 @@ class TestBitIdentity:
             assert np.array_equal(kernel_cross(self.K, mode, W, Z),
                                   enum_cross(self.K, mode, W, Z))
 
-    @pytest.mark.parametrize("mode", ORACLE_MODES)
+    @pytest.mark.parametrize("mode", list(KernelMode))
     @pytest.mark.parametrize("d", range(1, 7))
     def test_many_small_tiles(self, mode, d, monkeypatch):
         # a tiny budget puts a few rows in each tile, so the distance
@@ -238,7 +233,7 @@ class TestBitIdentity:
         k = KernelSpec(amplitude=0.7, bandwidth=0.08)
         assert np.array_equal(kernel_cross(k, mode, W, Z), enum_cross(k, mode, W, Z))
 
-    @pytest.mark.parametrize("mode", ORACLE_MODES)
+    @pytest.mark.parametrize("mode", list(KernelMode))
     def test_empty_design(self, mode):
         Z = np.random.default_rng(3).random((4, 3))
         got = kernel_cross(self.K, mode, np.empty((0, 3)), Z)
@@ -251,9 +246,8 @@ class TestBitIdentity:
         X = np.random.default_rng(13).random((30, 3))
         G = gram(self.K, mode, X)
         assert np.array_equal(G, G.T)
-        if mode in ORACLE_MODES:
-            iu = np.triu_indices(30)
-            assert np.array_equal(G[iu], enum_cross(self.K, mode, X, X)[iu])
+        iu = np.triu_indices(30)
+        assert np.array_equal(G[iu], enum_cross(self.K, mode, X, X)[iu])
 
 
 class TestSupConstants:
@@ -322,16 +316,57 @@ class TestSupConstants:
             sup_kernel_constant(unit_kernel(), -1, 2)
 
 
-AVERAGED = (KernelMode.PERM_SINGLE, KernelMode.PERM_DOUBLE)
+class TestSmallBandwidth:
+    """Bandwidth limits of the kernel and of its derivative constants."""
+
+    def test_underflowing_scale_rejected(self):
+        # -2 * bw^2 rounds to zero at 1e-300, but not at 1e-160
+        with pytest.raises(ConfigError, match="bandwidth"):
+            KernelSpec(amplitude=1.0, bandwidth=1e-300)
+        k = KernelSpec(amplitude=1.0, bandwidth=1e-160)
+        assert kernel_value(k, KernelMode.PLAIN, [0.5], [0.5]) == 1.0
+
+    @pytest.mark.parametrize("bw", [9.99e-4, 1e-4, 1e-5, 1e-100])
+    def test_unresolved_envelope_rejected(self, bw):
+        k = KernelSpec(amplitude=1.0, bandwidth=bw)
+        with pytest.raises(ConfigError, match="bandwidth"):
+            sup_kernel_constant(k, 1, 2)
+        # nu = 0 needs no envelope: the constant is the amplitude
+        assert sup_kernel_constant(k, 0, 2) == (1.0, 1.0)
+
+    def test_smallest_accepted_bandwidth(self):
+        sig = 1e-3
+        _, c1 = sup_kernel_constant(KernelSpec(amplitude=1.0, bandwidth=sig), 1, 1)
+        assert c1 == pytest.approx(1.01 * math.exp(-0.5) / sig, rel=1e-6)
+
+    def test_envelope_overflow_is_inf(self):
+        # sigma^-110 overflows a float; no numpy warning escapes
+        k = KernelSpec(amplitude=1.0, bandwidth=1e-3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert sup_kernel_constant(k, 110, 1)[1] == math.inf
+
+    # C_Knu at (nu, d) = (1, 1), (2, 3), (3, 2), (4, 5), (6, 2), as computed
+    # before the bandwidth limits were added
+    @pytest.mark.parametrize("bw, want", [
+        (0.08, ["0x1.37fe18a79821ep+0", "0x1.91ddc155be7d7p+4", "0x1.b14c958d56420p+7",
+                "0x1.ea8f32812b082p+11", "0x1.c11ed9dd01c59p+18"]),
+        (1.0, ["0x1.8f59b92870cf4p-4", "0x1.49357502a8566p-3", "0x1.c658ec616e6aep-4",
+               "0x1.49357502a8566p-3", "0x1.edd02f83fc819p-4"]),
+    ])
+    def test_reference_bandwidths_keep_their_bits(self, bw, want):
+        k = KernelSpec(amplitude=0.15915494309189535, bandwidth=bw)
+        got = [sup_kernel_constant(k, nu, d)[1]
+               for nu, d in ((1, 1), (2, 3), (3, 2), (4, 5), (6, 2))]
+        assert got == [float.fromhex(h) for h in want]
 
 
 class TestCheckedOnce:
     """Checks that each live in one place still guard every entry point."""
 
     @pytest.mark.parametrize("entry, mode", [
-        *((name, mode) for name in ("kernel_cross", "gram", "nystrom_spectrum")
-          for mode in AVERAGED),
-        ("make_invariant_target", KernelMode.PERM_SINGLE),
+        *((name, KernelMode.PERM_SINGLE) for name in
+          ("kernel_cross", "gram", "nystrom_spectrum", "make_invariant_target")),
     ])
     def test_averaged_cap_at_d7(self, entry, mode):
         k = unit_kernel()

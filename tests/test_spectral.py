@@ -76,8 +76,7 @@ class TestNystrom:
 class TestDecaySlope:
     def fake(self, lam):
         lam = np.asarray(lam, dtype=float)
-        return SpectrumEstimate(mode=KernelMode.PLAIN, m=len(lam),
-                                eigenvalues=lam, seed=0)
+        return SpectrumEstimate(m=len(lam), eigenvalues=lam)
 
     def test_exact_power_law(self):
         j = np.arange(1, 101, dtype=float)
