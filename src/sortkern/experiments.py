@@ -6,12 +6,17 @@ master seed, writes a CSV file with a header row and floats at 17
 significant digits, and returns the rows as dictionaries (the returned
 dictionaries may carry extra diagnostic fields beyond the CSV columns).
 Identical configs produce byte-identical files, except the wall-clock
-fit_ms column of the interpolation comparison.
+fit_ms column of the interpolation comparison. The fill-distance trials
+of table1 and tail_curves run on every CPU the process may use, and
+their files do not depend on how many there are.
 """
 
 import csv
+import ctypes
+import functools
 import math
 import os
+import threading
 import time
 from dataclasses import dataclass
 from enum import Enum
@@ -20,7 +25,8 @@ import numpy as np
 
 from .bounds import BoundInputs, eigen_bound_covering, eigen_bound_weyl, h_tail_bound, l2_bound, p_constant, tilde_constant
 from .errors import ConfigError, FactorizationError
-from .geometry import Domain, cone_parameters, cube_corners, fill_distance_estimate
+from .geometry import (Domain, _fill_distance, _sort_rows_in_place, as_design, cone_parameters,
+                       cube_corners, fill_distance_estimate)
 from .interpolation import evaluate, fit, make_invariant_target, mc_points, rmse_stderr
 from .kernels import KernelMode, KernelSpec, check_mode_cap, sup_kernel_constant
 from .rng import stream, substream_seed
@@ -32,6 +38,10 @@ INTERP_ATOMS = 3
 POINTWISE_POINTS = 1000
 # eigenvalues below this multiple of eps times the top one are roundoff
 _NOISE_FLOOR_FACTOR = 1e3
+# glibc's mallopt parameter for the block size malloc maps on its own, and
+# the value the fill trials pin it to (glibc's own starting value)
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD_BYTES = 128 * 1024
 
 
 class Experiment(Enum):
@@ -117,37 +127,131 @@ def _write_csv(path, header, rows):
 def _trial_draws(cfg, exp_id, d, n, trial):
     # one stream per (experiment, d, n, trial): design first, candidates
     # second, cube corners appended so coarse designs are probed at the
-    # extremes the uniform cloud misses
+    # extremes the uniform cloud misses. The candidates are drawn straight
+    # into the array that holds the corners, so no stacked copy is made.
     g = stream(cfg.seed, exp_id, d, n, trial)
     X = g.random((n, d))
-    C = g.random((cfg.candidate_count, d))
     corners = cube_corners(d)
-    if corners.shape[0]:
-        C = np.vstack([C, corners])
+    C = np.empty((cfg.candidate_count + corners.shape[0], d))
+    g.random(out=C[:cfg.candidate_count])
+    C[cfg.candidate_count:] = corners
     return X, C
 
 
-def _fill_trials(cfg, exp_id, d, n):
-    """Plain and sorted fill distances of every trial at (d, n), as two arrays."""
-    h = np.empty(cfg.trials)
-    hs = np.empty(cfg.trials)
-    for t in range(cfg.trials):
-        X, C = _trial_draws(cfg, exp_id, d, n, t)
-        h[t] = fill_distance_estimate(X, Domain.CUBE, C)
-        # the sorted estimate over shared candidates is <= the plain one by
-        # the rearrangement principle; min() shields the invariant from
-        # last-ulp rounding between the two runs
-        hs[t] = min(fill_distance_estimate(X, Domain.SORTED_SIMPLEX, C), h[t])
-    return h, hs
+def _worker_count():
+    """CPUs this process may run on: the fill-trial workers, caller included."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _fan_out(fn, keys):
+    """[fn(key) for key in keys], computed by the caller and helper threads.
+
+    The calling thread and _worker_count() - 1 helpers take keys in order
+    from one shared iterator, so a single CPU starts no thread. The hot
+    numpy and scipy calls release the GIL, which lets the threads overlap.
+    After the first failure no further key is handed out; the helpers are
+    joined and the failure of the earliest key is raised, the one a serial
+    loop over the keys would have raised.
+    """
+    keys = list(keys)
+    results = [None] * len(keys)
+    errors = {}
+    todo = iter(enumerate(keys))
+    lock = threading.Lock()
+    stop = threading.Event()
+
+    def drain():
+        while not stop.is_set():
+            with lock:
+                item = next(todo, None)
+            if item is None:
+                return
+            i, key = item
+            try:
+                results[i] = fn(key)
+            except BaseException as exc:
+                errors[i] = exc
+                stop.set()
+                return
+
+    helpers = [threading.Thread(target=drain, name=f"sortkern-trials-{w}")
+               for w in range(1, min(_worker_count(), len(keys)))]
+    for th in helpers:
+        th.start()
+    try:
+        drain()
+    finally:
+        # also reached when the caller is interrupted outside fn
+        stop.set()
+        for th in helpers:
+            th.join()
+    if errors:
+        raise errors[min(errors)]
+    return results
+
+
+def _map_large_blocks():
+    """Pin malloc's mmap threshold, so every large array is mapped on its own.
+
+    glibc raises the threshold to the size of each mapped block freed, up
+    to 32 MiB, so after the first candidate array later ones come from the
+    malloc arenas. With threads, which freed arena memory a new array can
+    reuse then depends on timing, and the peak RSS of one table1 run
+    differed from the next by about 10 MB. A pinned threshold maps each
+    large array and unmaps it when freed, so the peak is the memory in use.
+    The setting lasts for the process. Where the C library has no mallopt,
+    nothing changes.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
+
+
+def _fill_unit(cfg, exp_id, key):
+    """Plain and sorted fill distances of one (d, n, trial) unit."""
+    d, n, t = key
+    X, C = _trial_draws(cfg, exp_id, d, n, t)
+    X = as_design(X)
+    h = _fill_distance(X, C)
+    # the sorted pass canonicalizes the unit's own arrays in place, so no
+    # second candidate array is ever held
+    _sort_rows_in_place(X)
+    _sort_rows_in_place(C)
+    # the sorted estimate over shared candidates is <= the plain one by
+    # the rearrangement principle; min() shields the invariant from
+    # last-ulp rounding between the two runs
+    return h, min(_fill_distance(X, C), h)
+
+
+def _fill_trials(cfg, exp_id):
+    """Plain and sorted fill distances of every trial, two arrays per (d, n) cell.
+
+    The (d, n, trial) units run through _fan_out cell by cell, from the
+    largest (d, n) down: the candidate arrays then shrink as the run goes,
+    so each fits in memory an earlier one freed, and the longest units do
+    not finish last. Each array holds its cell's trials in trial order.
+    """
+    cells = sorted({(d, n) for d in cfg.dims for n in cfg.ns}, reverse=True)
+    keys = [(d, n, t) for d, n in cells for t in range(cfg.trials)]
+    _map_large_blocks()
+    out = dict(zip(keys, _fan_out(functools.partial(_fill_unit, cfg, exp_id), keys)))
+    return {(d, n): (np.array([out[d, n, t][0] for t in range(cfg.trials)]),
+                     np.array([out[d, n, t][1] for t in range(cfg.trials)]))
+            for d, n in cells}
 
 
 def run_table1(cfg):
     """Mean fill distances (plain and sorted) per (d, n) over seeded trials."""
-    exp_id = _EXPERIMENT_IDS[Experiment.TABLE1]
+    cells = _fill_trials(cfg, _EXPERIMENT_IDS[Experiment.TABLE1])
     rows = []
     for d in cfg.dims:
         for n in cfg.ns:
-            hs, hss = _fill_trials(cfg, exp_id, d, n)
+            hs, hss = cells[d, n]
             se = hs.std(ddof=1) / math.sqrt(cfg.trials) if cfg.trials > 1 else 0.0
             ses = hss.std(ddof=1) / math.sqrt(cfg.trials) if cfg.trials > 1 else 0.0
             rows.append({
@@ -165,11 +269,11 @@ def run_tail_curves(cfg):
     """Empirical exceedance P[h > eps] against the closed-form tail bounds."""
     if not cfg.eps_grid:
         raise ConfigError("tail curves need a nonempty eps grid")
-    exp_id = _EXPERIMENT_IDS[Experiment.TAIL_CURVES]
+    cells = _fill_trials(cfg, _EXPERIMENT_IDS[Experiment.TAIL_CURVES])
     rows = []
     for d in cfg.dims:
         for n in cfg.ns:
-            h, hsrt = _fill_trials(cfg, exp_id, d, n)
+            h, hsrt = cells[d, n]
             for eps in cfg.eps_grid:
                 rows.append({
                     "d": d, "n": n, "eps": float(eps),

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import CapExceededError, ConfigError, DimensionMismatchError
 
@@ -31,6 +30,9 @@ COVERING_POINT_CAP = 10 ** 7
 # working-buffer bytes of one prescan tile of the pruned scan, sized to stay
 # in a core's L2 cache
 _PRESCAN_TILE_BYTES = 1 << 19
+
+# rows per block of the in-place column reversal
+_REVERSE_BLOCK_ROWS = 4096
 
 
 class Domain(Enum):
@@ -93,8 +95,26 @@ def sort_point(p):
 
 def sort_points(X):
     """Row-wise sort map: each row in non-increasing order (C-contiguous result)."""
-    X = np.asarray(X, dtype=float)
-    return np.ascontiguousarray(np.sort(X, axis=1)[:, ::-1])
+    S = np.array(X, dtype=float, order="C")
+    _sort_rows_in_place(S)
+    return S
+
+
+def _sort_rows_in_place(A):
+    """Sort each row of the C-contiguous 2-D float array A into non-increasing order.
+
+    The rows are sorted ascending in place, then the column order is
+    reversed in place, block by block of _REVERSE_BLOCK_ROWS rows through
+    one small buffer. Values only move, so the result equals
+    np.sort(A, axis=1)[:, ::-1] bit for bit.
+    """
+    A.sort(axis=1)
+    buf = np.empty((min(A.shape[0], _REVERSE_BLOCK_ROWS), A.shape[1]))
+    for s in range(0, A.shape[0], _REVERSE_BLOCK_ROWS):
+        B = A[s:s + _REVERSE_BLOCK_ROWS]
+        b = buf[:B.shape[0]]
+        np.copyto(b, B[:, ::-1])
+        np.copyto(B, b)
 
 
 def distinct_orbits(X):
@@ -286,7 +306,23 @@ def fill_distance_estimate(X, domain, candidates):
     else:
         X = np.ascontiguousarray(X)
         C = np.ascontiguousarray(C)
+    return _fill_distance(X, C)
+
+
+def _fill_distance(X, C):
+    """Exact max-min distance from the rows of C to the rows of X.
+
+    X is a validated design and C a nonempty candidate array of the same
+    width, both C-contiguous and already in the domain's coordinates.
+    Candidates whose coordinates or squared norms are not finite raise
+    ConfigError. A kd-tree answers up to _TREE_MAX_DIM, the pruned scan
+    above it.
+    """
     if X.shape[1] <= _TREE_MAX_DIM:
+        # scipy.spatial costs about half a second to import, so only the
+        # low-dimensional path loads it
+        from scipy.spatial import cKDTree
+
         _candidate_sq_norms(C)
         dist, _ = cKDTree(X).query(C, k=1)
         return float(dist.max())

@@ -128,32 +128,35 @@ def _evaluate(k, W, Z, terms):
     WT = np.ascontiguousarray(W.T)
     ZT = np.ascontiguousarray(Z.T)
     scale = -2.0 * k.bandwidth * k.bandwidth
-    for r0 in range(0, n, rows):
-        r1 = min(n, r0 + rows)
-        views = [b[:(r1 - r0) * m].reshape(r1 - r0, m) for b in buf]
-        table, dist = views[:npairs], views[-1]
-        # level[q] is the distance summed over coordinates 0..q: level 0 is a
-        # table entry, the last level is dist
-        level = [None, *views[npairs:-1], dist]
-        for (p, q), T in zip(pairs, table):
-            np.subtract(WT[p, r0:r1, None], ZT[q], out=T)
-            np.multiply(T, T, out=T)
-        acc = out[r0:r1]
-        for j, step in enumerate(steps):
-            for q, s in step:
-                if q == 0:
-                    level[0] = table[s]
+    # below a bandwidth of about 1e-154 the division overflows to -inf, and
+    # exp(-inf) = 0 is the exact kernel value
+    with np.errstate(over="ignore"):
+        for r0 in range(0, n, rows):
+            r1 = min(n, r0 + rows)
+            views = [b[:(r1 - r0) * m].reshape(r1 - r0, m) for b in buf]
+            table, dist = views[:npairs], views[-1]
+            # level[q] is the distance summed over coordinates 0..q: level 0 is a
+            # table entry, the last level is dist
+            level = [None, *views[npairs:-1], dist]
+            for (p, q), T in zip(pairs, table):
+                np.subtract(WT[p, r0:r1, None], ZT[q], out=T)
+                np.multiply(T, T, out=T)
+            acc = out[r0:r1]
+            for j, step in enumerate(steps):
+                for q, s in step:
+                    if q == 0:
+                        level[0] = table[s]
+                    else:
+                        np.add(level[q - 1], table[s], out=level[q])
+                np.divide(level[d - 1], scale, out=dist)
+                np.exp(dist, out=dist)
+                if j == 0:
+                    np.multiply(dist, k.amplitude, out=acc)
                 else:
-                    np.add(level[q - 1], table[s], out=level[q])
-            np.divide(level[d - 1], scale, out=dist)
-            np.exp(dist, out=dist)
-            if j == 0:
-                np.multiply(dist, k.amplitude, out=acc)
-            else:
-                np.multiply(dist, k.amplitude, out=dist)
-                np.add(acc, dist, out=acc)
-        if len(terms) > 1:
-            np.divide(acc, len(terms), out=acc)
+                    np.multiply(dist, k.amplitude, out=dist)
+                    np.add(acc, dist, out=acc)
+            if len(terms) > 1:
+                np.divide(acc, len(terms), out=acc)
     return out
 
 

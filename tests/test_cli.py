@@ -2,7 +2,10 @@
 
 import csv
 import dataclasses
+import os
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -241,3 +244,16 @@ def test_readme_flag_table_matches_parser():
             continue
         parse = action.type or str
         assert parse(text) == defaults[action.dest], flag
+
+
+def test_import_leaves_scipy_spatial_unloaded():
+    # the kd-tree module loads on the first low-dimensional fill distance,
+    # not with the CLI
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, sortkern.cli; print('scipy.spatial' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert probe.returncode == 0, probe.stderr
+    assert probe.stdout.strip() == "False"

@@ -4,6 +4,12 @@ import csv
 import hashlib
 import io
 import math
+import os
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,9 +28,10 @@ from sortkern.experiments import (
     run_table1,
     run_tail_curves,
 )
-from sortkern.geometry import Domain, cone_parameters
+from sortkern.geometry import Domain, cone_parameters, cube_corners, fill_distance_estimate
 from sortkern.interpolation import InvariantTarget
 from sortkern.kernels import KernelSpec
+from sortkern.rng import stream
 from sortkern.spectral import SpectrumEstimate
 
 KERNEL = KernelSpec(amplitude=1 / (2 * math.pi), bandwidth=1.0)
@@ -350,7 +357,249 @@ class TestCheckedUpFront:
             raise AssertionError("a fill-distance trial ran before the eps check")
 
         monkeypatch.setattr(experiments, "fill_distance_estimate", no_fill)
+        monkeypatch.setattr(experiments, "_fill_unit", no_fill)
         with pytest.raises(ConfigError, match="eps_grid"):
             run_tail_curves(cfg(tmp_path, "tc.csv", Experiment.TAIL_CURVES,
                                 eps_grid=(0.1, bad), trials=20, ns=(50,)))
         assert list(tmp_path.iterdir()) == []
+
+
+def serial_fill_trials(c, exp_id, d, n):
+    """The one-trial-at-a-time loop through the public fill_distance_estimate."""
+    h, hs = np.empty(c.trials), np.empty(c.trials)
+    for t in range(c.trials):
+        g = stream(c.seed, exp_id, d, n, t)
+        X = g.random((n, d))
+        C = np.vstack([g.random((c.candidate_count, d)), cube_corners(d)])
+        h[t] = fill_distance_estimate(X, Domain.CUBE, C)
+        hs[t] = min(fill_distance_estimate(X, Domain.SORTED_SIMPLEX, C), h[t])
+    return h, hs
+
+
+def pool_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("sortkern-trials")]
+
+
+# d = 2 and 3 take the kd-tree path, d = 5 and 6 the pruned scan; n = 10 is
+# below the prescan depth, n = 60 above it
+POOL_DIMS = (2, 3, 5, 6)
+POOL_NS = (10, 60)
+
+
+class TestTrialPool:
+    """The fill-distance units fanned out over the caller and helper threads."""
+
+    def pool_cfg(self, tmp_path, name, experiment, trials, seed):
+        return cfg(tmp_path, name, experiment, dims=POOL_DIMS, ns=POOL_NS,
+                   trials=trials, seed=seed, candidate_count=1500,
+                   eps_grid=(0.2, 0.5) if experiment is Experiment.TAIL_CURVES else ())
+
+    def csv_bytes(self, tmp_path, monkeypatch, workers, experiment, trials, seed):
+        monkeypatch.setattr(experiments, "_worker_count", lambda: workers)
+        c = self.pool_cfg(tmp_path, f"{experiment.value}-{workers}.csv", experiment,
+                          trials, seed)
+        run(c)
+        with open(c.out_path, "rb") as fh:
+            return fh.read()
+
+    @pytest.mark.parametrize("experiment", [Experiment.TABLE1, Experiment.TAIL_CURVES])
+    @pytest.mark.parametrize("trials", [1, 3])
+    @pytest.mark.parametrize("seed", [11235, 777])
+    def test_one_and_two_workers_write_the_same_bytes(self, experiment, trials, seed,
+                                                      tmp_path, monkeypatch):
+        one = self.csv_bytes(tmp_path, monkeypatch, 1, experiment, trials, seed)
+        two = self.csv_bytes(tmp_path, monkeypatch, 2, experiment, trials, seed)
+        assert one == two
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_trials_match_the_serial_public_path(self, workers, tmp_path, monkeypatch):
+        monkeypatch.setattr(experiments, "_worker_count", lambda: workers)
+        c = self.pool_cfg(tmp_path, "t1.csv", Experiment.TABLE1, 3, 11235)
+        cells = experiments._fill_trials(c, 1)
+        assert sorted(cells) == sorted((d, n) for d in POOL_DIMS for n in POOL_NS)
+        for (d, n), (h, hs) in cells.items():
+            want_h, want_hs = serial_fill_trials(c, 1, d, n)
+            assert np.array_equal(h, want_h) and np.array_equal(hs, want_hs)
+
+    def test_first_unit_finishing_last_keeps_the_bytes(self, tmp_path, monkeypatch):
+        one = self.csv_bytes(tmp_path, monkeypatch, 1, Experiment.TABLE1, 3, 11235)
+        unit = experiments._fill_unit
+        total = len(POOL_DIMS) * len(POOL_NS) * 3
+        lock = threading.Lock()
+        others_done = threading.Event()
+        state = {"first": None, "done": 0, "order": []}
+
+        def first_last(c, exp_id, key):
+            with lock:
+                if state["first"] is None:
+                    state["first"] = key
+            if key == state["first"]:
+                assert others_done.wait(timeout=60), "the other units never finished"
+            out = unit(c, exp_id, key)
+            with lock:
+                state["order"].append(key)
+                state["done"] += 1
+                if state["done"] == total - 1:
+                    others_done.set()
+            return out
+
+        monkeypatch.setattr(experiments, "_fill_unit", first_last)
+        two = self.csv_bytes(tmp_path, monkeypatch, 2, Experiment.TABLE1, 3, 11235)
+        assert state["order"][-1] == state["first"]
+        assert one == two
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_failing_unit_surfaces_its_error(self, workers, tmp_path, monkeypatch):
+        unit = experiments._fill_unit
+        bad = {(5, 10, 1), (3, 60, 0)}
+
+        def failing(c, exp_id, key):
+            if key in bad:
+                raise ConfigError(f"unit {key} failed")
+            return unit(c, exp_id, key)
+
+        monkeypatch.setattr(experiments, "_fill_unit", failing)
+        monkeypatch.setattr(experiments, "_worker_count", lambda: workers)
+        c = self.pool_cfg(tmp_path, "t1.csv", Experiment.TABLE1, 3, 11235)
+        # units go out from the largest (d, n) down, so (5, 10, 1) comes first
+        with pytest.raises(ConfigError, match=r"unit \(5, 10, 1\) failed"):
+            run_table1(c)
+        assert list(tmp_path.iterdir()) == []
+        assert pool_threads() == []
+
+    def test_one_cpu_starts_no_thread(self, tmp_path, monkeypatch):
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a helper thread was started on one CPU")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(threading, "Thread", no_thread)
+        assert experiments._worker_count() == 1
+        unit = experiments._fill_unit
+        callers = set()
+
+        def record(c, exp_id, key):
+            callers.add(threading.get_ident())
+            return unit(c, exp_id, key)
+
+        monkeypatch.setattr(experiments, "_fill_unit", record)
+        run_table1(self.pool_cfg(tmp_path, "t1.csv", Experiment.TABLE1, 2, 11235))
+        assert callers == {threading.get_ident()}
+
+    def test_worker_count_without_affinity_call(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert experiments._worker_count() == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert experiments._worker_count() == 1
+
+    def test_fan_out_under_contention(self, monkeypatch):
+        # more workers than cores and a tiny switch interval: every key is
+        # computed once and lands in its own slot
+        monkeypatch.setattr(experiments, "_worker_count", lambda: 8)
+        calls = []
+
+        def work(key):
+            calls.append(key)
+            return sum(i * key for i in range(200))
+
+        keys = list(range(2000))
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            out = experiments._fan_out(work, keys)
+        finally:
+            sys.setswitchinterval(old)
+        assert sorted(calls) == keys
+        assert out == [sum(i * k for i in range(200)) for k in keys]
+        assert pool_threads() == []
+
+    def test_earliest_of_concurrent_failures_is_raised(self, monkeypatch):
+        # key 0 fails only after key 1 has failed on the other thread
+        monkeypatch.setattr(experiments, "_worker_count", lambda: 2)
+        one_failed = threading.Event()
+
+        def work(key):
+            if key == 1:
+                one_failed.set()
+                raise ConfigError("key 1")
+            if key == 0:
+                assert one_failed.wait(timeout=60)
+                raise ConfigError("key 0")
+            return key
+
+        with pytest.raises(ConfigError, match="key 0"):
+            experiments._fan_out(work, range(10))
+        assert pool_threads() == []
+
+    def test_no_key_handed_out_after_a_failure(self, monkeypatch):
+        monkeypatch.setattr(experiments, "_worker_count", lambda: 2)
+        started = []
+
+        def work(key):
+            started.append(key)
+            if key == 0:
+                raise ConfigError("key 0")
+            time.sleep(0.002)
+            return key
+
+        with pytest.raises(ConfigError, match="key 0"):
+            experiments._fan_out(work, range(200))
+        # each thread finishes at most the unit it holds
+        assert len(started) <= 3
+
+    def test_large_arrays_mapped_after_fill_trials(self, tmp_path):
+        # glibc raises its mmap threshold when a mapped block is freed, so a
+        # later 10 MB array would come from the malloc arenas; after the fill
+        # trials it is mapped on its own. A fresh interpreter starts from
+        # glibc's defaults.
+        script = f"""
+import ctypes, sys
+import numpy as np
+from sortkern import experiments
+from sortkern.experiments import Experiment, ExperimentConfig
+from sortkern.kernels import KernelSpec
+
+libc = ctypes.CDLL(None)
+if not hasattr(libc, "mallinfo2"):
+    print("no mallinfo2")
+    sys.exit(0)
+class Info(ctypes.Structure):
+    _fields_ = [(f, ctypes.c_size_t) for f in ("arena", "ordblks", "smblks", "hblks",
+        "hblkhd", "usmblks", "fsmblks", "uordblks", "fordblks", "keepcost")]
+libc.mallinfo2.restype = Info
+
+def mapped(nbytes):
+    base = libc.mallinfo2().hblkhd
+    a = np.ones(nbytes // 8)
+    grown = libc.mallinfo2().hblkhd - base
+    del a
+    return grown
+
+mapped(20_000_000)
+before = mapped(10_000_000)
+experiments._fill_trials(ExperimentConfig(
+    experiment=Experiment.TABLE1, kernel=KernelSpec(1.0, 1.0), dims=(3,), ns=(10,),
+    trials=1, candidate_count=100, out_path={str(tmp_path / "x.csv")!r}), 1)
+print(before, mapped(10_000_000))
+"""
+        # without the environment's own malloc tuning
+        env = {k: v for k, v in os.environ.items()
+               if not k.startswith("MALLOC_") and k != "GLIBC_TUNABLES"}
+        env["PYTHONPATH"] = str(Path(experiments.__file__).resolve().parents[1])
+        probe = subprocess.run([sys.executable, "-c", script], env=env,
+                               capture_output=True, text=True, timeout=120)
+        assert probe.returncode == 0, probe.stderr
+        if probe.stdout.strip() == "no mallinfo2":
+            pytest.skip("the C library has no mallinfo2")
+        before, after = map(int, probe.stdout.split())
+        assert before < 10_000_000 <= after
+
+    def test_candidates_drawn_in_place(self, tmp_path):
+        # the candidate rows equal a separate draw stacked on the corners
+        for d in (2, 5, 15):
+            c = cfg(tmp_path, "x.csv", Experiment.TABLE1, dims=(d,), candidate_count=300)
+            X, C = experiments._trial_draws(c, 1, d, 40, 2)
+            g = stream(c.seed, 1, d, 40, 2)
+            assert np.array_equal(X, g.random((40, d)))
+            want = np.vstack([g.random((300, d)), cube_corners(d)])
+            assert C.flags.c_contiguous and np.array_equal(C, want)

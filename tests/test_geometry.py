@@ -58,6 +58,17 @@ class TestSortPoint:
             assert math.isclose(np.linalg.norm(s), np.linalg.norm(p), rel_tol=1e-15)
             assert sorted(s) == sorted(p)
 
+    @pytest.mark.parametrize("shape", [(0, 3), (5, 1), (4097, 2), (10000, 5), (9000, 12)])
+    def test_rows_descending_across_blocks(self, shape):
+        # values only move, so the in-place sort and column reversal equal the
+        # reversed ascending sort bit for bit, also across row blocks
+        X = np.random.default_rng(13).random(shape)
+        X[:, :1] = X[:, -1:]  # ties between the first and last column
+        want = np.sort(X, axis=1)[:, ::-1]
+        for arg in (X, np.asfortranarray(X), X[::-1].copy()[::-1]):
+            S = sort_points(arg)
+            assert S.flags.c_contiguous and np.array_equal(S, want)
+
     def test_rowwise_matches_pointwise(self):
         rng = np.random.default_rng(12)
         X = rng.random((40, 5))

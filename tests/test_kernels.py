@@ -326,6 +326,15 @@ class TestSmallBandwidth:
         k = KernelSpec(amplitude=1.0, bandwidth=1e-160)
         assert kernel_value(k, KernelMode.PLAIN, [0.5], [0.5]) == 1.0
 
+    def test_overflowing_divide_is_silent(self):
+        # below about 1e-154 the squared distance over -2 bw^2 overflows to
+        # -inf, and exp(-inf) = 0 is the exact value
+        k = KernelSpec(amplitude=1.0, bandwidth=1e-160)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert kernel_cross(k, KernelMode.PLAIN, [[0.1, 0.2]], [[0.3, 0.4]]) == 0.0
+            assert kernel_cross(k, KernelMode.SORTED, [[0.1, 0.2]], [[0.2, 0.1]]) == 1.0
+
     @pytest.mark.parametrize("bw", [9.99e-4, 1e-4, 1e-5, 1e-100])
     def test_unresolved_envelope_rejected(self, bw):
         k = KernelSpec(amplitude=1.0, bandwidth=bw)
