@@ -12,11 +12,9 @@ their files do not depend on how many there are.
 """
 
 import csv
-import ctypes
 import functools
 import math
 import os
-import threading
 import time
 from dataclasses import dataclass
 from enum import Enum
@@ -24,9 +22,10 @@ from enum import Enum
 import numpy as np
 
 from .bounds import BoundInputs, eigen_bound_covering, eigen_bound_weyl, h_tail_bound, l2_bound, p_constant, tilde_constant
+from ._pool import _fan_out
 from .errors import ConfigError, FactorizationError
 from .geometry import (Domain, _fill_distance, _sort_rows_in_place, as_design, cone_parameters,
-                       cube_corners, fill_distance_estimate)
+                       cube_corners, sort_points)
 from .interpolation import evaluate, fit, make_invariant_target, mc_points, rmse_stderr
 from .kernels import KernelMode, KernelSpec, check_mode_cap, sup_kernel_constant
 from .rng import stream, substream_seed
@@ -38,10 +37,6 @@ INTERP_ATOMS = 3
 POINTWISE_POINTS = 1000
 # eigenvalues below this multiple of eps times the top one are roundoff
 _NOISE_FLOOR_FACTOR = 1e3
-# glibc's mallopt parameter for the block size malloc maps on its own, and
-# the value the fill trials pin it to (glibc's own starting value)
-_M_MMAP_THRESHOLD = -3
-_MMAP_THRESHOLD_BYTES = 128 * 1024
 
 
 class Experiment(Enum):
@@ -138,94 +133,27 @@ def _trial_draws(cfg, exp_id, d, n, trial):
     return X, C
 
 
-def _worker_count():
-    """CPUs this process may run on: the fill-trial workers, caller included."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
+def _fill_distances(X, C):
+    """Plain and sorted fill distances of the design X over the candidates C.
 
-
-def _fan_out(fn, keys):
-    """[fn(key) for key in keys], computed by the caller and helper threads.
-
-    The calling thread and _worker_count() - 1 helpers take keys in order
-    from one shared iterator, so a single CPU starts no thread. The hot
-    numpy and scipy calls release the GIL, which lets the threads overlap.
-    After the first failure no further key is handed out; the helpers are
-    joined and the failure of the earliest key is raised, the one a serial
-    loop over the keys would have raised.
+    X is validated and left as it is; the sorted pass sorts a copy of it.
+    C is a C-contiguous candidate array the caller owns, and the sorted
+    pass canonicalizes it in place, so no second candidate array is held.
     """
-    keys = list(keys)
-    results = [None] * len(keys)
-    errors = {}
-    todo = iter(enumerate(keys))
-    lock = threading.Lock()
-    stop = threading.Event()
-
-    def drain():
-        while not stop.is_set():
-            with lock:
-                item = next(todo, None)
-            if item is None:
-                return
-            i, key = item
-            try:
-                results[i] = fn(key)
-            except BaseException as exc:
-                errors[i] = exc
-                stop.set()
-                return
-
-    helpers = [threading.Thread(target=drain, name=f"sortkern-trials-{w}")
-               for w in range(1, min(_worker_count(), len(keys)))]
-    for th in helpers:
-        th.start()
-    try:
-        drain()
-    finally:
-        # also reached when the caller is interrupted outside fn
-        stop.set()
-        for th in helpers:
-            th.join()
-    if errors:
-        raise errors[min(errors)]
-    return results
-
-
-def _map_large_blocks():
-    """Pin malloc's mmap threshold, so every large array is mapped on its own.
-
-    glibc raises the threshold to the size of each mapped block freed, up
-    to 32 MiB, so after the first candidate array later ones come from the
-    malloc arenas. With threads, which freed arena memory a new array can
-    reuse then depends on timing, and the peak RSS of one table1 run
-    differed from the next by about 10 MB. A pinned threshold maps each
-    large array and unmaps it when freed, so the peak is the memory in use.
-    The setting lasts for the process. Where the C library has no mallopt,
-    nothing changes.
-    """
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError, TypeError):
-        return
-    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
+    X = as_design(X)
+    h = _fill_distance(X, C)
+    _sort_rows_in_place(C)
+    return h, _fill_distance(sort_points(X), C)
 
 
 def _fill_unit(cfg, exp_id, key):
     """Plain and sorted fill distances of one (d, n, trial) unit."""
     d, n, t = key
-    X, C = _trial_draws(cfg, exp_id, d, n, t)
-    X = as_design(X)
-    h = _fill_distance(X, C)
-    # the sorted pass canonicalizes the unit's own arrays in place, so no
-    # second candidate array is ever held
-    _sort_rows_in_place(X)
-    _sort_rows_in_place(C)
+    h, h_sorted = _fill_distances(*_trial_draws(cfg, exp_id, d, n, t))
     # the sorted estimate over shared candidates is <= the plain one by
     # the rearrangement principle; min() shields the invariant from
     # last-ulp rounding between the two runs
-    return h, min(_fill_distance(X, C), h)
+    return h, min(h_sorted, h)
 
 
 def _fill_trials(cfg, exp_id):
@@ -238,7 +166,6 @@ def _fill_trials(cfg, exp_id):
     """
     cells = sorted({(d, n) for d in cfg.dims for n in cfg.ns}, reverse=True)
     keys = [(d, n, t) for d, n in cells for t in range(cfg.trials)]
-    _map_large_blocks()
     out = dict(zip(keys, _fan_out(functools.partial(_fill_unit, cfg, exp_id), keys)))
     return {(d, n): (np.array([out[d, n, t][0] for t in range(cfg.trials)]),
                      np.array([out[d, n, t][1] for t in range(cfg.trials)]))
@@ -319,6 +246,10 @@ def run_interp_compare(cfg):
                     cfg.kernel, d, INTERP_ATOMS,
                     seed=substream_seed(cfg.seed, exp_id, d, t, 11))
                 X, C = _trial_draws(cfg, exp_id, d, n, t)
+                fill = dict(zip((Domain.CUBE, Domain.SORTED_SIMPLEX), _fill_distances(X, C)))
+                # the candidates are done with; freeing them lowers the peak
+                # that the kernel work below adds to
+                del C
                 y = target.value(X)
                 b = BoundInputs(nu=cfg.nu, d=d, c_k0=c_k0, c_knu=c_knu,
                                 norm_h=math.sqrt(target.norm_sq),
@@ -331,11 +262,8 @@ def run_interp_compare(cfg):
                 P = stream(substream_seed(cfg.seed, exp_id, d, n, t, 14)).random(
                     (POINTWISE_POINTS, d))
                 y_pw = target.value(P)
-                h_cache = {}
                 for mode, bound_mode, domain in _INTERP_MODES:
-                    if domain not in h_cache:
-                        h_cache[domain] = fill_distance_estimate(X, domain, C)
-                    h = h_cache[domain]
+                    h = fill[domain]
                     report = l2_bound(b, h, bound_mode)
                     t0 = time.perf_counter()
                     try:

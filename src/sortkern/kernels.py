@@ -7,12 +7,13 @@ argument. The Gaussian is invariant under a joint permutation of both
 arguments, so this one-sided group average is also the two-sided average
 over all (d!)^2 permutation pairs.
 
-Every mode goes through one evaluator that walks row tiles of the first
-argument with cache-sized buffers and reproduces, bit for bit, the result
-of building one full distance matrix per permutation term.
+Every mode goes through one evaluator that hands row tiles of the first
+argument, with cache-sized buffers, to every CPU and reproduces, bit for
+bit, the result of building one full distance matrix per permutation term.
 """
 
 import math
+import threading
 from dataclasses import dataclass
 from enum import Enum
 from itertools import permutations
@@ -20,20 +21,21 @@ from itertools import permutations
 import numpy as np
 from numpy.polynomial import hermite_e
 
+from ._pool import _fan_out
 from .errors import CapExceededError, ConfigError, DimensionMismatchError, DuplicateOrbitError
 from .geometry import as_design, as_point, distinct_orbits, sort_points
 
 # PERM_SINGLE sums d! terms per pair, so larger dimensions are refused
 PERM_SINGLE_DIM_CAP = 6
 
-# working-buffer bytes per row tile of kernel_cross, sized to stay in a
-# core's L2 cache
-_TILE_BYTES = 1 << 20
+# elements per working buffer of a row tile of kernel_cross. Sized per
+# buffer, not per tile: the averaged modes hold dozens of buffers, and
+# splitting a fixed byte budget among them left ufunc calls so short that
+# two threads queued on the GIL between them and ran slower than one.
+_TILE_ELEMS = 16384
 
 _HERMITE_GRID = 20001  # 1-D maximization grid on [-1, 1]
 _SAFETY = 1.01
-# below this bandwidth the grid's 1e-4 spacing misses derivative peaks
-_ENVELOPE_MIN_BANDWIDTH = 1e-3
 
 
 class KernelMode(Enum):
@@ -102,15 +104,17 @@ def _buffer_count(npairs, d):
     return npairs + max(d - 2, 0) + 1
 
 
-def _tile_rows(npairs, d, m):
+def _tile_rows(m):
     """Rows of W per tile, at least one, for m columns."""
-    return max(1, _TILE_BYTES // (8 * _buffer_count(npairs, d) * m))
+    return max(1, _TILE_ELEMS // m)
 
 
 def _evaluate(k, W, Z, terms):
     """Average over terms pi of amplitude * exp(-||W[pi] - Z||^2 / (2 bw^2)).
 
-    Rows of W are processed in tiles whose buffers fit _TILE_BYTES. Every
+    Rows of W are processed in tiles of about _TILE_ELEMS elements per
+    buffer, spread over the threads of _fan_out; each thread allocates its
+    buffers once per call and reuses them for every tile it takes. Every
     element sees the same operations in the same order as a direct
     evaluation: squared differences summed from coordinate 0 upwards,
     division by -2 bw^2, exp, amplitude product, terms summed in order,
@@ -123,25 +127,29 @@ def _evaluate(k, W, Z, terms):
         return out
     pairs, steps = _plan(terms)
     npairs = len(pairs)
-    rows = _tile_rows(npairs, d, m)
-    buf = np.empty((_buffer_count(npairs, d), rows * m))
+    rows = _tile_rows(m)
     WT = np.ascontiguousarray(W.T)
     ZT = np.ascontiguousarray(Z.T)
     scale = -2.0 * k.bandwidth * k.bandwidth
-    # below a bandwidth of about 1e-154 the division overflows to -inf, and
-    # exp(-inf) = 0 is the exact kernel value
-    with np.errstate(over="ignore"):
-        for r0 in range(0, n, rows):
-            r1 = min(n, r0 + rows)
-            views = [b[:(r1 - r0) * m].reshape(r1 - r0, m) for b in buf]
-            table, dist = views[:npairs], views[-1]
-            # level[q] is the distance summed over coordinates 0..q: level 0 is a
-            # table entry, the last level is dist
-            level = [None, *views[npairs:-1], dist]
-            for (p, q), T in zip(pairs, table):
-                np.subtract(WT[p, r0:r1, None], ZT[q], out=T)
-                np.multiply(T, T, out=T)
-            acc = out[r0:r1]
+    scratch = threading.local()
+
+    def tile(r0):
+        r1 = min(n, r0 + rows)
+        if not hasattr(scratch, "buf"):
+            scratch.buf = np.empty((_buffer_count(npairs, d), min(rows, n) * m))
+        views = [b[:(r1 - r0) * m].reshape(r1 - r0, m) for b in scratch.buf]
+        table, dist = views[:npairs], views[-1]
+        # level[q] is the distance summed over coordinates 0..q: level 0 is a
+        # table entry, the last level is dist
+        level = [None, *views[npairs:-1], dist]
+        for (p, q), T in zip(pairs, table):
+            np.subtract(WT[p, r0:r1, None], ZT[q], out=T)
+            np.multiply(T, T, out=T)
+        acc = out[r0:r1]
+        # below a bandwidth of about 1e-154 the division overflows to -inf,
+        # and exp(-inf) = 0 is the exact kernel value; numpy keeps this
+        # setting per thread, so each tile sets it on the thread running it
+        with np.errstate(over="ignore"):
             for j, step in enumerate(steps):
                 for q, s in step:
                     if q == 0:
@@ -155,8 +163,10 @@ def _evaluate(k, W, Z, terms):
                 else:
                     np.multiply(dist, k.amplitude, out=dist)
                     np.add(acc, dist, out=acc)
-            if len(terms) > 1:
-                np.divide(acc, len(terms), out=acc)
+        if len(terms) > 1:
+            np.divide(acc, len(terms), out=acc)
+
+    _fan_out(tile, range(0, n, rows))
     return out
 
 
@@ -225,10 +235,9 @@ def _partitions(total, max_parts, _cap=None):
             yield (first,) + rest
 
 
-def _derivative_envelope(g, sigma):
-    # max over t in [-1,1] of |d^g/dt^g exp(-t^2/(2 sigma^2))|
+def _envelope_peak(g, sigma, t):
+    # max over the points t of |d^g/dt^g exp(-t^2/(2 sigma^2))|
     # = sigma^{-g} |He_g(t/sigma)| exp(-t^2/(2 sigma^2)) via Hermite polynomials
-    t = np.linspace(-1.0, 1.0, _HERMITE_GRID)
     coeffs = np.zeros(g + 1)
     coeffs[g] = 1.0
     with np.errstate(over="ignore", invalid="ignore"):
@@ -241,6 +250,33 @@ def _derivative_envelope(g, sigma):
     return peak / scale
 
 
+def _derivative_envelopes(g, sigma):
+    """(grid, exact) maxima over t in [-1, 1] of |d^g/dt^g exp(-t^2/(2 sigma^2))|.
+
+    The grid maximum reads a 20001-point grid. The exact one uses
+    d/dx [He_g(x) e^{-x^2/2}] = -He_{g+1}(x) e^{-x^2/2}: in x = t/sigma
+    the peak sits at a root of He_{g+1} inside |x| <= 1/sigma, or at an
+    endpoint.
+    """
+    grid = _envelope_peak(g, sigma, np.linspace(-1.0, 1.0, _HERMITE_GRID))
+    t = sigma * hermite_e.hermegauss(g + 1)[0]
+    exact = _envelope_peak(g, sigma, np.concatenate([t[np.abs(t) <= 1.0], [-1.0, 1.0]]))
+    return grid, exact
+
+
+def _best_product(env, nu, d):
+    # max over partitions of nu into at most d orders of the product of
+    # the per-order envelopes over the best factorial split of each order
+    best = 0.0
+    for part in _partitions(nu, d):
+        prod = 1.0
+        for g in part:
+            # best split a + b = g of 1/(a! b!) puts the orders half and half
+            prod *= env[g] / (math.factorial(g // 2) * math.factorial((g + 1) // 2))
+        best = max(best, prod)
+    return best
+
+
 def sup_kernel_constant(k, nu, d):
     """Sup-norm constants (C_K0, C_Knu) of the kernel and its derivatives.
 
@@ -248,10 +284,11 @@ def sup_kernel_constant(k, nu, d):
     the Gaussian). C_Knu is the maximum over all mixed derivatives of
     total order nu of |d^alpha_1 d^beta_2 K| / (alpha! beta!). The
     Gaussian factorizes per coordinate, so the maximum reduces to integer
-    partitions of nu with per-order 1-D envelopes; the grid maximum
-    carries a 1.01 safety factor. For nu >= 1 a bandwidth below 1e-3, where
-    the grid is too coarse, raises ConfigError; a C_Knu past the float
-    range is returned as inf.
+    partitions of nu with per-order 1-D envelopes. C_Knu is the grid
+    maximum times a 1.01 safety factor wherever that bounds the exact
+    maximum, and the exact maximum times 1.01 elsewhere, so it is an upper
+    bound at every bandwidth; a C_Knu past the float range is returned as
+    inf.
     """
     if nu < 0:
         raise ConfigError(f"nu must be >= 0, got {nu}")
@@ -260,16 +297,12 @@ def sup_kernel_constant(k, nu, d):
     c0 = k.amplitude
     if nu == 0:
         return c0, c0
-    if k.bandwidth < _ENVELOPE_MIN_BANDWIDTH:
-        raise ConfigError(
-            f"bandwidth {k.bandwidth} is below {_ENVELOPE_MIN_BANDWIDTH}, where the "
-            "derivative envelopes are not resolved")
-    env = {g: _derivative_envelope(g, k.bandwidth) for g in range(1, nu + 1)}
-    best = 0.0
-    for part in _partitions(nu, d):
-        prod = 1.0
-        for g in part:
-            # best split a + b = g of 1/(a! b!) puts the orders half and half
-            prod *= env[g] / (math.factorial(g // 2) * math.factorial((g + 1) // 2))
-        best = max(best, prod)
-    return c0, c0 * _SAFETY * best
+    env = {g: _derivative_envelopes(g, k.bandwidth) for g in range(1, nu + 1)}
+    c_grid = c0 * _SAFETY * _best_product({g: e[0] for g, e in env.items()}, nu, d)
+    best_exact = _best_product({g: e[1] for g, e in env.items()}, nu, d)
+    # the grid keeps the bits of every constant it bounds; below a bandwidth
+    # of about 1e-3 its 1e-4 spacing reads odd orders low by more than the
+    # safety factor covers
+    if c_grid >= c0 * best_exact:
+        return c0, c_grid
+    return c0, c0 * _SAFETY * best_exact

@@ -7,8 +7,9 @@ distance matrix per permutation term, with the same per-element operation
 order, so the package must match it bit for bit. The pruned max-min scan
 is the one the tiled prescan and partial selection replaced: a full
 (N, 32) prescan matrix and a stable argsort of every candidate; the
-package must return the same float. Nothing here shares code with the
-package.
+package must return the same float. The exact derivative sup-norm constant
+maximizes each 1-D envelope on a grid and refines every local maximum by
+golden-section search. Nothing here shares code with the package.
 """
 
 import math
@@ -196,3 +197,71 @@ def maxmin_sq_pruned(X, C, prescan=32, warm=512, chunk=32768):
         if idx.shape[0]:
             h2 = max(h2, float((mm + cs).max()))
     return h2
+
+
+def _hermite_e(g, x):
+    # probabilists' Hermite polynomial by He_{k+1} = x He_k - k He_{k-1}
+    prev, cur = np.ones_like(x), x
+    if g == 0:
+        return prev
+    for k in range(1, g):
+        prev, cur = cur, x * cur - k * prev
+    return cur
+
+
+def _envelope(g, x):
+    return np.abs(_hermite_e(g, x)) * np.exp(-x * x / 2.0)
+
+
+def _golden_max(f, lo, hi, iters=120):
+    r = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    for _ in range(iters):
+        c, e = b - r * (b - a), a + r * (b - a)
+        if f(c) >= f(e):
+            b = e
+        else:
+            a = c
+    return f((a + b) / 2.0)
+
+
+def derivative_sup(g, sigma, points=20001):
+    """max over |t| <= 1 of |d^g/dt^g exp(-t^2 / (2 sigma^2))|.
+
+    In x = t/sigma the envelope is sigma^-g |He_g(x)| exp(-x^2/2), even in
+    x and decreasing past sqrt(4g + 6), beyond every extremum; so a grid on
+    [0, min(1/sigma, that radius)] with each local maximum refined finds it.
+    """
+    top = min(1.0 / sigma, math.sqrt(4.0 * g + 6.0) + 1.0)
+    x = np.linspace(0.0, top, points)
+    v = _envelope(g, x)
+    best = max(v[0], v[-1])
+    step = x[1] - x[0]
+    for i in np.flatnonzero((v[1:-1] >= v[:-2]) & (v[1:-1] >= v[2:])) + 1:
+        best = max(best, _golden_max(lambda u: float(_envelope(g, np.array(u))),
+                                     x[i] - step, x[i] + step))
+    return float(best) / sigma ** g
+
+
+def _partitions_of(total, parts, cap):
+    if total == 0:
+        yield ()
+        return
+    if parts == 0:
+        return
+    for first in range(min(total, cap), 0, -1):
+        for rest in _partitions_of(total - first, parts - 1, first):
+            yield (first,) + rest
+
+
+def sup_kernel_constant_exact(amplitude, sigma, nu, d):
+    """The exact C_Knu of the Gaussian: the factorized maximum over the
+    partitions of nu into at most d orders, with no safety factor."""
+    env = {g: derivative_sup(g, sigma) for g in range(1, nu + 1)}
+    best = 0.0
+    for part in _partitions_of(nu, d, nu):
+        prod = 1.0
+        for g in part:
+            prod *= env[g] / (math.factorial(g // 2) * math.factorial(g - g // 2))
+        best = max(best, prod)
+    return amplitude * best

@@ -135,6 +135,13 @@ def one_line_failure(argv, out, capsys):
     return err
 
 
+SMALL_RUNS = [
+    ["interp_compare", "--d", "2", "--n", "5", "--trials", "1", "--mc-samples", "10"],
+    ["eigen_decay", "--d", "2", "--n", "40", "--trials", "1"],
+    ["bounds_report", "--d", "2"],
+]
+
+
 class TestBadValues:
     def test_negative_seed(self, tmp_path, capsys):
         err = one_line_failure(["table1", "--d", "3", "--n", "5", "--trials", "1",
@@ -142,18 +149,23 @@ class TestBadValues:
                                tmp_path / "t1.csv", capsys)
         assert "nonnegative" in err
 
-    @pytest.mark.parametrize("bw", ["1e-300", "1e-4"])
-    @pytest.mark.parametrize("argv", [
-        ["interp_compare", "--d", "2", "--n", "5", "--trials", "1", "--mc-samples", "10"],
-        ["eigen_decay", "--d", "2", "--n", "40", "--trials", "1"],
-        ["bounds_report", "--d", "2"],
-    ], ids=lambda a: a[0])
+    @pytest.mark.parametrize("bw", ["1e-300"])
+    @pytest.mark.parametrize("argv", SMALL_RUNS, ids=lambda a: a[0])
     def test_tiny_bandwidth(self, argv, bw, tmp_path, capsys):
         err = one_line_failure(argv + ["--bandwidth", bw], tmp_path / "x.csv", capsys)
         assert "bandwidth" in err
 
 
 class TestEndToEnd:
+    @pytest.mark.parametrize("argv", SMALL_RUNS, ids=lambda a: a[0])
+    def test_small_bandwidth_runs(self, argv, tmp_path):
+        # the derivative constants no longer refuse bandwidths below 1e-3
+        out = tmp_path / "x.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(argv + ["--bandwidth", "1e-4", "--out", str(out)]) == 0
+        assert out.exists()
+
     def test_small_table1(self, tmp_path):
         out = tmp_path / "t1.csv"
         code = run_cli(["table1", "--d", "2", "--n", "15", "--trials", "3",

@@ -14,7 +14,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sortkern import experiments
+from conftest import pool_threads
+from sortkern import _pool, experiments
 from sortkern.errors import CapExceededError, ConfigError
 from sortkern.experiments import (
     Experiment,
@@ -356,7 +357,6 @@ class TestCheckedUpFront:
         def no_fill(*args, **kwargs):
             raise AssertionError("a fill-distance trial ran before the eps check")
 
-        monkeypatch.setattr(experiments, "fill_distance_estimate", no_fill)
         monkeypatch.setattr(experiments, "_fill_unit", no_fill)
         with pytest.raises(ConfigError, match="eps_grid"):
             run_tail_curves(cfg(tmp_path, "tc.csv", Experiment.TAIL_CURVES,
@@ -376,10 +376,6 @@ def serial_fill_trials(c, exp_id, d, n):
     return h, hs
 
 
-def pool_threads():
-    return [t for t in threading.enumerate() if t.name.startswith("sortkern-trials")]
-
-
 # d = 2 and 3 take the kd-tree path, d = 5 and 6 the pruned scan; n = 10 is
 # below the prescan depth, n = 60 above it
 POOL_DIMS = (2, 3, 5, 6)
@@ -395,7 +391,7 @@ class TestTrialPool:
                    eps_grid=(0.2, 0.5) if experiment is Experiment.TAIL_CURVES else ())
 
     def csv_bytes(self, tmp_path, monkeypatch, workers, experiment, trials, seed):
-        monkeypatch.setattr(experiments, "_worker_count", lambda: workers)
+        monkeypatch.setattr(_pool, "_worker_count", lambda: workers)
         c = self.pool_cfg(tmp_path, f"{experiment.value}-{workers}.csv", experiment,
                           trials, seed)
         run(c)
@@ -413,7 +409,7 @@ class TestTrialPool:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_trials_match_the_serial_public_path(self, workers, tmp_path, monkeypatch):
-        monkeypatch.setattr(experiments, "_worker_count", lambda: workers)
+        monkeypatch.setattr(_pool, "_worker_count", lambda: workers)
         c = self.pool_cfg(tmp_path, "t1.csv", Experiment.TABLE1, 3, 11235)
         cells = experiments._fill_trials(c, 1)
         assert sorted(cells) == sorted((d, n) for d in POOL_DIMS for n in POOL_NS)
@@ -459,7 +455,7 @@ class TestTrialPool:
             return unit(c, exp_id, key)
 
         monkeypatch.setattr(experiments, "_fill_unit", failing)
-        monkeypatch.setattr(experiments, "_worker_count", lambda: workers)
+        monkeypatch.setattr(_pool, "_worker_count", lambda: workers)
         c = self.pool_cfg(tmp_path, "t1.csv", Experiment.TABLE1, 3, 11235)
         # units go out from the largest (d, n) down, so (5, 10, 1) comes first
         with pytest.raises(ConfigError, match=r"unit \(5, 10, 1\) failed"):
@@ -473,7 +469,7 @@ class TestTrialPool:
 
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         monkeypatch.setattr(threading, "Thread", no_thread)
-        assert experiments._worker_count() == 1
+        assert _pool._worker_count() == 1
         unit = experiments._fill_unit
         callers = set()
 
@@ -488,14 +484,14 @@ class TestTrialPool:
     def test_worker_count_without_affinity_call(self, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        assert experiments._worker_count() == 3
+        assert _pool._worker_count() == 3
         monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert experiments._worker_count() == 1
+        assert _pool._worker_count() == 1
 
     def test_fan_out_under_contention(self, monkeypatch):
         # more workers than cores and a tiny switch interval: every key is
         # computed once and lands in its own slot
-        monkeypatch.setattr(experiments, "_worker_count", lambda: 8)
+        monkeypatch.setattr(_pool, "_worker_count", lambda: 8)
         calls = []
 
         def work(key):
@@ -506,7 +502,7 @@ class TestTrialPool:
         old = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            out = experiments._fan_out(work, keys)
+            out = _pool._fan_out(work, keys)
         finally:
             sys.setswitchinterval(old)
         assert sorted(calls) == keys
@@ -515,7 +511,7 @@ class TestTrialPool:
 
     def test_earliest_of_concurrent_failures_is_raised(self, monkeypatch):
         # key 0 fails only after key 1 has failed on the other thread
-        monkeypatch.setattr(experiments, "_worker_count", lambda: 2)
+        monkeypatch.setattr(_pool, "_worker_count", lambda: 2)
         one_failed = threading.Event()
 
         def work(key):
@@ -528,11 +524,11 @@ class TestTrialPool:
             return key
 
         with pytest.raises(ConfigError, match="key 0"):
-            experiments._fan_out(work, range(10))
+            _pool._fan_out(work, range(10))
         assert pool_threads() == []
 
     def test_no_key_handed_out_after_a_failure(self, monkeypatch):
-        monkeypatch.setattr(experiments, "_worker_count", lambda: 2)
+        monkeypatch.setattr(_pool, "_worker_count", lambda: 2)
         started = []
 
         def work(key):
@@ -543,7 +539,7 @@ class TestTrialPool:
             return key
 
         with pytest.raises(ConfigError, match="key 0"):
-            experiments._fan_out(work, range(200))
+            _pool._fan_out(work, range(200))
         # each thread finishes at most the unit it holds
         assert len(started) <= 3
 

@@ -6,13 +6,14 @@ from itertools import permutations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import hermite_e
 from scipy.linalg import cholesky
 
 import _oracles as oracle
-from sortkern import kernels
+from conftest import pool_threads
+from sortkern import _pool, kernels
 from sortkern.errors import CapExceededError, ConfigError, DimensionMismatchError, DuplicateOrbitError
 from sortkern.interpolation import make_invariant_target
 from sortkern.kernels import (
@@ -26,6 +27,9 @@ from sortkern.kernels import (
 from sortkern.spectral import nystrom_spectrum
 
 AMP = 1.0 / (2.0 * math.pi)
+# slack for the exact-sup oracle's own rounding, far below the grid's misses
+# (up to 1.2% at a bandwidth of 1e-3)
+ORACLE_RTOL = 1e-12
 
 
 def unit_kernel(bandwidth=1.0):
@@ -188,11 +192,10 @@ def enum_cross(k, mode, W, Z):
     return oracle.kernel_cross_enum(k.amplitude, k.bandwidth, mode.value, W, Z)
 
 
-def tile_geometry(mode, d, m):
-    # (rows per tile, elements per buffer) that kernel_cross uses for m columns
-    npairs = len(kernels._plan(kernels._terms(mode, d))[0])
-    budget = kernels._TILE_BYTES // (8 * kernels._buffer_count(npairs, d))
-    return kernels._tile_rows(npairs, d, m), budget
+def tile_geometry(m):
+    # (rows per tile, elements per buffer) that kernel_cross uses for m
+    # columns, in every mode and dimension
+    return kernels._tile_rows(m), kernels._TILE_ELEMS
 
 
 class TestBitIdentity:
@@ -205,7 +208,7 @@ class TestBitIdentity:
     def test_rows_around_one_tile(self, mode, d):
         rng = np.random.default_rng(40 + d)
         Z = rng.random((7, d))
-        rows, _ = tile_geometry(mode, d, 7)
+        rows, _ = tile_geometry(7)
         for n in (rows - 1, rows, rows + 1):
             W = rng.random((n, d))
             assert np.array_equal(kernel_cross(self.K, mode, W, Z),
@@ -215,8 +218,8 @@ class TestBitIdentity:
     @pytest.mark.parametrize("d", range(1, 7))
     def test_one_column_and_columns_over_budget(self, mode, d):
         rng = np.random.default_rng(60 + d)
-        _, budget = tile_geometry(mode, d, 1)
-        assert tile_geometry(mode, d, budget + 1)[0] == 1
+        _, budget = tile_geometry(1)
+        assert tile_geometry(budget + 1)[0] == 1
         for n, m in ((9, 1), (3, budget + 1)):
             W, Z = rng.random((n, d)), rng.random((m, d))
             assert np.array_equal(kernel_cross(self.K, mode, W, Z),
@@ -227,7 +230,7 @@ class TestBitIdentity:
     def test_many_small_tiles(self, mode, d, monkeypatch):
         # a tiny budget puts a few rows in each tile, so the distance
         # levels are rebuilt on every tile
-        monkeypatch.setattr(kernels, "_TILE_BYTES", 4096)
+        monkeypatch.setattr(kernels, "_TILE_ELEMS", 16)
         rng = np.random.default_rng(80 + d)
         W, Z = rng.random((23, d)), rng.random((5, d))
         k = KernelSpec(amplitude=0.7, bandwidth=0.08)
@@ -242,12 +245,70 @@ class TestBitIdentity:
 
     @pytest.mark.parametrize("mode", list(KernelMode))
     def test_gram_symmetric_across_tiles(self, mode, monkeypatch):
-        monkeypatch.setattr(kernels, "_TILE_BYTES", 4096)
+        monkeypatch.setattr(kernels, "_TILE_ELEMS", 16)
         X = np.random.default_rng(13).random((30, 3))
         G = gram(self.K, mode, X)
         assert np.array_equal(G, G.T)
         iu = np.triu_indices(30)
         assert np.array_equal(G[iu], enum_cross(self.K, mode, X, X)[iu])
+
+
+class TestEvaluatorPool:
+    """The evaluator's row tiles fanned out over the caller and helper threads."""
+
+    K = KernelSpec(amplitude=0.7, bandwidth=0.08)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("mode", list(KernelMode))
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_workers_match_enumeration(self, workers, mode, d, monkeypatch):
+        # 7 columns and 20 elements per buffer give 2-row tiles, and 37 rows
+        # leave a ragged last one
+        monkeypatch.setattr(_pool, "_worker_count", lambda: workers)
+        monkeypatch.setattr(kernels, "_TILE_ELEMS", 20)
+        rng = np.random.default_rng(100 + d)
+        W, Z = rng.random((37, d)), rng.random((7, d))
+        assert np.array_equal(kernel_cross(self.K, mode, W, Z), enum_cross(self.K, mode, W, Z))
+
+    def test_overflowing_divide_is_silent_on_every_thread(self, monkeypatch):
+        # numpy keeps its error state per thread, so each helper sets its own
+        monkeypatch.setattr(_pool, "_worker_count", lambda: 2)
+        monkeypatch.setattr(kernels, "_TILE_ELEMS", 4)
+        k = KernelSpec(amplitude=1.0, bandwidth=1e-160)
+        W = np.random.default_rng(5).random((200, 2))
+        for mode in KernelMode:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = kernel_cross(k, mode, W, W[:3])
+            with np.errstate(over="ignore"):
+                want = enum_cross(k, mode, W, W[:3])
+            assert np.array_equal(got, want) and got[:3].diagonal().all()
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_failing_tile_is_raised_and_joins_helpers(self, workers, monkeypatch):
+        monkeypatch.setattr(_pool, "_worker_count", lambda: workers)
+        monkeypatch.setattr(kernels, "_TILE_ELEMS", 8)
+        fan_out = kernels._fan_out
+        ran = []
+
+        def failing(fn, keys):
+            keys = list(keys)
+            bad = keys[len(keys) // 2]
+
+            def tile(r0):
+                ran.append(r0)
+                if r0 == bad:
+                    raise FloatingPointError(f"tile {r0} failed")
+                return fn(r0)
+
+            return fan_out(tile, keys)
+
+        monkeypatch.setattr(kernels, "_fan_out", failing)
+        W = np.random.default_rng(6).random((400, 3))
+        with pytest.raises(FloatingPointError, match="tile 200 failed"):
+            kernel_cross(self.K, KernelMode.PERM_SINGLE, W, W[:4])
+        assert pool_threads() == []
+        assert 200 in ran and len(ran) < 200
 
 
 class TestSupConstants:
@@ -336,10 +397,14 @@ class TestSmallBandwidth:
             assert kernel_cross(k, KernelMode.SORTED, [[0.1, 0.2]], [[0.2, 0.1]]) == 1.0
 
     @pytest.mark.parametrize("bw", [9.99e-4, 1e-4, 1e-5, 1e-100])
-    def test_unresolved_envelope_rejected(self, bw):
+    def test_small_bandwidth_bounds_exact_sup(self, bw):
+        # below 1e-3 the grid misses the derivative peaks, and the exact
+        # peaks take over, so no accepted bandwidth is refused
         k = KernelSpec(amplitude=1.0, bandwidth=bw)
-        with pytest.raises(ConfigError, match="bandwidth"):
-            sup_kernel_constant(k, 1, 2)
+        for nu, d in ((1, 2), (3, 1), (2, 3)):
+            got = sup_kernel_constant(k, nu, d)[1]
+            assert math.isfinite(got)
+            assert got >= oracle.sup_kernel_constant_exact(1.0, bw, nu, d) * (1.0 - ORACLE_RTOL)
         # nu = 0 needs no envelope: the constant is the amplitude
         assert sup_kernel_constant(k, 0, 2) == (1.0, 1.0)
 
@@ -356,7 +421,7 @@ class TestSmallBandwidth:
             assert sup_kernel_constant(k, 110, 1)[1] == math.inf
 
     # C_Knu at (nu, d) = (1, 1), (2, 3), (3, 2), (4, 5), (6, 2), as computed
-    # before the bandwidth limits were added
+    # by the grid alone, before the bandwidth limits and exact peaks were added
     @pytest.mark.parametrize("bw, want", [
         (0.08, ["0x1.37fe18a79821ep+0", "0x1.91ddc155be7d7p+4", "0x1.b14c958d56420p+7",
                 "0x1.ea8f32812b082p+11", "0x1.c11ed9dd01c59p+18"]),
@@ -368,6 +433,16 @@ class TestSmallBandwidth:
         got = [sup_kernel_constant(k, nu, d)[1]
                for nu, d in ((1, 1), (2, 3), (3, 2), (4, 5), (6, 2))]
         assert got == [float.fromhex(h) for h in want]
+
+
+@settings(max_examples=40, deadline=None)
+@given(log_bw=st.floats(-6.0, 1.0), nu=st.integers(1, 12), d=st.integers(1, 12))
+@example(log_bw=-3.0, nu=11, d=1)
+@example(log_bw=-3.0, nu=7, d=1)
+def test_sup_constant_bounds_exact_sup(log_bw, nu, d):
+    bw = 10.0 ** log_bw
+    _, got = sup_kernel_constant(KernelSpec(amplitude=AMP, bandwidth=bw), nu, d)
+    assert got >= oracle.sup_kernel_constant_exact(AMP, bw, nu, d) * (1.0 - ORACLE_RTOL)
 
 
 class TestCheckedOnce:
