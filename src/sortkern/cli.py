@@ -7,6 +7,7 @@ numerical failure; each failure prints one line on stderr.
 """
 
 import argparse
+import ctypes
 import dataclasses
 import math
 import os
@@ -20,11 +21,18 @@ from .kernels import KernelSpec
 # flags that set an ExperimentConfig field take that field's default
 _DEFAULTS = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}
 
+# most points an --eps grid may have; the default grid has 30
+EPS_GRID_CAP = 10_000
+
+# glibc's mallopt parameter for the block size malloc maps on its own, and
+# the value the command pins it to (glibc's own starting value)
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD_BYTES = 128 * 1024
+
 
 class _Parser(argparse.ArgumentParser):
-    # argparse exits 2 on bad flags; config errors must exit 1 instead
+    # argparse exits 2 on bad flags; config errors exit 1 with one stderr line
     def error(self, message):
-        self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
@@ -49,16 +57,17 @@ def _eps_range(text):
     # every comparison with nan is False, so non-finite bounds are refused too
     if not (0 < start <= stop < math.inf and 0 < step < math.inf):
         raise argparse.ArgumentTypeError(f"bad range {text!r}")
-    out = []
-    k = 0
-    while True:
-        # re-rounding keeps grid points like 0.15 free of accumulation noise
-        v = round(start + k * step, 12)
-        if v > stop + 1e-12:
-            break
-        out.append(v)
-        k += 1
-    return tuple(out)
+    # a kept point rounds to at most stop + 1e-12, so none lies past
+    # stop + 1.5e-12; a span that overflows is inf and is refused too
+    span = (stop - start + 1.5e-12) / step
+    if span >= EPS_GRID_CAP:
+        raise argparse.ArgumentTypeError(f"range {text!r} has more than {EPS_GRID_CAP} points")
+    # re-rounding keeps grid points like 0.15 free of accumulation noise
+    points = (round(start + k * step, 12) for k in range(int(span) + 2))
+    grid = tuple(v for v in points if v <= stop + 1e-12)
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise argparse.ArgumentTypeError(f"step of {text!r} is below the 1e-12 grid resolution")
+    return grid
 
 
 def _build_parser():
@@ -117,11 +126,31 @@ def _check_out_path(path):
         raise ConfigError(f"output path {path!r} is a directory")
 
 
+def _map_large_blocks():
+    """Pin malloc's mmap threshold, so every large array is mapped on its own.
+
+    glibc raises the threshold to the size of each mapped block freed, up
+    to 32 MiB, so later large arrays come from the malloc arenas, and with
+    the pool's threads the peak RSS of one table1 run differed from the
+    next by about 10 MB. A pinned threshold maps each large array and
+    unmaps it when freed, so the peak is the memory in use, at a page fault
+    per page of every new one. The setting lasts for the process, so only
+    the command makes it. Where the C library has no mallopt, nothing changes.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
+
+
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         cfg = _config_from_args(args)
         _check_out_path(cfg.out_path)
+        _map_large_blocks()
         run(cfg)
     # numerical failures are SortkernErrors too, so they are caught first
     except (NumericalError, FactorizationError) as exc:
@@ -129,6 +158,9 @@ def main(argv=None):
         return 2
     except (SortkernError, OSError) as exc:
         print(f"sortkern: error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"sortkern: error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
     return 0
 

@@ -24,8 +24,7 @@ import numpy as np
 from .bounds import BoundInputs, eigen_bound_covering, eigen_bound_weyl, h_tail_bound, l2_bound, p_constant, tilde_constant
 from ._pool import _fan_out
 from .errors import ConfigError, FactorizationError
-from .geometry import (Domain, _fill_distance, _sort_rows_in_place, as_design, cone_parameters,
-                       cube_corners, sort_points)
+from .geometry import Domain, _fill_distances, cone_parameters, cube_corners
 from .interpolation import evaluate, fit, make_invariant_target, mc_points, rmse_stderr
 from .kernels import KernelMode, KernelSpec, check_mode_cap, sup_kernel_constant
 from .rng import stream, substream_seed
@@ -131,19 +130,6 @@ def _trial_draws(cfg, exp_id, d, n, trial):
     g.random(out=C[:cfg.candidate_count])
     C[cfg.candidate_count:] = corners
     return X, C
-
-
-def _fill_distances(X, C):
-    """Plain and sorted fill distances of the design X over the candidates C.
-
-    X is validated and left as it is; the sorted pass sorts a copy of it.
-    C is a C-contiguous candidate array the caller owns, and the sorted
-    pass canonicalizes it in place, so no second candidate array is held.
-    """
-    X = as_design(X)
-    h = _fill_distance(X, C)
-    _sort_rows_in_place(C)
-    return h, _fill_distance(sort_points(X), C)
 
 
 def _fill_unit(cfg, exp_id, key):

@@ -31,8 +31,9 @@ COVERING_POINT_CAP = 10 ** 7
 # in a core's L2 cache
 _PRESCAN_TILE_BYTES = 1 << 19
 
-# rows per block of the in-place column reversal
-_REVERSE_BLOCK_ROWS = 4096
+# candidate rows per chunk and design points per block of the exact NN pass
+_EXACT_CAND_CHUNK = 65536
+_EXACT_BLOCK = 4096
 
 
 class Domain(Enum):
@@ -101,20 +102,15 @@ def sort_points(X):
 
 
 def _sort_rows_in_place(A):
-    """Sort each row of the C-contiguous 2-D float array A into non-increasing order.
+    """Sort each row of the 2-D float array A into non-increasing order, in place.
 
-    The rows are sorted ascending in place, then the column order is
-    reversed in place, block by block of _REVERSE_BLOCK_ROWS rows through
-    one small buffer. Values only move, so the result equals
-    np.sort(A, axis=1)[:, ::-1] bit for bit.
+    The negated rows are sorted ascending. Negation is exact and sorting
+    only moves values, so the result equals np.sort(A, axis=1)[:, ::-1]
+    bit for bit.
     """
+    np.negative(A, out=A)
     A.sort(axis=1)
-    buf = np.empty((min(A.shape[0], _REVERSE_BLOCK_ROWS), A.shape[1]))
-    for s in range(0, A.shape[0], _REVERSE_BLOCK_ROWS):
-        B = A[s:s + _REVERSE_BLOCK_ROWS]
-        b = buf[:B.shape[0]]
-        np.copyto(b, B[:, ::-1])
-        np.copyto(B, b)
+    np.negative(A, out=A)
 
 
 def distinct_orbits(X):
@@ -147,20 +143,20 @@ def simplex_inradius(d):
     return 1.0 / (2.0 + math.sqrt(2.0) * (d - 1))
 
 
-def _exact_min_sq(C, X, xsq, cand_chunk=65536, block=4096):
+def _exact_min_sq(C, X, xsq):
     """Exact squared nearest-neighbor distance from each row of C to X."""
     out = np.empty(C.shape[0])
     n = X.shape[0]
-    for s in range(0, C.shape[0], cand_chunk):
-        c = C[s:s + cand_chunk]
+    for s in range(0, C.shape[0], _EXACT_CAND_CHUNK):
+        c = C[s:s + _EXACT_CAND_CHUNK]
         m = np.full(c.shape[0], np.inf)
-        for j in range(0, n, block):
-            T = c @ X[j:j + block].T
+        for j in range(0, n, _EXACT_BLOCK):
+            T = c @ X[j:j + _EXACT_BLOCK].T
             T *= -2.0
-            T += xsq[j:j + block][None, :]
+            T += xsq[j:j + _EXACT_BLOCK][None, :]
             np.minimum(m, T.min(axis=1), out=m)
         m += np.einsum("ij,ij->i", c, c)
-        out[s:s + cand_chunk] = m
+        out[s:s + _EXACT_CAND_CHUNK] = m
     return out
 
 
@@ -327,6 +323,19 @@ def _fill_distance(X, C):
         dist, _ = cKDTree(X).query(C, k=1)
         return float(dist.max())
     return float(math.sqrt(max(_maxmin_sq_pruned(X, C), 0.0)))
+
+
+def _fill_distances(X, C):
+    """Plain and sorted fill distances of the design X over the candidates C.
+
+    X is validated and left as it is; the sorted pass sorts a copy of it.
+    C is a C-contiguous candidate array the caller owns, and the sorted
+    pass canonicalizes it in place, so no second candidate array is held.
+    """
+    X = as_design(X)
+    h = _fill_distance(X, C)
+    _sort_rows_in_place(C)
+    return h, _fill_distance(sort_points(X), C)
 
 
 def covering_design(epsilon, d, domain):

@@ -56,6 +56,7 @@ TABLE1_REFERENCE = {
 }
 
 
+@pytest.mark.slow
 def test_criterion_1_table_reproduction(tmp_path):
     cfg = ExperimentConfig(
         experiment=Experiment.TABLE1, kernel=WIDE,
@@ -72,6 +73,7 @@ def test_criterion_1_table_reproduction(tmp_path):
             f"(d={row['d']},n={row['n']}) sorted {row['mean_h_sorted']:.4f} vs {ref_hs}"
 
 
+@pytest.mark.slow
 def test_criterion_2_tail_consistency(tmp_path):
     eps = tuple(round(0.08 * k, 12) for k in range(1, 21))
     cfg = ExperimentConfig(

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sortkern.cli as cli
+from sortkern import experiments
 from sortkern.experiments import ExperimentConfig
 from sortkern.errors import (
     DimensionMismatchError,
@@ -33,7 +34,8 @@ class TestParsing:
 
     def test_eps_range_rejects_malformed(self):
         for bad in ("0.1:0.5", "a:b:c", "0.5:0.1:0.1", "0:1:0.1", "0.1:1:0",
-                    "nan:1:0.1", "0.05:inf:0.05", "0.05:1:nan", "0.05:1:inf"):
+                    "nan:1:0.1", "0.05:inf:0.05", "0.05:1:nan", "0.05:1:inf",
+                    "1e-300:1:1e-300", "0.05:1e300:0.05", "0.1:0.1000000001:6e-13"):
             with pytest.raises(Exception):
                 cli._eps_range(bad)
 
@@ -155,6 +157,30 @@ class TestBadValues:
         err = one_line_failure(argv + ["--bandwidth", bw], tmp_path / "x.csv", capsys)
         assert "bandwidth" in err
 
+    @pytest.mark.parametrize("message", [
+        "Unable to allocate 2.18 TiB for an array with shape (100000000008, 3) "
+        "and data type float64", ""], ids=["numpy", "bare"])
+    def test_out_of_memory(self, message, tmp_path, monkeypatch, capsys):
+        # the draw is faked: a real one of that size would be written to on a
+        # host that overcommits memory
+        def no_memory(*args):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(experiments, "_trial_draws", no_memory)
+        err = one_line_failure(["table1", "--d", "3", "--n", "5", "--trials", "1",
+                                "--candidates", "100"], tmp_path / "t1.csv", capsys)
+        assert err == f"sortkern: error: {message or 'out of memory'}\n"
+
+    @pytest.mark.parametrize("eps", ["1e-300:1:1e-300", "0.05:1e300:0.05"])
+    def test_unbuildable_eps_grid(self, eps, tmp_path, capsys):
+        out = tmp_path / "tc.csv"
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["tail_curves", "--eps", eps, "--out", str(out)])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("sortkern: error: argument --eps") and err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestEndToEnd:
     @pytest.mark.parametrize("argv", SMALL_RUNS, ids=lambda a: a[0])
@@ -269,3 +295,75 @@ def test_import_leaves_scipy_spatial_unloaded():
         env=env, capture_output=True, text=True, timeout=120)
     assert probe.returncode == 0, probe.stderr
     assert probe.stdout.strip() == "False"
+
+
+class TestMallocPin:
+    """The command pins glibc's mmap threshold; library calls leave it alone.
+
+    glibc raises its threshold when a mapped block is freed, so after a
+    20 MB array a 10 MB one comes from the malloc arenas. Under the pin it
+    is mapped on its own. Each probe runs in a fresh interpreter, which
+    starts from glibc's defaults.
+    """
+
+    PROBE = """
+import ctypes, sys
+import numpy as np
+from sortkern import cli, experiments, kernels
+from sortkern.experiments import Experiment, ExperimentConfig
+from sortkern.kernels import KernelMode, KernelSpec
+
+libc = ctypes.CDLL(None)
+if not hasattr(libc, "mallinfo2"):
+    print("no mallinfo2")
+    sys.exit(0)
+class Info(ctypes.Structure):
+    _fields_ = [(f, ctypes.c_size_t) for f in ("arena", "ordblks", "smblks", "hblks",
+        "hblkhd", "usmblks", "fsmblks", "uordblks", "fordblks", "keepcost")]
+libc.mallinfo2.restype = Info
+
+def mapped(nbytes):
+    base = libc.mallinfo2().hblkhd
+    a = np.ones(nbytes // 8)
+    grown = libc.mallinfo2().hblkhd - base
+    del a
+    return grown
+
+out = sys.argv[1]
+mapped(20_000_000)
+before = mapped(10_000_000)
+{calls}
+print(before, mapped(10_000_000))
+"""
+
+    def mapped_after(self, calls, tmp_path):
+        """Bytes a 10 MB array maps before and after `calls`, or None without mallinfo2."""
+        # without the environment's own malloc tuning
+        env = {k: v for k, v in os.environ.items()
+               if not k.startswith("MALLOC_") and k != "GLIBC_TUNABLES"}
+        env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+        probe = subprocess.run(
+            [sys.executable, "-c", self.PROBE.replace("{calls}", calls),
+             str(tmp_path / "x.csv")],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert probe.returncode == 0, probe.stderr
+        if probe.stdout.strip() == "no mallinfo2":
+            pytest.skip("the C library has no mallinfo2")
+        return tuple(map(int, probe.stdout.split()))
+
+    def test_command_maps_large_arrays(self, tmp_path):
+        before, after = self.mapped_after(
+            'assert cli.main(["table1", "--d", "3", "--n", "10", "--trials", "1", '
+            '"--candidates", "100", "--out", out]) == 0', tmp_path)
+        assert before < 10_000_000 <= after
+
+    def test_library_calls_leave_malloc_policy(self, tmp_path):
+        # the fill trials and the kernel evaluator both run on the pool
+        before, after = self.mapped_after(
+            "experiments._fill_trials(ExperimentConfig(experiment=Experiment.TABLE1, "
+            "kernel=KernelSpec(1.0, 1.0), dims=(3,), ns=(10,), trials=1, "
+            "candidate_count=100, out_path=out), 1)\n"
+            "rng = np.random.default_rng(1)\n"
+            "kernels.kernel_cross(KernelSpec(1.0, 1.0), KernelMode.PLAIN, "
+            "rng.random((5000, 2)), rng.random((50, 2)))", tmp_path)
+        assert before < 10_000_000 and after < 10_000_000

@@ -5,11 +5,9 @@ import hashlib
 import io
 import math
 import os
-import subprocess
 import sys
 import threading
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -542,53 +540,6 @@ class TestTrialPool:
             _pool._fan_out(work, range(200))
         # each thread finishes at most the unit it holds
         assert len(started) <= 3
-
-    def test_large_arrays_mapped_after_fill_trials(self, tmp_path):
-        # glibc raises its mmap threshold when a mapped block is freed, so a
-        # later 10 MB array would come from the malloc arenas; after the fill
-        # trials it is mapped on its own. A fresh interpreter starts from
-        # glibc's defaults.
-        script = f"""
-import ctypes, sys
-import numpy as np
-from sortkern import experiments
-from sortkern.experiments import Experiment, ExperimentConfig
-from sortkern.kernels import KernelSpec
-
-libc = ctypes.CDLL(None)
-if not hasattr(libc, "mallinfo2"):
-    print("no mallinfo2")
-    sys.exit(0)
-class Info(ctypes.Structure):
-    _fields_ = [(f, ctypes.c_size_t) for f in ("arena", "ordblks", "smblks", "hblks",
-        "hblkhd", "usmblks", "fsmblks", "uordblks", "fordblks", "keepcost")]
-libc.mallinfo2.restype = Info
-
-def mapped(nbytes):
-    base = libc.mallinfo2().hblkhd
-    a = np.ones(nbytes // 8)
-    grown = libc.mallinfo2().hblkhd - base
-    del a
-    return grown
-
-mapped(20_000_000)
-before = mapped(10_000_000)
-experiments._fill_trials(ExperimentConfig(
-    experiment=Experiment.TABLE1, kernel=KernelSpec(1.0, 1.0), dims=(3,), ns=(10,),
-    trials=1, candidate_count=100, out_path={str(tmp_path / "x.csv")!r}), 1)
-print(before, mapped(10_000_000))
-"""
-        # without the environment's own malloc tuning
-        env = {k: v for k, v in os.environ.items()
-               if not k.startswith("MALLOC_") and k != "GLIBC_TUNABLES"}
-        env["PYTHONPATH"] = str(Path(experiments.__file__).resolve().parents[1])
-        probe = subprocess.run([sys.executable, "-c", script], env=env,
-                               capture_output=True, text=True, timeout=120)
-        assert probe.returncode == 0, probe.stderr
-        if probe.stdout.strip() == "no mallinfo2":
-            pytest.skip("the C library has no mallinfo2")
-        before, after = map(int, probe.stdout.split())
-        assert before < 10_000_000 <= after
 
     def test_candidates_drawn_in_place(self, tmp_path):
         # the candidate rows equal a separate draw stacked on the corners

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
 import _oracles as oracle
-from sortkern import geometry
+from sortkern import experiments, geometry
 from sortkern.errors import CapExceededError, ConfigError, DimensionMismatchError
+from sortkern.experiments import Experiment, ExperimentConfig
 from sortkern.geometry import (
     ConeParams,
     Domain,
@@ -27,6 +28,7 @@ from sortkern.geometry import (
     sort_point,
     sort_points,
 )
+from sortkern.kernels import KernelSpec
 
 
 def brute_fill(X, C, sorted_metric=False):
@@ -60,14 +62,25 @@ class TestSortPoint:
 
     @pytest.mark.parametrize("shape", [(0, 3), (5, 1), (4097, 2), (10000, 5), (9000, 12)])
     def test_rows_descending_across_blocks(self, shape):
-        # values only move, so the in-place sort and column reversal equal the
-        # reversed ascending sort bit for bit, also across row blocks
+        # negation is exact and sorting only moves values, so the sort map
+        # equals the reversed ascending sort bit for bit
         X = np.random.default_rng(13).random(shape)
         X[:, :1] = X[:, -1:]  # ties between the first and last column
-        want = np.sort(X, axis=1)[:, ::-1]
+        want = np.sort(X, axis=1)[:, ::-1].view(np.uint64)
         for arg in (X, np.asfortranarray(X), X[::-1].copy()[::-1]):
             S = sort_points(arg)
-            assert S.flags.c_contiguous and np.array_equal(S, want)
+            assert S.flags.c_contiguous and np.array_equal(S.view(np.uint64), want)
+
+    @pytest.mark.parametrize("d", [2, 3, 6, 12])
+    def test_trial_candidates_sorted_in_place_bitwise(self, d, tmp_path):
+        # the candidate arrays of the fill trials, cube corners included
+        c = ExperimentConfig(experiment=Experiment.TABLE1, kernel=KernelSpec(1.0, 1.0),
+                             dims=(d,), candidate_count=5000,
+                             out_path=str(tmp_path / "x.csv"))
+        _, C = experiments._trial_draws(c, 1, d, 50, 0)
+        want = np.sort(C, axis=1)[:, ::-1].view(np.uint64)
+        geometry._sort_rows_in_place(C)
+        assert np.array_equal(C.view(np.uint64), want)
 
     def test_rowwise_matches_pointwise(self):
         rng = np.random.default_rng(12)
