@@ -15,8 +15,8 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ConfigError
-from .geometry import Domain, ball_volume, cone_condition_holds, simplex_inradius
+from .errors import ConfigError, DimensionMismatchError
+from .geometry import Domain, as_point, ball_volume, cone_condition_holds, simplex_inradius
 from .kernels import KernelMode
 
 
@@ -103,11 +103,11 @@ def subcube_classification(x, h, nu, d):
     cell indices are pairwise distinct, NearDiagonal otherwise (some
     coordinates share a cell, where sorting can halve distances).
     """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.shape[0] != d:
-        raise ConfigError(f"x must be a {d}-vector, got shape {x.shape}")
-    if h <= 0.0:
-        raise ConfigError(f"h must be positive, got {h}")
+    x = as_point(x)
+    if x.shape[0] != d:
+        raise DimensionMismatchError(f"x must be a {d}-vector, got shape {x.shape}")
+    if not 0.0 < h < math.inf:
+        raise ConfigError(f"h must be finite and positive, got {h}")
     q = math.floor(1.0 / (8.0 * nu * nu * (math.sqrt(d) + 1.0) * h))
     if q < 1:
         return Region.NEAR_DIAGONAL
@@ -124,8 +124,8 @@ def pointwise_bound(b, h, mode, region=Region.INTERIOR):
     norm_h * sqrt(Ctilde * (2 d^2 h)^nu), covering cells where sorting
     contracts distances.
     """
-    if h <= 0.0:
-        raise ConfigError(f"h must be positive, got {h}")
+    if not 0.0 < h < math.inf:
+        raise ConfigError(f"h must be finite and positive, got {h}")
     dom = _mode_domain(mode)
     ct = tilde_constant(b)
     near = dom is Domain.SORTED_SIMPLEX and region is Region.NEAR_DIAGONAL
@@ -143,8 +143,8 @@ def l2_bound(b, h, mode, form="exact"):
     norm_h^2 * Ctilde * alpha * h^nu, additionally requiring
     (1 + P h) <= alpha for validity.
     """
-    if h <= 0.0:
-        raise ConfigError(f"h must be positive, got {h}")
+    if not 0.0 < h < math.inf:
+        raise ConfigError(f"h must be finite and positive, got {h}")
     if form not in ("exact", "alpha"):
         raise ConfigError(f"form must be 'exact' or 'alpha', got {form!r}")
     dom = _mode_domain(mode)
@@ -164,20 +164,6 @@ def l2_bound(b, h, mode, form="exact"):
     return BoundReport(value=value, validity=validity)
 
 
-def _log_ball_volume(d):
-    # log of geometry.ball_volume, finite where its math.gamma overflows
-    return 0.5 * d * math.log(math.pi) - math.lgamma(0.5 * d + 1.0)
-
-
-def _tail_from_logs(log_pref, log_t, n):
-    # exp(log_pref) * max(1 - exp(log_t), 0)^n clipped to [0, 1], for tail
-    # displays whose factors overflow a float
-    if log_t >= 0.0:
-        return 0.0
-    log_value = log_pref + n * math.log1p(-math.exp(log_t))
-    return 1.0 if log_value >= 0.0 else math.exp(log_value)
-
-
 def h_tail_valid(epsilon, d, domain):
     """Ball-fit precondition of the fill-distance tail bound."""
     if domain is Domain.CUBE:
@@ -195,16 +181,21 @@ def h_tail_bound(epsilon, n, d, rho_low, domain):
     [0,1] (the display exceeds 1 where it is vacuous); where the decay
     base would be negative (epsilon far beyond the precondition, see
     h_tail_valid) it is floored at zero. Where the display overflows a
-    float (large d), it is evaluated in log space.
+    float (large d), it is evaluated in log space; where epsilon/4
+    underflows to zero, the value is 1.
     """
-    if epsilon <= 0.0:
-        raise ConfigError(f"epsilon must be positive, got {epsilon}")
+    if not 0.0 < epsilon < math.inf:
+        raise ConfigError(f"epsilon must be finite and positive, got {epsilon}")
     if n < 1:
         raise ConfigError(f"n must be >= 1, got {n}")
     if rho_low <= 0.0:
         raise ConfigError(f"rho_low must be positive, got {rho_low}")
     if domain not in (Domain.CUBE, Domain.SORTED_SIMPLEX):
         raise ConfigError(f"unknown domain {domain!r}")
+    if epsilon / 4.0 == 0.0:
+        # no decay against a prefactor far past the float range, and no
+        # logarithm of epsilon/4 for the log-space path
+        return 1.0
     srt = domain is Domain.SORTED_SIMPLEX
     try:
         wd = ball_volume(d)
@@ -216,55 +207,47 @@ def h_tail_bound(epsilon, n, d, rho_low, domain):
     except OverflowError:
         value = math.inf
     if not math.isfinite(value):
-        log_wd = _log_ball_volume(d)
+        # log of the ball volume, finite where math.gamma overflows
+        log_wd = 0.5 * d * math.log(math.pi) - math.lgamma(0.5 * d + 1.0)
         log_pref = d * math.log(6.0 / epsilon) - log_wd - (math.lgamma(d + 1.0) if srt else 0.0)
         log_t = math.log(rho_low) + log_wd + d * math.log(epsilon / 4.0)
-        value = _tail_from_logs(log_pref, log_t, n)
+        if log_t >= 0.0:
+            return 0.0
+        log_value = log_pref + n * math.log1p(-math.exp(log_t))
+        value = 1.0 if log_value >= 0.0 else math.exp(log_value)
     return min(max(value, 0.0), 1.0)
 
 
 def error_tail_valid(epsilon, b, mode):
     """Floor precondition of the error tail bound, at h = epsilon^(1/nu)."""
+    if not 0.0 < epsilon < math.inf:
+        raise ConfigError(f"epsilon must be finite and positive, got {epsilon}")
     return cone_condition_holds(epsilon ** (1.0 / b.nu), b.nu, b.d, _mode_domain(mode))
 
 
 def error_tail_bound(epsilon, n, b, mode):
     """Tail probability bound P[squared L2 error > epsilon] for n iid points.
 
-    With M = max(1, norm_h^2 Ctilde) (Plain) or
-    M = max(1, norm_h^2 Ctilde (1 + P epsilon^(1/nu))) (Sorted):
-    (6^d/omega_d) (M/eps)^(d/nu) (1 - (rho_low omega_d/4^d)(eps/M)^(d/nu))^n,
-    with the Sorted prefactor divided by d!. Clipped to [0,1] and
-    evaluated in log space where it overflows, like h_tail_bound;
-    precondition via error_tail_valid.
+    The squared error is at most M h^nu, with M = max(1, norm_h^2 Ctilde)
+    (Plain) or M = max(1, norm_h^2 Ctilde (1 + P epsilon^(1/nu))) (Sorted),
+    so the bound is h_tail_bound in the mode's domain at the radius
+    (epsilon/M)^(1/nu), and 1 where that radius underflows to zero.
+    Precondition via error_tail_valid.
     """
-    if epsilon <= 0.0:
-        raise ConfigError(f"epsilon must be positive, got {epsilon}")
+    if not 0.0 < epsilon < math.inf:
+        raise ConfigError(f"epsilon must be finite and positive, got {epsilon}")
+    # checked here too: an underflowed radius answers before h_tail_bound sees n
     if n < 1:
         raise ConfigError(f"n must be >= 1, got {n}")
-    srt = _mode_domain(mode) is Domain.SORTED_SIMPLEX
+    domain = _mode_domain(mode)
     ct = tilde_constant(b)
-    if srt:
+    if domain is Domain.SORTED_SIMPLEX:
         m = max(1.0, b.norm_h ** 2 * ct * (1.0 + p_constant(b) * epsilon ** (1.0 / b.nu)))
     else:
         m = max(1.0, b.norm_h ** 2 * ct)
-    power = b.d / b.nu
-    try:
-        wd = ball_volume(b.d)
-        pref = 6.0 ** b.d / (math.factorial(b.d) * wd) if srt else 6.0 ** b.d / wd
-        ratio = (epsilon / m) ** power
-        base = max(1.0 - (b.rho_low * wd / 4.0 ** b.d) * ratio, 0.0)
-        value = pref * (m / epsilon) ** power * base ** n
-    except OverflowError:
-        value = math.inf
-    if not math.isfinite(value):
-        log_wd = _log_ball_volume(b.d)
-        log_ratio = power * (math.log(epsilon) - math.log(m))
-        log_pref = (b.d * math.log(6.0) - log_wd - (math.lgamma(b.d + 1.0) if srt else 0.0)
-                    - log_ratio)
-        log_t = math.log(b.rho_low) + log_wd - b.d * math.log(4.0) + log_ratio
-        value = _tail_from_logs(log_pref, log_t, n)
-    return min(max(value, 0.0), 1.0)
+    # in log form, so an infinite M or a tiny epsilon/M gives a radius, not an overflow
+    r = math.exp((math.log(epsilon) - math.log(m)) / b.nu)
+    return h_tail_bound(r, n, b.d, b.rho_low, domain) if r > 0.0 else 1.0
 
 
 def eigen_bound_fill(j, h, b, mode):
@@ -275,8 +258,8 @@ def eigen_bound_fill(j, h, b, mode):
     """
     if j < 2:
         raise ConfigError(f"j must be >= 2, got {j}")
-    if h <= 0.0:
-        raise ConfigError(f"h must be positive, got {h}")
+    if not 0.0 < h < math.inf:
+        raise ConfigError(f"h must be finite and positive, got {h}")
     srt = _mode_domain(mode) is Domain.SORTED_SIMPLEX
     value = math.sqrt(b.c_k0 * tilde_constant(b)) * h ** (b.nu / 2.0)
     if srt:

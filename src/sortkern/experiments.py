@@ -202,12 +202,12 @@ def run_tail_curves(cfg):
     return rows
 
 
-# interpolation rows run these modes on identical data; PermSingle rows are
-# compared against the plain-domain bound (its hypothesis space embeds there)
+# interpolation rows run these modes on identical data, each against the bound
+# mode beside it; PermSingle's hypothesis space embeds in the Plain one
 _INTERP_MODES = (
-    (KernelMode.PLAIN, KernelMode.PLAIN, Domain.CUBE),
-    (KernelMode.SORTED, KernelMode.SORTED, Domain.SORTED_SIMPLEX),
-    (KernelMode.PERM_SINGLE, KernelMode.PLAIN, Domain.CUBE),
+    (KernelMode.PLAIN, KernelMode.PLAIN),
+    (KernelMode.SORTED, KernelMode.SORTED),
+    (KernelMode.PERM_SINGLE, KernelMode.PLAIN),
 )
 
 
@@ -232,7 +232,7 @@ def run_interp_compare(cfg):
                     cfg.kernel, d, INTERP_ATOMS,
                     seed=substream_seed(cfg.seed, exp_id, d, t, 11))
                 X, C = _trial_draws(cfg, exp_id, d, n, t)
-                fill = dict(zip((Domain.CUBE, Domain.SORTED_SIMPLEX), _fill_distances(X, C)))
+                fill = dict(zip((KernelMode.PLAIN, KernelMode.SORTED), _fill_distances(X, C)))
                 # the candidates are done with; freeing them lowers the peak
                 # that the kernel work below adds to
                 del C
@@ -248,8 +248,8 @@ def run_interp_compare(cfg):
                 P = stream(substream_seed(cfg.seed, exp_id, d, n, t, 14)).random(
                     (POINTWISE_POINTS, d))
                 y_pw = target.value(P)
-                for mode, bound_mode, domain in _INTERP_MODES:
-                    h = fill[domain]
+                for mode, bound_mode in _INTERP_MODES:
+                    h = fill[bound_mode]
                     report = l2_bound(b, h, bound_mode)
                     t0 = time.perf_counter()
                     try:

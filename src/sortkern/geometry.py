@@ -35,6 +35,11 @@ _PRESCAN_TILE_BYTES = 1 << 19
 _EXACT_CAND_CHUNK = 65536
 _EXACT_BLOCK = 4096
 
+# pruned scan: prescan design points, warm-set size, candidates per chunk
+_PRUNE_PRESCAN = 32
+_PRUNE_WARM = 512
+_PRUNE_CHUNK = 32768
+
 
 class Domain(Enum):
     """Approximation domain: the unit cube or its sorted fundamental simplex."""
@@ -87,15 +92,18 @@ def as_design(X, min_rows=1):
 
 
 def sort_point(p):
-    """Map a 1-D point to its orbit representative: coordinates in non-increasing order."""
-    p = np.asarray(p, dtype=float)
-    if p.ndim != 1:
-        raise DimensionMismatchError(f"point must be a 1-D vector, got shape {p.shape}")
-    return sort_points(p[None])[0]
+    """Map a 1-D point in [0,1]^d to its orbit representative: coordinates in non-increasing order."""
+    return _sorted_copy(as_point(p)[None])[0]
 
 
 def sort_points(X):
-    """Row-wise sort map: each row in non-increasing order (C-contiguous result)."""
+    """Row-wise sort map of an (n, d) array in [0,1]: rows in non-increasing order (C-contiguous)."""
+    return _sorted_copy(as_design(X, min_rows=0))
+
+
+def _sorted_copy(X):
+    # sort_points on a 2-D array its caller has validated, or on candidates
+    # that may lie outside the cube
     S = np.array(X, dtype=float, order="C")
     _sort_rows_in_place(S)
     return S
@@ -117,13 +125,15 @@ def distinct_orbits(X):
     """True iff the rows of X have pairwise-distinct sorted representatives.
 
     Comparison is exact on coordinates, matching the positive-definiteness
-    requirement of the sorted kernel Gram matrix.
+    requirement of the sorted kernel Gram matrix. X must be an (n, d)
+    array with finite entries in [0, 1].
     """
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2:
-        raise DimensionMismatchError("distinct_orbits expects an (n, d) array")
-    reps = sort_points(X)
-    return np.unique(reps, axis=0).shape[0] == X.shape[0]
+    return _distinct_orbits(as_design(X, min_rows=0))
+
+
+def _distinct_orbits(X):
+    # distinct_orbits on a design its caller has validated
+    return np.unique(_sorted_copy(X), axis=0).shape[0] == X.shape[0]
 
 
 def cube_corners(d):
@@ -224,7 +234,7 @@ def _survivors(m, top, h2):
     return rest[np.argsort(-m[rest], kind="stable")]
 
 
-def _maxmin_sq_pruned(X, C, prescan=32, warm=512, chunk=32768):
+def _maxmin_sq_pruned(X, C):
     """Exact max over rows of C of squared NN distance to X.
 
     A shallow prescan scores every candidate by its distance to the first
@@ -237,15 +247,15 @@ def _maxmin_sq_pruned(X, C, prescan=32, warm=512, chunk=32768):
     n = X.shape[0]
     xsq = np.einsum("ij,ij->i", X, X)
     csq = _candidate_sq_norms(C)
-    if n <= prescan or C.shape[0] <= warm:
+    k0 = _PRUNE_PRESCAN
+    if n <= k0 or C.shape[0] <= _PRUNE_WARM:
         return float(_exact_min_sq(C, X, xsq).max())
-    k0 = prescan
     m = _prescan_sq(X, C, xsq, csq, k0)
-    top = _warm_set(m, warm)
+    top = _warm_set(m, _PRUNE_WARM)
     h2 = float(_exact_min_sq(C[top], X, xsq).max())
     rest = _survivors(m, top, h2)
-    for s in range(0, rest.shape[0], chunk):
-        idx = rest[s:s + chunk]
+    for s in range(0, rest.shape[0], _PRUNE_CHUNK):
+        idx = rest[s:s + _PRUNE_CHUNK]
         idx = idx[m[idx] > h2]
         if idx.shape[0] == 0:
             continue
@@ -297,8 +307,8 @@ def fill_distance_estimate(X, domain, candidates):
     if not isinstance(domain, Domain):
         raise ConfigError(f"unknown domain {domain!r}")
     if domain is Domain.SORTED_SIMPLEX:
-        X = sort_points(X)
-        C = sort_points(C)
+        X = _sorted_copy(X)
+        C = _sorted_copy(C)
     else:
         X = np.ascontiguousarray(X)
         C = np.ascontiguousarray(C)
@@ -335,7 +345,7 @@ def _fill_distances(X, C):
     X = as_design(X)
     h = _fill_distance(X, C)
     _sort_rows_in_place(C)
-    return h, _fill_distance(sort_points(X), C)
+    return h, _fill_distance(_sorted_copy(X), C)
 
 
 def covering_design(epsilon, d, domain):
@@ -399,8 +409,8 @@ def cone_condition_holds(h, nu, d, domain):
     Cube: floor(1/(8 nu^2 (sqrt(d)+1) h)) > 1.
     SortedSimplex: floor(1/(8 nu^2 (d+1) (d^{3/2}+1) h)) > 1.
     """
-    if h <= 0.0:
-        raise ConfigError(f"fill distance must be positive, got {h}")
+    if not 0.0 < h < math.inf:
+        raise ConfigError(f"fill distance must be finite and positive, got {h}")
     if nu < 1:
         raise ConfigError(f"smoothness degree must be >= 1, got {nu}")
     if domain is Domain.CUBE:

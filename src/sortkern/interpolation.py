@@ -14,7 +14,7 @@ import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .errors import DimensionMismatchError, FactorizationError
-from .geometry import as_design, as_point, sort_points
+from .geometry import _sorted_copy, as_design, as_point
 from .kernels import KernelMode, KernelSpec, _cross, gram
 from .rng import stream
 
@@ -134,7 +134,7 @@ def make_invariant_target(k, d, m, seed):
     single-sum form, valid for the isotropic Gaussian.
     """
     g = stream(seed)
-    atoms = sort_points(g.random((m, d)))
+    atoms = _sorted_copy(g.random((m, d)))
     weights = g.uniform(-1.0, 1.0, m)
     Gz = gram(k, KernelMode.PERM_SINGLE, atoms)
     norm_sq = max(float(weights @ Gz @ weights), 0.0)

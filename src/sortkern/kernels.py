@@ -23,7 +23,7 @@ from numpy.polynomial import hermite_e
 
 from ._pool import _fan_out
 from .errors import CapExceededError, ConfigError, DimensionMismatchError, DuplicateOrbitError
-from .geometry import as_design, as_point, distinct_orbits, sort_points
+from .geometry import _distinct_orbits, _sorted_copy, as_design, as_point
 
 # PERM_SINGLE sums d! terms per pair, so larger dimensions are refused
 PERM_SINGLE_DIM_CAP = 6
@@ -194,7 +194,7 @@ def _cross(k, mode, W, Z):
     # canonicalized first and the sum runs over the identical term multiset
     # for any permutation of w or z, making the invariance exact in floats
     if mode is not KernelMode.PLAIN:
-        W, Z = sort_points(W), sort_points(Z)
+        W, Z = _sorted_copy(W), _sorted_copy(Z)
     return _evaluate(k, W, Z, _terms(mode, d))
 
 
@@ -211,7 +211,7 @@ def gram(k, mode, X):
     reports duplicates before any factorization is attempted.
     """
     X = as_design(X)
-    if mode is KernelMode.SORTED and not distinct_orbits(X):
+    if mode is KernelMode.SORTED and not _distinct_orbits(X):
         raise DuplicateOrbitError(
             "design has points in the same permutation orbit; the sorted "
             "kernel matrix would be singular")

@@ -1,5 +1,6 @@
 """Bounds: worked examples, oracle equivalence, structural ratios, validity."""
 
+import itertools
 import math
 
 import numpy as np
@@ -23,7 +24,7 @@ from sortkern.bounds import (
     subcube_classification,
     tilde_constant,
 )
-from sortkern.errors import ConfigError
+from sortkern.errors import ConfigError, DimensionMismatchError
 from sortkern.geometry import Domain, simplex_inradius
 from sortkern.kernels import KernelMode
 
@@ -139,6 +140,12 @@ class TestHTail:
         assert h_tail_valid(r * 0.99, 3, Domain.SORTED_SIMPLEX) is True
         assert h_tail_valid(r * 1.01, 3, Domain.SORTED_SIMPLEX) is False
 
+    @pytest.mark.parametrize("eps", [5e-324, 1e-323, 2e-323])
+    @pytest.mark.parametrize("domain", list(Domain))
+    def test_underflowing_radius_is_one(self, eps, domain):
+        # eps/4 underflows to zero below 2e-323: no decay, vacuous bound
+        assert h_tail_bound(eps, 10, 3, 1.0, domain) == 1.0
+
 
 class TestErrorTail:
     def test_1d_example(self):
@@ -164,6 +171,34 @@ class TestErrorTail:
         b = inputs(nu=1, d=2)
         assert error_tail_valid(0.001, b, KernelMode.PLAIN) is True
         assert error_tail_valid(0.5, b, KernelMode.PLAIN) is False
+
+    @pytest.mark.parametrize("b,eps,n", [
+        # Ctilde overflows to inf, so M is infinite
+        (inputs(nu=60, d=12, c_knu=1e300), 0.1, 100),
+        # M is finite but eps/M is far below the smallest float
+        (inputs(nu=1, d=2, norm_h=1e150), 1e-300, 10),
+    ])
+    @pytest.mark.parametrize("mode", [KernelMode.PLAIN, KernelMode.SORTED])
+    def test_underflowed_radius_is_one(self, b, eps, n, mode):
+        assert error_tail_bound(eps, n, b, mode) == 1.0
+
+    def test_oracle_grid(self):
+        # the fill tail at radius (eps/M)^(1/nu) against the direct display,
+        # wherever the display is a float strictly inside (1e-300, 1)
+        compared = 0
+        for nu, d, cn, norm, eps, n in itertools.product(
+                (1, 2, 3, 5), (1, 2, 3, 6, 12), (0.01, 1.0, 1e3), (0.0, 0.1, 1.0, 10.0),
+                (1e-6, 1e-3, 0.05, 0.3, 1.0, 5.0), (1, 10, 1000, 10 ** 5)):
+            b = inputs(nu=nu, d=d, c_knu=cn, norm_h=norm, rho_low=0.8, rho_high=1.5)
+            for srt, mode in ((False, KernelMode.PLAIN), (True, KernelMode.SORTED)):
+                try:
+                    want = oracle.error_tail(eps, n, nu, d, cn, norm, 0.8, 1.5, srt)
+                except OverflowError:
+                    continue
+                if 1e-300 < want < 1.0:
+                    assert error_tail_bound(eps, n, b, mode) == pytest.approx(want, rel=1e-12)
+                    compared += 1
+        assert compared >= 700
 
 
 class TestEigenBounds:
@@ -345,6 +380,61 @@ class TestTailOverflow:
         for x, y in zip(direct, logs):
             if x in (0.0, 1.0):
                 assert y == x
+
+
+class TestNonFiniteRejected:
+    """h and epsilon must be finite and positive; NaN fails every comparison."""
+
+    BAD = [math.nan, math.inf, -math.inf, 0.0, -0.1]
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_h_tail_bound(self, bad):
+        with pytest.raises(ConfigError, match="epsilon"):
+            h_tail_bound(bad, 10, 3, 1.0, Domain.CUBE)
+
+    @pytest.mark.parametrize("bad", BAD)
+    @pytest.mark.parametrize("mode", [KernelMode.PLAIN, KernelMode.SORTED])
+    def test_error_tail_bound(self, bad, mode):
+        with pytest.raises(ConfigError, match="epsilon"):
+            error_tail_bound(bad, 10, inputs(nu=2, d=3), mode)
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_error_tail_valid(self, bad):
+        with pytest.raises(ConfigError, match="epsilon"):
+            error_tail_valid(bad, inputs(nu=2, d=3), KernelMode.PLAIN)
+
+    @pytest.mark.parametrize("bad", BAD)
+    @pytest.mark.parametrize("mode", [KernelMode.PLAIN, KernelMode.SORTED])
+    def test_pointwise_bound(self, bad, mode):
+        with pytest.raises(ConfigError, match="h must"):
+            pointwise_bound(inputs(nu=2, d=3), bad, mode)
+
+    @pytest.mark.parametrize("bad", BAD)
+    @pytest.mark.parametrize("mode", [KernelMode.PLAIN, KernelMode.SORTED])
+    def test_l2_bound(self, bad, mode):
+        with pytest.raises(ConfigError, match="h must"):
+            l2_bound(inputs(nu=2, d=3), bad, mode)
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_eigen_bound_fill(self, bad):
+        with pytest.raises(ConfigError, match="h must"):
+            eigen_bound_fill(5, bad, inputs(nu=2, d=3), KernelMode.PLAIN)
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_subcube_classification_h(self, bad):
+        with pytest.raises(ConfigError, match="h must"):
+            subcube_classification([0.1, 0.2, 0.3], bad, 2, 3)
+
+    @pytest.mark.parametrize("x", [[math.nan, 0.2, 0.3], [math.inf, 0.2, 0.3], [1.5, 0.2, 0.3],
+                                   [-0.1, 0.2, 0.3]])
+    def test_subcube_classification_x(self, x):
+        with pytest.raises(ConfigError):
+            subcube_classification(x, 0.01, 2, 3)
+
+    @pytest.mark.parametrize("x", [[0.1, 0.2], [[0.1, 0.2, 0.3]], 0.5])
+    def test_subcube_classification_shape(self, x):
+        with pytest.raises(DimensionMismatchError):
+            subcube_classification(x, 0.01, 2, 3)
 
 
 class TestNuOwner:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
 import _oracles as oracle
-from sortkern import experiments, geometry
+from sortkern import experiments, geometry, interpolation, kernels, spectral
 from sortkern.errors import CapExceededError, ConfigError, DimensionMismatchError
 from sortkern.experiments import Experiment, ExperimentConfig
 from sortkern.geometry import (
@@ -28,7 +28,7 @@ from sortkern.geometry import (
     sort_point,
     sort_points,
 )
-from sortkern.kernels import KernelSpec
+from sortkern.kernels import KernelMode, KernelSpec
 
 
 def brute_fill(X, C, sorted_metric=False):
@@ -197,11 +197,14 @@ class TestPrunedScanOracle:
 
     @pytest.mark.parametrize("kind", ["uniform", "lattice", "duplicates", "design_rows"])
     @pytest.mark.parametrize("warm,chunk,prescan", [(1, 7, 32), (64, 100, 16), (511, 4096, 32)])
-    def test_bit_identical_small_warm_and_chunks(self, kind, warm, chunk, prescan):
+    def test_bit_identical_small_warm_and_chunks(self, kind, warm, chunk, prescan, monkeypatch):
         # many survivor chunks, and a running maximum that moves between them
         X, C = adversarial_cloud(kind, 6, 300, 6000, seed=warm + chunk)
-        kw = dict(prescan=prescan, warm=warm, chunk=chunk)
-        assert geometry._maxmin_sq_pruned(X, C, **kw) == oracle.maxmin_sq_pruned(X, C, **kw)
+        monkeypatch.setattr(geometry, "_PRUNE_PRESCAN", prescan)
+        monkeypatch.setattr(geometry, "_PRUNE_WARM", warm)
+        monkeypatch.setattr(geometry, "_PRUNE_CHUNK", chunk)
+        want = oracle.maxmin_sq_pruned(X, C, prescan=prescan, warm=warm, chunk=chunk)
+        assert geometry._maxmin_sq_pruned(X, C) == want
 
     @pytest.mark.parametrize("kind", ["lattice", "duplicates", "all_tied"])
     def test_visit_order_matches_stable_sort(self, kind):
@@ -367,6 +370,11 @@ class TestCones:
         with pytest.raises(ConfigError):
             cone_condition_holds(0.01, 0, 2, Domain.CUBE)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_condition_rejects_non_finite(self, bad):
+        with pytest.raises(ConfigError, match="finite"):
+            cone_condition_holds(bad, 1, 2, Domain.CUBE)
+
 
 class TestHelpers:
     def test_cube_corners(self):
@@ -412,3 +420,80 @@ class TestSortPointShape:
         X = np.random.default_rng(4).random((5, 4))
         for row, srt in zip(X, sort_points(X)):
             assert np.array_equal(sort_point(row), srt)
+
+
+class TestSortValidation:
+    @pytest.mark.parametrize("bad", [[3.0, -2.0], [math.nan, 0.5], [0.5, math.inf], [1.5, 0.5]])
+    def test_sort_map_rejects(self, bad):
+        with pytest.raises(ConfigError):
+            sort_point(bad)
+        with pytest.raises(ConfigError):
+            sort_points([bad])
+        with pytest.raises(ConfigError):
+            distinct_orbits([bad, bad])
+
+    def test_distinct_orbits_shape(self):
+        with pytest.raises(DimensionMismatchError):
+            distinct_orbits([0.1, 0.2])
+
+
+class TestChecksPerCall:
+    """Range checks and sorted rows per public call in sorted mode.
+
+    The sort map and the orbit check validate their input once; the layers
+    above call their unchecked forms on input they have validated, so no
+    other call checks or sorts more than before the sort map validated.
+    """
+
+    # (range checks, rows sorted) for a 5-point design and 7 query points
+    # at d = 3, 3 target atoms and 6 Nystrom samples
+    EXPECTED = {
+        "fit": (4, 15), "gram": (3, 15), "kernel_cross": (2, 12),
+        "kernel_value": (4, 2), "make_invariant_target": (3, 9),
+        "target_value": (1, 10), "nystrom_spectrum": (3, 18), "evaluate": (1, 12),
+        "interpolant_norm_sq": (3, 15), "fill_distance_estimate": (1, 12),
+        "sort_point": (1, 1), "sort_points": (1, 5), "distinct_orbits": (1, 5),
+    }
+
+    def test_counts(self, monkeypatch):
+        k, mode = KernelSpec(1.0, 0.5), KernelMode.SORTED
+        X = np.random.default_rng(0).random((5, 3))
+        P = np.random.default_rng(1).random((7, 3))
+        y = X.sum(axis=1)
+        f = interpolation.fit(k, mode, X, y)
+        target = interpolation.make_invariant_target(k, 3, 3, seed=1)
+        calls = {
+            "fit": lambda: interpolation.fit(k, mode, X, y),
+            "gram": lambda: kernels.gram(k, mode, X),
+            "kernel_cross": lambda: kernels.kernel_cross(k, mode, X, P),
+            "kernel_value": lambda: kernels.kernel_value(k, mode, X[0], P[0]),
+            "make_invariant_target": lambda: interpolation.make_invariant_target(k, 3, 3, seed=1),
+            "target_value": lambda: target.value(P),
+            "nystrom_spectrum": lambda: spectral.nystrom_spectrum(k, mode, 6, 3, seed=2),
+            "evaluate": lambda: interpolation.evaluate(f, P),
+            "interpolant_norm_sq": lambda: interpolation.interpolant_norm_sq(f),
+            "fill_distance_estimate":
+                lambda: fill_distance_estimate(X, Domain.SORTED_SIMPLEX, P),
+            "sort_point": lambda: sort_point(X[0]),
+            "sort_points": lambda: sort_points(X),
+            "distinct_orbits": lambda: distinct_orbits(X),
+        }
+        counts = [0, 0]
+        check, sort_rows = geometry._check_unit_range, geometry._sort_rows_in_place
+
+        def counted_check(A, what):
+            counts[0] += 1
+            check(A, what)
+
+        def counted_sort(A):
+            counts[1] += A.shape[0]
+            sort_rows(A)
+
+        monkeypatch.setattr(geometry, "_check_unit_range", counted_check)
+        monkeypatch.setattr(geometry, "_sort_rows_in_place", counted_sort)
+        got = {}
+        for name, call in calls.items():
+            counts[:] = [0, 0]
+            call()
+            got[name] = tuple(counts)
+        assert got == self.EXPECTED
