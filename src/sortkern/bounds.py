@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatchError
+from .errors import ConfigError, DimensionMismatchError, _above, _at_least
 from .geometry import Domain, as_point, ball_volume, cone_condition_holds, simplex_inradius
 from .kernels import KernelMode
 
@@ -41,20 +41,17 @@ class BoundInputs:
     alpha: float = 1.05
 
     def __post_init__(self):
-        if self.nu < 1:
-            raise ConfigError(f"nu must be >= 1, got {self.nu}")
-        if self.d < 1:
-            raise ConfigError(f"d must be >= 1, got {self.d}")
-        if self.c_k0 < 0.0 or self.c_knu < 0.0:
-            raise ConfigError("kernel sup-constants must be nonnegative")
-        if self.norm_h < 0.0:
-            raise ConfigError(f"norm_h must be >= 0, got {self.norm_h}")
-        if self.rho_low <= 0.0:
-            raise ConfigError(f"rho_low must be positive, got {self.rho_low}")
-        if self.rho_high < self.rho_low:
-            raise ConfigError("rho_high must be >= rho_low")
-        if self.alpha <= 1.0:
-            raise ConfigError(f"alpha must be > 1, got {self.alpha}")
+        _at_least("nu", self.nu, 1)
+        _at_least("d", self.d, 1)
+        # computed constants that overflow to inf by design (sup_kernel_constant
+        # past the float range): NaN fails the comparison, inf passes
+        for name in ("c_k0", "c_knu", "norm_h"):
+            value = getattr(self, name)
+            if not value >= 0.0:
+                raise ConfigError(f"{name} must be >= 0, got {value!r}")
+        _above("rho_low", self.rho_low, 0.0)
+        _at_least("rho_high", self.rho_high, self.rho_low)
+        _above("alpha", self.alpha, 1.0)
 
 
 @dataclass(frozen=True)
@@ -73,6 +70,14 @@ def _mode_domain(mode):
         return Domain.SORTED_SIMPLEX
     raise ConfigError(
         f"bounds are stated for Plain and Sorted modes, got {mode!r}")
+
+
+def _pow(x, y):
+    # x ** y, or inf where that overflows a float
+    try:
+        return x ** y
+    except OverflowError:
+        return math.inf
 
 
 def tilde_constant(b):
@@ -106,8 +111,7 @@ def subcube_classification(x, h, nu, d):
     x = as_point(x)
     if x.shape[0] != d:
         raise DimensionMismatchError(f"x must be a {d}-vector, got shape {x.shape}")
-    if not 0.0 < h < math.inf:
-        raise ConfigError(f"h must be finite and positive, got {h}")
+    _above("h", h, 0.0)
     q = math.floor(1.0 / (8.0 * nu * nu * (math.sqrt(d) + 1.0) * h))
     if q < 1:
         return Region.NEAR_DIAGONAL
@@ -124,12 +128,11 @@ def pointwise_bound(b, h, mode, region=Region.INTERIOR):
     norm_h * sqrt(Ctilde * (2 d^2 h)^nu), covering cells where sorting
     contracts distances.
     """
-    if not 0.0 < h < math.inf:
-        raise ConfigError(f"h must be finite and positive, got {h}")
+    _above("h", h, 0.0)
     dom = _mode_domain(mode)
     ct = tilde_constant(b)
     near = dom is Domain.SORTED_SIMPLEX and region is Region.NEAR_DIAGONAL
-    arg = (2.0 * b.d * b.d * h) ** b.nu if near else h ** b.nu
+    arg = _pow(2.0 * b.d * b.d * h if near else h, b.nu)
     value = b.norm_h * math.sqrt(ct * arg)
     validity = math.isfinite(value) and cone_condition_holds(h, b.nu, b.d, dom)
     return BoundReport(value=value, validity=validity)
@@ -143,13 +146,12 @@ def l2_bound(b, h, mode, form="exact"):
     norm_h^2 * Ctilde * alpha * h^nu, additionally requiring
     (1 + P h) <= alpha for validity.
     """
-    if not 0.0 < h < math.inf:
-        raise ConfigError(f"h must be finite and positive, got {h}")
+    _above("h", h, 0.0)
     if form not in ("exact", "alpha"):
         raise ConfigError(f"form must be 'exact' or 'alpha', got {form!r}")
     dom = _mode_domain(mode)
     ct = tilde_constant(b)
-    base = b.norm_h ** 2 * ct * h ** b.nu
+    base = _pow(b.norm_h, 2) * ct * _pow(h, b.nu)
     validity = cone_condition_holds(h, b.nu, b.d, dom)
     if dom is Domain.SORTED_SIMPLEX:
         growth = 1.0 + p_constant(b) * h
@@ -184,12 +186,9 @@ def h_tail_bound(epsilon, n, d, rho_low, domain):
     float (large d), it is evaluated in log space; where epsilon/4
     underflows to zero, the value is 1.
     """
-    if not 0.0 < epsilon < math.inf:
-        raise ConfigError(f"epsilon must be finite and positive, got {epsilon}")
-    if n < 1:
-        raise ConfigError(f"n must be >= 1, got {n}")
-    if rho_low <= 0.0:
-        raise ConfigError(f"rho_low must be positive, got {rho_low}")
+    _above("epsilon", epsilon, 0.0)
+    _at_least("n", n, 1)
+    _above("rho_low", rho_low, 0.0)
     if domain not in (Domain.CUBE, Domain.SORTED_SIMPLEX):
         raise ConfigError(f"unknown domain {domain!r}")
     if epsilon / 4.0 == 0.0:
@@ -220,8 +219,7 @@ def h_tail_bound(epsilon, n, d, rho_low, domain):
 
 def error_tail_valid(epsilon, b, mode):
     """Floor precondition of the error tail bound, at h = epsilon^(1/nu)."""
-    if not 0.0 < epsilon < math.inf:
-        raise ConfigError(f"epsilon must be finite and positive, got {epsilon}")
+    _above("epsilon", epsilon, 0.0)
     return cone_condition_holds(epsilon ** (1.0 / b.nu), b.nu, b.d, _mode_domain(mode))
 
 
@@ -234,17 +232,14 @@ def error_tail_bound(epsilon, n, b, mode):
     (epsilon/M)^(1/nu), and 1 where that radius underflows to zero.
     Precondition via error_tail_valid.
     """
-    if not 0.0 < epsilon < math.inf:
-        raise ConfigError(f"epsilon must be finite and positive, got {epsilon}")
+    _above("epsilon", epsilon, 0.0)
     # checked here too: an underflowed radius answers before h_tail_bound sees n
-    if n < 1:
-        raise ConfigError(f"n must be >= 1, got {n}")
+    _at_least("n", n, 1)
     domain = _mode_domain(mode)
-    ct = tilde_constant(b)
+    m = _pow(b.norm_h, 2) * tilde_constant(b)
     if domain is Domain.SORTED_SIMPLEX:
-        m = max(1.0, b.norm_h ** 2 * ct * (1.0 + p_constant(b) * epsilon ** (1.0 / b.nu)))
-    else:
-        m = max(1.0, b.norm_h ** 2 * ct)
+        m *= 1.0 + p_constant(b) * epsilon ** (1.0 / b.nu)
+    m = max(1.0, m)
     # in log form, so an infinite M or a tiny epsilon/M gives a radius, not an overflow
     r = math.exp((math.log(epsilon) - math.log(m)) / b.nu)
     return h_tail_bound(r, n, b.d, b.rho_low, domain) if r > 0.0 else 1.0
@@ -256,12 +251,10 @@ def eigen_bound_fill(j, h, b, mode):
     Plain: sqrt(C_K0 Ctilde) h^(nu/2); Sorted multiplies by alpha and
     takes h in the sorted metric.
     """
-    if j < 2:
-        raise ConfigError(f"j must be >= 2, got {j}")
-    if not 0.0 < h < math.inf:
-        raise ConfigError(f"h must be finite and positive, got {h}")
+    _at_least("j", j, 2)
+    _above("h", h, 0.0)
     srt = _mode_domain(mode) is Domain.SORTED_SIMPLEX
-    value = math.sqrt(b.c_k0 * tilde_constant(b)) * h ** (b.nu / 2.0)
+    value = math.sqrt(b.c_k0 * tilde_constant(b)) * _pow(h, b.nu / 2.0)
     if srt:
         value *= b.alpha
     return BoundReport(value=value, validity=math.isfinite(value))
@@ -274,8 +267,7 @@ def eigen_bound_covering(j, b, mode):
     / (omega_d j)^(nu/(2d)); Sorted puts d! omega_d j in the denominator
     and multiplies by alpha.
     """
-    if j < 2:
-        raise ConfigError(f"j must be >= 2, got {j}")
+    _at_least("j", j, 2)
     srt = _mode_domain(mode) is Domain.SORTED_SIMPLEX
     try:
         lead = math.sqrt(8.0 * float(math.comb(b.nu + 2 * b.d, 2 * b.d)) * b.c_k0 * b.c_knu)
@@ -297,8 +289,7 @@ def eigen_bound_weyl(j, b, mode):
     Plain: ((nu+d)!/d!) (C_Knu/(2 pi)^nu) ((1+nu) d^nu omega_d /
     rho_low)^(nu/d) / j^(nu/d); Sorted divides by (d!)^(nu/d - 1).
     """
-    if j < 1:
-        raise ConfigError(f"j must be >= 1, got {j}")
+    _at_least("j", j, 1)
     srt = _mode_domain(mode) is Domain.SORTED_SIMPLEX
     try:
         lead = math.factorial(b.nu + b.d) / math.factorial(b.d) \

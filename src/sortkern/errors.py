@@ -1,4 +1,6 @@
-"""Exception hierarchy for the sortkern package."""
+"""Exception hierarchy for the sortkern package, and its scalar range checks."""
+
+import math
 
 
 class SortkernError(Exception):
@@ -30,3 +32,18 @@ class FactorizationError(SortkernError):
 class NumericalError(SortkernError):
     """A numerical routine produced an unusable result (non-convergence,
     residual check failure, nonpositive values where positives are required)."""
+
+
+# The one owner of the rule "finite and at least / above a bound" for scalar
+# parameters. Each test is one chained comparison, which NaN fails.
+
+def _at_least(name, value, low):
+    """Raise ConfigError unless low <= value < inf."""
+    if not low <= value < math.inf:
+        raise ConfigError(f"{name} must be finite and >= {low}, got {value!r}")
+
+
+def _above(name, value, low):
+    """Raise ConfigError unless low < value < inf."""
+    if not low < value < math.inf:
+        raise ConfigError(f"{name} must be finite and > {low}, got {value!r}")

@@ -23,7 +23,7 @@ import numpy as np
 
 from .bounds import BoundInputs, eigen_bound_covering, eigen_bound_weyl, h_tail_bound, l2_bound, p_constant, tilde_constant
 from ._pool import _fan_out
-from .errors import ConfigError, FactorizationError
+from .errors import ConfigError, FactorizationError, _above, _at_least
 from .geometry import Domain, _fill_distances, cone_parameters, cube_corners
 from .interpolation import evaluate, fit, make_invariant_target, mc_points, rmse_stderr
 from .kernels import KernelMode, KernelSpec, check_mode_cap, sup_kernel_constant
@@ -78,20 +78,17 @@ class ExperimentConfig:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
         if not self.dims or not self.ns:
             raise ConfigError("dims and ns must be nonempty")
-        if any(d < 1 for d in self.dims) or any(n < 1 for n in self.ns):
-            raise ConfigError("dims and ns must be positive")
-        if self.trials < 1:
-            raise ConfigError(f"trials must be >= 1, got {self.trials}")
-        if not all(0.0 < eps < math.inf for eps in self.eps_grid):
-            raise ConfigError(f"eps_grid entries must be finite and positive, got {self.eps_grid}")
-        if self.nu < 1:
-            raise ConfigError(f"nu must be >= 1, got {self.nu}")
-        if self.alpha <= 1.0:
-            raise ConfigError(f"alpha must be > 1, got {self.alpha}")
-        if self.mc_samples < 1:
-            raise ConfigError(f"mc_samples must be >= 1, got {self.mc_samples}")
-        if self.candidate_count < 1:
-            raise ConfigError(f"candidate_count must be >= 1, got {self.candidate_count}")
+        for d in self.dims:
+            _at_least("dims entry", d, 1)
+        for n in self.ns:
+            _at_least("ns entry", n, 1)
+        _at_least("trials", self.trials, 1)
+        for eps in self.eps_grid:
+            _above("eps_grid entry", eps, 0.0)
+        _at_least("nu", self.nu, 1)
+        _above("alpha", self.alpha, 1.0)
+        _at_least("mc_samples", self.mc_samples, 1)
+        _at_least("candidate_count", self.candidate_count, 1)
 
 
 def _fmt(x):

@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import CapExceededError, ConfigError, DimensionMismatchError
+from .errors import CapExceededError, ConfigError, DimensionMismatchError, _above, _at_least
 
 # Exact NN queries via a tree are fast only in low dimension; above this
 # the pruned block scan wins.
@@ -58,8 +58,7 @@ class ConeParams:
     def __post_init__(self):
         if not (0.0 < self.theta < math.pi / 2):
             raise ConfigError(f"cone angle must lie in (0, pi/2), got {self.theta}")
-        if self.radius <= 0.0:
-            raise ConfigError(f"cone radius must be positive, got {self.radius}")
+        _above("radius", self.radius, 0.0)
 
 
 def _check_unit_range(A, what):
@@ -360,8 +359,7 @@ def covering_design(epsilon, d, domain):
     """
     if not (0.0 < epsilon < 1.0):
         raise ConfigError(f"epsilon must lie in (0, 1), got {epsilon}")
-    if d < 1:
-        raise ConfigError(f"dimension must be >= 1, got {d}")
+    _at_least("d", d, 1)
     if not isinstance(domain, Domain):
         raise ConfigError(f"unknown domain {domain!r}")
     q = max(2, math.ceil(math.sqrt(d) / (2.0 * epsilon) - 1e-9))
@@ -389,8 +387,7 @@ def cone_parameters(d, domain):
     theta = arcsin(1/d^{3/2}), radius 1/(2d+2). At d=1 both angles
     degenerate to pi/2 and are clamped just below it.
     """
-    if d < 1:
-        raise ConfigError(f"dimension must be >= 1, got {d}")
+    _at_least("d", d, 1)
     if domain is Domain.CUBE:
         theta = math.asin(1.0 / math.sqrt(d))
         radius = 0.5
@@ -409,10 +406,9 @@ def cone_condition_holds(h, nu, d, domain):
     Cube: floor(1/(8 nu^2 (sqrt(d)+1) h)) > 1.
     SortedSimplex: floor(1/(8 nu^2 (d+1) (d^{3/2}+1) h)) > 1.
     """
-    if not 0.0 < h < math.inf:
-        raise ConfigError(f"fill distance must be finite and positive, got {h}")
-    if nu < 1:
-        raise ConfigError(f"smoothness degree must be >= 1, got {nu}")
+    _above("h", h, 0.0)
+    _at_least("nu", nu, 1)
+    _at_least("d", d, 1)
     if domain is Domain.CUBE:
         scale = 8.0 * nu * nu * (math.sqrt(d) + 1.0) * h
     elif domain is Domain.SORTED_SIMPLEX:

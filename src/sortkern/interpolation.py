@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
-from .errors import DimensionMismatchError, FactorizationError
+from .errors import DimensionMismatchError, FactorizationError, _at_least
 from .geometry import _sorted_copy, as_design, as_point
 from .kernels import KernelMode, KernelSpec, _cross, gram
 from .rng import stream
@@ -161,8 +161,7 @@ def rmse_stderr(diff):
 
 def mc_points(d, mc_samples, seed):
     """The seeded uniform cube sample that l2_error averages over."""
-    if mc_samples < 1:
-        raise DimensionMismatchError(f"mc_samples must be >= 1, got {mc_samples}")
+    _at_least("mc_samples", mc_samples, 1)
     return stream(seed).random((mc_samples, d))
 
 

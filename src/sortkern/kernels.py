@@ -22,7 +22,7 @@ import numpy as np
 from numpy.polynomial import hermite_e
 
 from ._pool import _fan_out
-from .errors import CapExceededError, ConfigError, DimensionMismatchError, DuplicateOrbitError
+from .errors import CapExceededError, ConfigError, DimensionMismatchError, DuplicateOrbitError, _above, _at_least
 from .geometry import _distinct_orbits, _sorted_copy, as_design, as_point
 
 # PERM_SINGLE sums d! terms per pair, so larger dimensions are refused
@@ -50,18 +50,17 @@ class KernelSpec:
 
     The Gaussian is amplitude * exp(-||w - z||^2 / (2 bandwidth^2)). It is
     smooth of every order; the smoothness degree nu that the bounds use is
-    theirs (BoundInputs.nu, sup_kernel_constant). A bandwidth so small that
-    -2 bandwidth^2 rounds to zero is rejected.
+    theirs (BoundInputs.nu, sup_kernel_constant). Both fields must be finite
+    and positive, and a bandwidth so small that -2 bandwidth^2 rounds to zero
+    is rejected.
     """
 
     amplitude: float
     bandwidth: float
 
     def __post_init__(self):
-        if self.amplitude <= 0.0:
-            raise ConfigError(f"amplitude must be positive, got {self.amplitude}")
-        if self.bandwidth <= 0.0:
-            raise ConfigError(f"bandwidth must be positive, got {self.bandwidth}")
+        _above("amplitude", self.amplitude, 0.0)
+        _above("bandwidth", self.bandwidth, 0.0)
         if -2.0 * self.bandwidth * self.bandwidth == 0.0:
             raise ConfigError(f"bandwidth {self.bandwidth} is too small: its square underflows to zero")
 
@@ -290,10 +289,8 @@ def sup_kernel_constant(k, nu, d):
     bound at every bandwidth; a C_Knu past the float range is returned as
     inf.
     """
-    if nu < 0:
-        raise ConfigError(f"nu must be >= 0, got {nu}")
-    if d < 1:
-        raise ConfigError(f"dimension must be >= 1, got {d}")
+    _at_least("nu", nu, 0)
+    _at_least("d", d, 1)
     c0 = k.amplitude
     if nu == 0:
         return c0, c0

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh
 
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, NumericalError, _at_least
 from .kernels import gram
 from .rng import stream
 
@@ -32,10 +32,8 @@ def nystrom_spectrum(k, mode, m, d, seed):
     are clamped to zero; anything more negative is reported as an error,
     as is a trace mismatch beyond 1e-8 relative.
     """
-    if m < 2:
-        raise ConfigError(f"m must be >= 2, got {m}")
-    if d < 1:
-        raise ConfigError(f"dimension must be >= 1, got {d}")
+    _at_least("m", m, 2)
+    _at_least("d", d, 1)
     X = stream(seed).random((m, d))
     G = gram(k, mode, X)
     try:

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -25,8 +26,18 @@ from sortkern.bounds import (
     tilde_constant,
 )
 from sortkern.errors import ConfigError, DimensionMismatchError
-from sortkern.geometry import Domain, simplex_inradius
-from sortkern.kernels import KernelMode
+from sortkern.experiments import Experiment, ExperimentConfig
+from sortkern.geometry import (
+    ConeParams,
+    Domain,
+    cone_condition_holds,
+    cone_parameters,
+    covering_design,
+    simplex_inradius,
+)
+from sortkern.interpolation import mc_points
+from sortkern.kernels import KernelMode, KernelSpec, sup_kernel_constant
+from sortkern.spectral import nystrom_spectrum
 
 
 def inputs(**kw):
@@ -34,6 +45,15 @@ def inputs(**kw):
                 rho_low=1.0, rho_high=1.0, alpha=1.05)
     base.update(kw)
     return BoundInputs(**base)
+
+
+KERNEL = KernelSpec(1.0, 1.0)
+
+
+def config(**kw):
+    base = dict(experiment=Experiment.TABLE1, kernel=KERNEL, dims=(2,), ns=(5,))
+    base.update(kw)
+    return ExperimentConfig(**base)
 
 
 class TestConstants:
@@ -177,6 +197,8 @@ class TestErrorTail:
         (inputs(nu=60, d=12, c_knu=1e300), 0.1, 100),
         # M is finite but eps/M is far below the smallest float
         (inputs(nu=1, d=2, norm_h=1e150), 1e-300, 10),
+        # norm_h^2 overflows a float, so M is infinite
+        (inputs(nu=1, d=2, norm_h=1e200), 0.1, 10),
     ])
     @pytest.mark.parametrize("mode", [KernelMode.PLAIN, KernelMode.SORTED])
     def test_underflowed_radius_is_one(self, b, eps, n, mode):
@@ -344,7 +366,7 @@ class TestMonotonicity:
 
 
 class TestTailOverflow:
-    """Tail bounds at dimensions where the display overflows a float."""
+    """Bounds at inputs where the display overflows a float."""
 
     @pytest.mark.parametrize("d", [200, 400])
     @pytest.mark.parametrize("domain", list(Domain))
@@ -380,6 +402,18 @@ class TestTailOverflow:
         for x, y in zip(direct, logs):
             if x in (0.0, 1.0):
                 assert y == x
+
+    @pytest.mark.parametrize("call", [
+        lambda m: l2_bound(inputs(nu=1, d=2, norm_h=1e200), 0.01, m),
+        lambda m: l2_bound(inputs(nu=40, d=2), 1e10, m),
+        lambda m: pointwise_bound(inputs(nu=40, d=2), 1e10, m),
+        lambda m: pointwise_bound(inputs(nu=40, d=2), 1e10, m, Region.NEAR_DIAGONAL),
+        lambda m: eigen_bound_fill(5, 1e20, inputs(nu=40, d=2), m),
+    ], ids=["l2_norm_h", "l2_h", "pointwise_h", "pointwise_near_h", "eigen_fill_h"])
+    @pytest.mark.parametrize("mode", [KernelMode.PLAIN, KernelMode.SORTED])
+    def test_report_overflow_is_inf(self, call, mode):
+        r = call(mode)
+        assert (r.value, r.validity) == (math.inf, False)
 
 
 class TestNonFiniteRejected:
@@ -435,6 +469,67 @@ class TestNonFiniteRejected:
     def test_subcube_classification_shape(self, x):
         with pytest.raises(DimensionMismatchError):
             subcube_classification(x, 0.01, 2, 3)
+
+    # every scalar parameter checked by errors._at_least or errors._above:
+    # (name in the message, a call passing the value to that parameter alone)
+    ROUTED = {
+        "KernelSpec.amplitude": ("amplitude", lambda v: KernelSpec(v, 1.0)),
+        "KernelSpec.bandwidth": ("bandwidth", lambda v: KernelSpec(1.0, v)),
+        "sup_kernel_constant.nu": ("nu", lambda v: sup_kernel_constant(KERNEL, v, 2)),
+        "sup_kernel_constant.d": ("d", lambda v: sup_kernel_constant(KERNEL, 2, v)),
+        "ExperimentConfig.dims": ("dims entry", lambda v: config(dims=(2, v))),
+        "ExperimentConfig.ns": ("ns entry", lambda v: config(ns=(5, v))),
+        "ExperimentConfig.trials": ("trials", lambda v: config(trials=v)),
+        "ExperimentConfig.eps_grid": ("eps_grid entry", lambda v: config(eps_grid=(0.1, v))),
+        "ExperimentConfig.nu": ("nu", lambda v: config(nu=v)),
+        "ExperimentConfig.alpha": ("alpha", lambda v: config(alpha=v)),
+        "ExperimentConfig.mc_samples": ("mc_samples", lambda v: config(mc_samples=v)),
+        "ExperimentConfig.candidate_count": ("candidate_count", lambda v: config(candidate_count=v)),
+        "BoundInputs.nu": ("nu", lambda v: inputs(nu=v)),
+        "BoundInputs.d": ("d", lambda v: inputs(d=v)),
+        "BoundInputs.rho_low": ("rho_low", lambda v: inputs(rho_low=v)),
+        "BoundInputs.rho_high": ("rho_high", lambda v: inputs(rho_high=v)),
+        "BoundInputs.alpha": ("alpha", lambda v: inputs(alpha=v)),
+        "subcube_classification.h": ("h", lambda v: subcube_classification([0.1, 0.2], v, 1, 2)),
+        "pointwise_bound.h": ("h", lambda v: pointwise_bound(inputs(), v, KernelMode.PLAIN)),
+        "l2_bound.h": ("h", lambda v: l2_bound(inputs(), v, KernelMode.PLAIN)),
+        "h_tail_bound.epsilon": ("epsilon", lambda v: h_tail_bound(v, 10, 2, 1.0, Domain.CUBE)),
+        "h_tail_bound.n": ("n", lambda v: h_tail_bound(0.1, v, 2, 1.0, Domain.CUBE)),
+        "h_tail_bound.rho_low": ("rho_low", lambda v: h_tail_bound(0.1, 10, 2, v, Domain.CUBE)),
+        "error_tail_valid.epsilon": ("epsilon",
+                                     lambda v: error_tail_valid(v, inputs(), KernelMode.PLAIN)),
+        "error_tail_bound.epsilon": ("epsilon",
+                                     lambda v: error_tail_bound(v, 10, inputs(), KernelMode.PLAIN)),
+        "error_tail_bound.n": ("n", lambda v: error_tail_bound(0.1, v, inputs(), KernelMode.PLAIN)),
+        "eigen_bound_fill.j": ("j", lambda v: eigen_bound_fill(v, 0.1, inputs(), KernelMode.PLAIN)),
+        "eigen_bound_fill.h": ("h", lambda v: eigen_bound_fill(5, v, inputs(), KernelMode.PLAIN)),
+        "eigen_bound_covering.j": ("j", lambda v: eigen_bound_covering(v, inputs(), KernelMode.PLAIN)),
+        "eigen_bound_weyl.j": ("j", lambda v: eigen_bound_weyl(v, inputs(), KernelMode.PLAIN)),
+        "ConeParams.radius": ("radius", lambda v: ConeParams(0.5, v)),
+        "covering_design.d": ("d", lambda v: covering_design(0.5, v, Domain.CUBE)),
+        "cone_parameters.d": ("d", lambda v: cone_parameters(v, Domain.CUBE)),
+        "cone_condition_holds.h": ("h", lambda v: cone_condition_holds(v, 1, 2, Domain.CUBE)),
+        "cone_condition_holds.nu": ("nu", lambda v: cone_condition_holds(0.01, v, 2, Domain.CUBE)),
+        "cone_condition_holds.d": ("d", lambda v: cone_condition_holds(0.01, 1, v, Domain.CUBE)),
+        "nystrom_spectrum.m": ("m", lambda v: nystrom_spectrum(KERNEL, KernelMode.PLAIN, v, 2, 1)),
+        "nystrom_spectrum.d": ("d", lambda v: nystrom_spectrum(KERNEL, KernelMode.PLAIN, 8, v, 1)),
+        "mc_points.mc_samples": ("mc_samples", lambda v: mc_points(2, v, 1)),
+    }
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name,call", ROUTED.values(), ids=list(ROUTED))
+    def test_parameter_table(self, name, call, bad):
+        with pytest.raises(ConfigError, match=f"^{re.escape(name)} must be finite"):
+            call(bad)
+
+    @pytest.mark.parametrize("name", ["c_k0", "c_knu", "norm_h"])
+    def test_overflowing_constants(self, name):
+        # computed constants reach inf past the float range, so only NaN
+        # and negative values are refused
+        assert getattr(inputs(**{name: math.inf}), name) == math.inf
+        for bad in (math.nan, -math.inf, -1.0):
+            with pytest.raises(ConfigError, match=f"^{name} must be >= 0"):
+                inputs(**{name: bad})
 
 
 class TestNuOwner:

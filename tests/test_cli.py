@@ -157,6 +157,14 @@ class TestBadValues:
         err = one_line_failure(argv + ["--bandwidth", bw], tmp_path / "x.csv", capsys)
         assert "bandwidth" in err
 
+    # "--flag=value", so argparse reads "-inf" as a value, not an option
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("flag", ["--amplitude", "--bandwidth", "--alpha"])
+    @pytest.mark.parametrize("argv", SMALL_RUNS, ids=lambda a: a[0])
+    def test_non_finite_value(self, argv, flag, value, tmp_path, capsys):
+        err = one_line_failure(argv + [f"{flag}={value}"], tmp_path / "x.csv", capsys)
+        assert f"{flag[2:]} must be finite" in err
+
     @pytest.mark.parametrize("message", [
         "Unable to allocate 2.18 TiB for an array with shape (100000000008, 3) "
         "and data type float64", ""], ids=["numpy", "bare"])
