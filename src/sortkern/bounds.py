@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatchError, _above, _at_least
+from .errors import ConfigError, DimensionMismatchError, _above, _at_least, _int_at_least
 from .geometry import Domain, as_point, ball_volume, cone_condition_holds, simplex_inradius
 from .kernels import KernelMode
 
@@ -41,8 +41,8 @@ class BoundInputs:
     alpha: float = 1.05
 
     def __post_init__(self):
-        _at_least("nu", self.nu, 1)
-        _at_least("d", self.d, 1)
+        _int_at_least("nu", self.nu, 1)
+        _int_at_least("d", self.d, 1)
         # computed constants that overflow to inf by design (sup_kernel_constant
         # past the float range): NaN fails the comparison, inf passes
         for name in ("c_k0", "c_knu", "norm_h"):
@@ -72,32 +72,30 @@ def _mode_domain(mode):
         f"bounds are stated for Plain and Sorted modes, got {mode!r}")
 
 
-def _pow(x, y):
-    # x ** y, or inf where that overflows a float
+def _display(direct):
+    """Evaluate a bound's display, direct(), as written, so a finite value keeps its bits.
+
+    The one overflow policy of this module: where the display overflows a
+    float (OverflowError) or meets inf * 0 (NaN), its value is inf, the
+    vacuous upper bound.
+    """
     try:
-        return x ** y
+        value = direct()
     except OverflowError:
         return math.inf
+    return math.inf if math.isnan(value) else value
 
 
 def tilde_constant(b):
-    """The packed constant 8 * binom(nu+2d, 2d) * C_Knu * (16 nu^2 d)^nu.
-
-    Overflow is returned as +inf rather than raised.
-    """
-    try:
-        return 8.0 * float(math.comb(b.nu + 2 * b.d, 2 * b.d)) * b.c_knu \
-            * (16.0 * b.nu * b.nu * b.d) ** b.nu
-    except OverflowError:
-        return math.inf
+    """The packed constant 8 * binom(nu+2d, 2d) * C_Knu * (16 nu^2 d)^nu."""
+    return _display(lambda: 8.0 * float(math.comb(b.nu + 2 * b.d, 2 * b.d)) * b.c_knu
+                    * (16.0 * b.nu * b.nu * b.d) ** b.nu)
 
 
 def p_constant(b):
     """The sorted-refinement constant 8 * rho_high * 2^nu * nu^2 * d^(2nu+5/2)."""
-    try:
-        return 8.0 * b.rho_high * 2.0 ** b.nu * b.nu * b.nu * b.d ** (2.0 * b.nu + 2.5)
-    except OverflowError:
-        return math.inf
+    return _display(lambda: 8.0 * b.rho_high * 2.0 ** b.nu * b.nu * b.nu
+                    * b.d ** (2.0 * b.nu + 2.5))
 
 
 def subcube_classification(x, h, nu, d):
@@ -108,6 +106,8 @@ def subcube_classification(x, h, nu, d):
     cell indices are pairwise distinct, NearDiagonal otherwise (some
     coordinates share a cell, where sorting can halve distances).
     """
+    _int_at_least("nu", nu, 1)
+    _int_at_least("d", d, 1)
     x = as_point(x)
     if x.shape[0] != d:
         raise DimensionMismatchError(f"x must be a {d}-vector, got shape {x.shape}")
@@ -130,10 +130,9 @@ def pointwise_bound(b, h, mode, region=Region.INTERIOR):
     """
     _above("h", h, 0.0)
     dom = _mode_domain(mode)
-    ct = tilde_constant(b)
     near = dom is Domain.SORTED_SIMPLEX and region is Region.NEAR_DIAGONAL
-    arg = _pow(2.0 * b.d * b.d * h if near else h, b.nu)
-    value = b.norm_h * math.sqrt(ct * arg)
+    value = _display(lambda: b.norm_h * math.sqrt(
+        tilde_constant(b) * (2.0 * b.d * b.d * h if near else h) ** b.nu))
     validity = math.isfinite(value) and cone_condition_holds(h, b.nu, b.d, dom)
     return BoundReport(value=value, validity=validity)
 
@@ -150,24 +149,23 @@ def l2_bound(b, h, mode, form="exact"):
     if form not in ("exact", "alpha"):
         raise ConfigError(f"form must be 'exact' or 'alpha', got {form!r}")
     dom = _mode_domain(mode)
-    ct = tilde_constant(b)
-    base = _pow(b.norm_h, 2) * ct * _pow(h, b.nu)
     validity = cone_condition_holds(h, b.nu, b.d, dom)
+    factor = 1.0
     if dom is Domain.SORTED_SIMPLEX:
         growth = 1.0 + p_constant(b) * h
         if form == "alpha":
-            value = base * b.alpha
+            factor = b.alpha
             validity = validity and growth <= b.alpha
         else:
-            value = base * growth
-    else:
-        value = base
+            factor = growth
+    value = _display(lambda: b.norm_h ** 2 * tilde_constant(b) * h ** b.nu * factor)
     validity = validity and math.isfinite(value)
     return BoundReport(value=value, validity=validity)
 
 
 def h_tail_valid(epsilon, d, domain):
     """Ball-fit precondition of the fill-distance tail bound."""
+    _int_at_least("d", d, 1)
     if domain is Domain.CUBE:
         return 0.0 < epsilon <= 1.0
     if domain is Domain.SORTED_SIMPLEX:
@@ -188,6 +186,7 @@ def h_tail_bound(epsilon, n, d, rho_low, domain):
     """
     _above("epsilon", epsilon, 0.0)
     _at_least("n", n, 1)
+    _int_at_least("d", d, 1)
     _above("rho_low", rho_low, 0.0)
     if domain not in (Domain.CUBE, Domain.SORTED_SIMPLEX):
         raise ConfigError(f"unknown domain {domain!r}")
@@ -196,16 +195,16 @@ def h_tail_bound(epsilon, n, d, rho_low, domain):
         # logarithm of epsilon/4 for the log-space path
         return 1.0
     srt = domain is Domain.SORTED_SIMPLEX
-    try:
+
+    def direct():
         wd = ball_volume(d)
         pref = (6.0 / epsilon) ** d / wd
         if srt:
             pref /= math.factorial(d)
-        base = max(1.0 - rho_low * wd * (epsilon / 4.0) ** d, 0.0)
-        value = pref * base ** n
-    except OverflowError:
-        value = math.inf
-    if not math.isfinite(value):
+        return pref * max(1.0 - rho_low * wd * (epsilon / 4.0) ** d, 0.0) ** n
+
+    value = _display(direct)
+    if value == math.inf:
         # log of the ball volume, finite where math.gamma overflows
         log_wd = 0.5 * d * math.log(math.pi) - math.lgamma(0.5 * d + 1.0)
         log_pref = d * math.log(6.0 / epsilon) - log_wd - (math.lgamma(d + 1.0) if srt else 0.0)
@@ -236,10 +235,10 @@ def error_tail_bound(epsilon, n, b, mode):
     # checked here too: an underflowed radius answers before h_tail_bound sees n
     _at_least("n", n, 1)
     domain = _mode_domain(mode)
-    m = _pow(b.norm_h, 2) * tilde_constant(b)
+    growth = 1.0
     if domain is Domain.SORTED_SIMPLEX:
-        m *= 1.0 + p_constant(b) * epsilon ** (1.0 / b.nu)
-    m = max(1.0, m)
+        growth = 1.0 + p_constant(b) * epsilon ** (1.0 / b.nu)
+    m = max(1.0, _display(lambda: b.norm_h ** 2 * tilde_constant(b) * growth))
     # in log form, so an infinite M or a tiny epsilon/M gives a radius, not an overflow
     r = math.exp((math.log(epsilon) - math.log(m)) / b.nu)
     return h_tail_bound(r, n, b.d, b.rho_low, domain) if r > 0.0 else 1.0
@@ -253,10 +252,8 @@ def eigen_bound_fill(j, h, b, mode):
     """
     _at_least("j", j, 2)
     _above("h", h, 0.0)
-    srt = _mode_domain(mode) is Domain.SORTED_SIMPLEX
-    value = math.sqrt(b.c_k0 * tilde_constant(b)) * _pow(h, b.nu / 2.0)
-    if srt:
-        value *= b.alpha
+    factor = b.alpha if _mode_domain(mode) is Domain.SORTED_SIMPLEX else 1.0
+    value = _display(lambda: math.sqrt(b.c_k0 * tilde_constant(b)) * h ** (b.nu / 2.0) * factor)
     return BoundReport(value=value, validity=math.isfinite(value))
 
 
@@ -269,17 +266,11 @@ def eigen_bound_covering(j, b, mode):
     """
     _at_least("j", j, 2)
     srt = _mode_domain(mode) is Domain.SORTED_SIMPLEX
-    try:
-        lead = math.sqrt(8.0 * float(math.comb(b.nu + 2 * b.d, 2 * b.d)) * b.c_k0 * b.c_knu)
-        num = (48.0 * b.nu * b.nu * b.d) ** (b.nu / 2.0)
-        den_arg = ball_volume(b.d) * j
-        if srt:
-            den_arg *= math.factorial(b.d)
-        value = lead * num / den_arg ** (b.nu / (2.0 * b.d))
-        if srt:
-            value *= b.alpha
-    except OverflowError:
-        value = math.inf
+    value = _display(
+        lambda: math.sqrt(8.0 * float(math.comb(b.nu + 2 * b.d, 2 * b.d)) * b.c_k0 * b.c_knu)
+        * (48.0 * b.nu * b.nu * b.d) ** (b.nu / 2.0)
+        / (ball_volume(b.d) * j * (math.factorial(b.d) if srt else 1)) ** (b.nu / (2.0 * b.d))
+        * (b.alpha if srt else 1.0))
     return BoundReport(value=value, validity=math.isfinite(value))
 
 
@@ -291,14 +282,9 @@ def eigen_bound_weyl(j, b, mode):
     """
     _at_least("j", j, 1)
     srt = _mode_domain(mode) is Domain.SORTED_SIMPLEX
-    try:
-        lead = math.factorial(b.nu + b.d) / math.factorial(b.d) \
-            * b.c_knu / (2.0 * math.pi) ** b.nu
-        geom = ((1.0 + b.nu) * float(b.d) ** b.nu * ball_volume(b.d) / b.rho_low) \
-            ** (b.nu / b.d)
-        value = lead * geom / float(j) ** (b.nu / b.d)
-        if srt:
-            value /= math.factorial(b.d) ** (b.nu / b.d - 1.0)
-    except OverflowError:
-        value = math.inf
+    value = _display(
+        lambda: math.factorial(b.nu + b.d) / math.factorial(b.d) * b.c_knu / (2.0 * math.pi) ** b.nu
+        * ((1.0 + b.nu) * float(b.d) ** b.nu * ball_volume(b.d) / b.rho_low) ** (b.nu / b.d)
+        / float(j) ** (b.nu / b.d)
+        / (math.factorial(b.d) ** (b.nu / b.d - 1.0) if srt else 1.0))
     return BoundReport(value=value, validity=math.isfinite(value))

@@ -1,6 +1,7 @@
 """Exception hierarchy for the sortkern package, and its scalar range checks."""
 
 import math
+import operator
 
 
 class SortkernError(Exception):
@@ -36,11 +37,22 @@ class NumericalError(SortkernError):
 
 # The one owner of the rule "finite and at least / above a bound" for scalar
 # parameters. Each test is one chained comparison, which NaN fails.
+# _int_at_least adds the integer rule for degrees and dimensions (nu, d) and
+# the experiment's counts.
 
 def _at_least(name, value, low):
     """Raise ConfigError unless low <= value < inf."""
     if not low <= value < math.inf:
         raise ConfigError(f"{name} must be finite and >= {low}, got {value!r}")
+
+
+def _int_at_least(name, value, low):
+    """Raise ConfigError unless value is an integer with low <= value < inf."""
+    _at_least(name, value, low)
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _above(name, value, low):

@@ -23,7 +23,7 @@ import numpy as np
 
 from .bounds import BoundInputs, eigen_bound_covering, eigen_bound_weyl, h_tail_bound, l2_bound, p_constant, tilde_constant
 from ._pool import _fan_out
-from .errors import ConfigError, FactorizationError, _above, _at_least
+from .errors import ConfigError, FactorizationError, _above, _int_at_least
 from .geometry import Domain, _fill_distances, cone_parameters, cube_corners
 from .interpolation import evaluate, fit, make_invariant_target, mc_points, rmse_stderr
 from .kernels import KernelMode, KernelSpec, check_mode_cap, sup_kernel_constant
@@ -79,16 +79,16 @@ class ExperimentConfig:
         if not self.dims or not self.ns:
             raise ConfigError("dims and ns must be nonempty")
         for d in self.dims:
-            _at_least("dims entry", d, 1)
+            _int_at_least("dims entry", d, 1)
         for n in self.ns:
-            _at_least("ns entry", n, 1)
-        _at_least("trials", self.trials, 1)
+            _int_at_least("ns entry", n, 1)
+        _int_at_least("trials", self.trials, 1)
         for eps in self.eps_grid:
             _above("eps_grid entry", eps, 0.0)
-        _at_least("nu", self.nu, 1)
+        _int_at_least("nu", self.nu, 1)
         _above("alpha", self.alpha, 1.0)
-        _at_least("mc_samples", self.mc_samples, 1)
-        _at_least("candidate_count", self.candidate_count, 1)
+        _int_at_least("mc_samples", self.mc_samples, 1)
+        _int_at_least("candidate_count", self.candidate_count, 1)
 
 
 def _fmt(x):

@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import CapExceededError, ConfigError, DimensionMismatchError, _above, _at_least
+from .errors import CapExceededError, ConfigError, DimensionMismatchError, _above, _at_least, _int_at_least
 
 # Exact NN queries via a tree are fast only in low dimension; above this
 # the pruned block scan wins.
@@ -407,8 +407,8 @@ def cone_condition_holds(h, nu, d, domain):
     SortedSimplex: floor(1/(8 nu^2 (d+1) (d^{3/2}+1) h)) > 1.
     """
     _above("h", h, 0.0)
-    _at_least("nu", nu, 1)
-    _at_least("d", d, 1)
+    _int_at_least("nu", nu, 1)
+    _int_at_least("d", d, 1)
     if domain is Domain.CUBE:
         scale = 8.0 * nu * nu * (math.sqrt(d) + 1.0) * h
     elif domain is Domain.SORTED_SIMPLEX:

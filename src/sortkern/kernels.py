@@ -22,7 +22,7 @@ import numpy as np
 from numpy.polynomial import hermite_e
 
 from ._pool import _fan_out
-from .errors import CapExceededError, ConfigError, DimensionMismatchError, DuplicateOrbitError, _above, _at_least
+from .errors import CapExceededError, ConfigError, DimensionMismatchError, DuplicateOrbitError, _above, _int_at_least
 from .geometry import _distinct_orbits, _sorted_copy, as_design, as_point
 
 # PERM_SINGLE sums d! terms per pair, so larger dimensions are refused
@@ -289,8 +289,8 @@ def sup_kernel_constant(k, nu, d):
     bound at every bandwidth; a C_Knu past the float range is returned as
     inf.
     """
-    _at_least("nu", nu, 0)
-    _at_least("d", d, 1)
+    _int_at_least("nu", nu, 0)
+    _int_at_least("d", d, 1)
     c0 = k.amplitude
     if nu == 0:
         return c0, c0

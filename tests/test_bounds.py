@@ -6,6 +6,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import _oracles as oracle
 from sortkern import bounds
@@ -409,11 +411,44 @@ class TestTailOverflow:
         lambda m: pointwise_bound(inputs(nu=40, d=2), 1e10, m),
         lambda m: pointwise_bound(inputs(nu=40, d=2), 1e10, m, Region.NEAR_DIAGONAL),
         lambda m: eigen_bound_fill(5, 1e20, inputs(nu=40, d=2), m),
-    ], ids=["l2_norm_h", "l2_h", "pointwise_h", "pointwise_near_h", "eigen_fill_h"])
+        # inf * 0: an overflowed factor meets an underflowed or zero one
+        lambda m: l2_bound(inputs(nu=200, d=50, c_k0=0.16), 1e-3, m),
+        lambda m: pointwise_bound(inputs(nu=200, d=50, c_k0=0.16), 1e-3, m),
+        lambda m: l2_bound(inputs(norm_h=0.0, c_knu=math.inf), 0.01, m),
+        lambda m: pointwise_bound(inputs(norm_h=0.0, c_knu=math.inf), 0.01, m),
+        lambda m: eigen_bound_fill(5, 0.01, inputs(c_k0=0.0, c_knu=math.inf), m),
+    ], ids=["l2_norm_h", "l2_h", "pointwise_h", "pointwise_near_h", "eigen_fill_h",
+            "l2_inf_times_underflow", "pointwise_inf_times_underflow", "l2_zero_norm_inf_c",
+            "pointwise_zero_norm_inf_c", "eigen_fill_zero_c0_inf_c"])
     @pytest.mark.parametrize("mode", [KernelMode.PLAIN, KernelMode.SORTED])
     def test_report_overflow_is_inf(self, call, mode):
         r = call(mode)
         assert (r.value, r.validity) == (math.inf, False)
+
+    LOG_UNIFORM = st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e)
+    CONSTANT = st.one_of(st.sampled_from([0.0, math.inf]), LOG_UNIFORM)
+
+    @settings(max_examples=300, deadline=None)
+    @given(nu=st.integers(1, 200), d=st.integers(1, 60), c_k0=CONSTANT, c_knu=CONSTANT,
+           norm_h=CONSTANT, h=LOG_UNIFORM, eps=LOG_UNIFORM,
+           mode=st.sampled_from([KernelMode.PLAIN, KernelMode.SORTED]))
+    @example(nu=200, d=50, c_k0=0.16, c_knu=1.0, norm_h=1.0, h=1e-3, eps=1e-3,
+             mode=KernelMode.PLAIN)
+    @example(nu=200, d=50, c_k0=0.16, c_knu=1.0, norm_h=1.0, h=1e-3, eps=1e-3,
+             mode=KernelMode.SORTED)
+    def test_no_bound_is_nan(self, nu, d, c_k0, c_knu, norm_h, h, eps, mode):
+        b = inputs(nu=nu, d=d, c_k0=c_k0, c_knu=c_knu, norm_h=norm_h)
+        assert not math.isnan(tilde_constant(b)) and not math.isnan(p_constant(b))
+        reports = [pointwise_bound(b, h, mode, region) for region in Region]
+        reports += [l2_bound(b, h, mode, form) for form in ("exact", "alpha")]
+        reports += [eigen_bound_fill(5, h, b, mode), eigen_bound_covering(5, b, mode),
+                    eigen_bound_weyl(5, b, mode)]
+        for r in reports:
+            assert not math.isnan(r.value)
+            assert math.isfinite(r.value) or r.validity is False
+        domain = Domain.CUBE if mode is KernelMode.PLAIN else Domain.SORTED_SIMPLEX
+        for tail in (h_tail_bound(eps, 10, d, 1.0, domain), error_tail_bound(eps, 10, b, mode)):
+            assert 0.0 <= tail <= 1.0
 
 
 class TestNonFiniteRejected:
@@ -536,3 +571,48 @@ class TestNuOwner:
     def test_nu_below_one_rejected(self):
         with pytest.raises(ConfigError, match="nu"):
             inputs(nu=0)
+
+
+class TestIntegerParameters:
+    """nu, d and the experiment's counts must be integers: errors._int_at_least."""
+
+    # (name in the message, a call passing the value to that parameter alone)
+    ROUTED = {
+        "BoundInputs.nu": ("nu", lambda v: inputs(nu=v)),
+        "BoundInputs.d": ("d", lambda v: inputs(d=v)),
+        "sup_kernel_constant.nu": ("nu", lambda v: sup_kernel_constant(KERNEL, v, 2)),
+        "sup_kernel_constant.d": ("d", lambda v: sup_kernel_constant(KERNEL, 2, v)),
+        "cone_condition_holds.nu": ("nu", lambda v: cone_condition_holds(0.01, v, 2, Domain.CUBE)),
+        "cone_condition_holds.d": ("d", lambda v: cone_condition_holds(0.01, 1, v, Domain.CUBE)),
+        "ExperimentConfig.dims": ("dims entry", lambda v: config(dims=(2, v))),
+        "ExperimentConfig.ns": ("ns entry", lambda v: config(ns=(5, v))),
+        "ExperimentConfig.trials": ("trials", lambda v: config(trials=v)),
+        "ExperimentConfig.nu": ("nu", lambda v: config(nu=v)),
+        "ExperimentConfig.mc_samples": ("mc_samples", lambda v: config(mc_samples=v)),
+        "ExperimentConfig.candidate_count": ("candidate_count", lambda v: config(candidate_count=v)),
+        "subcube_classification.nu": ("nu",
+                                      lambda v: subcube_classification([0.1, 0.2], 0.01, v, 2)),
+        "subcube_classification.d": ("d",
+                                     lambda v: subcube_classification([0.1, 0.2], 0.01, 1, v)),
+        "h_tail_bound.d": ("d", lambda v: h_tail_bound(0.1, 10, v, 1.0, Domain.CUBE)),
+        "h_tail_valid.d": ("d", lambda v: h_tail_valid(0.1, v, Domain.SORTED_SIMPLEX)),
+    }
+
+    @pytest.mark.parametrize("name,call", ROUTED.values(), ids=list(ROUTED))
+    def test_non_integer_rejected(self, name, call):
+        with pytest.raises(ConfigError, match=f"^{re.escape(name)} must be an integer"):
+            call(1.5)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0, -1])
+    @pytest.mark.parametrize("key", ["subcube_classification.nu", "subcube_classification.d",
+                                     "h_tail_bound.d", "h_tail_valid.d"])
+    def test_out_of_range_rejected(self, key, bad):
+        name, call = self.ROUTED[key]
+        with pytest.raises(ConfigError, match=f"^{name} must be finite"):
+            call(bad)
+
+    def test_numpy_integers_accepted(self):
+        b = inputs(nu=np.int64(2), d=np.int32(3))
+        assert tilde_constant(b) == tilde_constant(inputs(nu=2, d=3))
+        assert h_tail_bound(0.5, 10, np.int64(2), 1.0, Domain.CUBE) == \
+            h_tail_bound(0.5, 10, 2, 1.0, Domain.CUBE)
