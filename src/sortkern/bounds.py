@@ -87,7 +87,12 @@ def _display(direct):
 
 
 def tilde_constant(b):
-    """The packed constant 8 * binom(nu+2d, 2d) * C_Knu * (16 nu^2 d)^nu."""
+    """The packed constant 8 * binom(nu+2d, 2d) * C_Knu * (16 nu^2 d)^nu.
+
+    Exactly 0 where C_Knu is 0, even where the power overflows.
+    """
+    if b.c_knu == 0.0:
+        return 0.0
     return _display(lambda: 8.0 * float(math.comb(b.nu + 2 * b.d, 2 * b.d)) * b.c_knu
                     * (16.0 * b.nu * b.nu * b.d) ** b.nu)
 
@@ -185,7 +190,7 @@ def h_tail_bound(epsilon, n, d, rho_low, domain):
     underflows to zero, the value is 1.
     """
     _above("epsilon", epsilon, 0.0)
-    _at_least("n", n, 1)
+    _int_at_least("n", n, 1)
     _int_at_least("d", d, 1)
     _above("rho_low", rho_low, 0.0)
     if domain not in (Domain.CUBE, Domain.SORTED_SIMPLEX):
@@ -228,17 +233,22 @@ def error_tail_bound(epsilon, n, b, mode):
     The squared error is at most M h^nu, with M = max(1, norm_h^2 Ctilde)
     (Plain) or M = max(1, norm_h^2 Ctilde (1 + P epsilon^(1/nu))) (Sorted),
     so the bound is h_tail_bound in the mode's domain at the radius
-    (epsilon/M)^(1/nu), and 1 where that radius underflows to zero.
-    Precondition via error_tail_valid.
+    (epsilon/M)^(1/nu), and 1 where that radius underflows to zero. An
+    exactly zero norm_h or Ctilde makes the product exactly 0, so M = 1,
+    even where the other factor is infinite. Precondition via
+    error_tail_valid.
     """
     _above("epsilon", epsilon, 0.0)
     # checked here too: an underflowed radius answers before h_tail_bound sees n
-    _at_least("n", n, 1)
+    _int_at_least("n", n, 1)
     domain = _mode_domain(mode)
     growth = 1.0
     if domain is Domain.SORTED_SIMPLEX:
         growth = 1.0 + p_constant(b) * epsilon ** (1.0 / b.nu)
-    m = max(1.0, _display(lambda: b.norm_h ** 2 * tilde_constant(b) * growth))
+    m = 1.0
+    ctilde = tilde_constant(b)
+    if b.norm_h != 0.0 and ctilde != 0.0:
+        m = max(1.0, _display(lambda: b.norm_h ** 2 * ctilde * growth))
     # in log form, so an infinite M or a tiny epsilon/M gives a radius, not an overflow
     r = math.exp((math.log(epsilon) - math.log(m)) / b.nu)
     return h_tail_bound(r, n, b.d, b.rho_low, domain) if r > 0.0 else 1.0
@@ -250,7 +260,7 @@ def eigen_bound_fill(j, h, b, mode):
     Plain: sqrt(C_K0 Ctilde) h^(nu/2); Sorted multiplies by alpha and
     takes h in the sorted metric.
     """
-    _at_least("j", j, 2)
+    _int_at_least("j", j, 2)
     _above("h", h, 0.0)
     factor = b.alpha if _mode_domain(mode) is Domain.SORTED_SIMPLEX else 1.0
     value = _display(lambda: math.sqrt(b.c_k0 * tilde_constant(b)) * h ** (b.nu / 2.0) * factor)
@@ -264,7 +274,7 @@ def eigen_bound_covering(j, b, mode):
     / (omega_d j)^(nu/(2d)); Sorted puts d! omega_d j in the denominator
     and multiplies by alpha.
     """
-    _at_least("j", j, 2)
+    _int_at_least("j", j, 2)
     srt = _mode_domain(mode) is Domain.SORTED_SIMPLEX
     value = _display(
         lambda: math.sqrt(8.0 * float(math.comb(b.nu + 2 * b.d, 2 * b.d)) * b.c_k0 * b.c_knu)
@@ -280,7 +290,7 @@ def eigen_bound_weyl(j, b, mode):
     Plain: ((nu+d)!/d!) (C_Knu/(2 pi)^nu) ((1+nu) d^nu omega_d /
     rho_low)^(nu/d) / j^(nu/d); Sorted divides by (d!)^(nu/d - 1).
     """
-    _at_least("j", j, 1)
+    _int_at_least("j", j, 1)
     srt = _mode_domain(mode) is Domain.SORTED_SIMPLEX
     value = _display(
         lambda: math.factorial(b.nu + b.d) / math.factorial(b.d) * b.c_knu / (2.0 * math.pi) ** b.nu

@@ -37,8 +37,8 @@ class NumericalError(SortkernError):
 
 # The one owner of the rule "finite and at least / above a bound" for scalar
 # parameters. Each test is one chained comparison, which NaN fails.
-# _int_at_least adds the integer rule for degrees and dimensions (nu, d) and
-# the experiment's counts.
+# _int_at_least adds the integer rule for degrees, dimensions and every count
+# (nu, d, n, j, m, sample and trial counts).
 
 def _at_least(name, value, low):
     """Raise ConfigError unless low <= value < inf."""

@@ -7,8 +7,9 @@ significant digits, and returns the rows as dictionaries (the returned
 dictionaries may carry extra diagnostic fields beyond the CSV columns).
 Identical configs produce byte-identical files, except the wall-clock
 fit_ms column of the interpolation comparison. The fill-distance trials
-of table1 and tail_curves run on every CPU the process may use, and
-their files do not depend on how many there are.
+of table1 and tail_curves run on every CPU the process may use, and so do
+the fill distances and kernel work inside each interp_compare trial; no
+file depends on how many CPUs there are.
 """
 
 import csv

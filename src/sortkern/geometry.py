@@ -15,7 +15,8 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import CapExceededError, ConfigError, DimensionMismatchError, _above, _at_least, _int_at_least
+from . import _pool
+from .errors import CapExceededError, ConfigError, DimensionMismatchError, _above, _int_at_least
 
 # Exact NN queries via a tree are fast only in low dimension; above this
 # the pruned block scan wins.
@@ -320,16 +321,16 @@ def _fill_distance(X, C):
     X is a validated design and C a nonempty candidate array of the same
     width, both C-contiguous and already in the domain's coordinates.
     Candidates whose coordinates or squared norms are not finite raise
-    ConfigError. A kd-tree answers up to _TREE_MAX_DIM, the pruned scan
-    above it.
+    ConfigError. A kd-tree answers up to _TREE_MAX_DIM, its queries spread
+    over one thread per CPU, the pruned scan above it.
     """
     if X.shape[1] <= _TREE_MAX_DIM:
-        # scipy.spatial costs about half a second to import, so only the
-        # low-dimensional path loads it
+        # scipy.spatial takes about 0.13 s to import even with numpy and
+        # scipy.linalg loaded, so only the low-dimensional path loads it
         from scipy.spatial import cKDTree
 
         _candidate_sq_norms(C)
-        dist, _ = cKDTree(X).query(C, k=1)
+        dist, _ = cKDTree(X).query(C, k=1, workers=_pool._worker_count())
         return float(dist.max())
     return float(math.sqrt(max(_maxmin_sq_pruned(X, C), 0.0)))
 
@@ -359,7 +360,7 @@ def covering_design(epsilon, d, domain):
     """
     if not (0.0 < epsilon < 1.0):
         raise ConfigError(f"epsilon must lie in (0, 1), got {epsilon}")
-    _at_least("d", d, 1)
+    _int_at_least("d", d, 1)
     if not isinstance(domain, Domain):
         raise ConfigError(f"unknown domain {domain!r}")
     q = max(2, math.ceil(math.sqrt(d) / (2.0 * epsilon) - 1e-9))
@@ -387,7 +388,7 @@ def cone_parameters(d, domain):
     theta = arcsin(1/d^{3/2}), radius 1/(2d+2). At d=1 both angles
     degenerate to pi/2 and are clamped just below it.
     """
-    _at_least("d", d, 1)
+    _int_at_least("d", d, 1)
     if domain is Domain.CUBE:
         theta = math.asin(1.0 / math.sqrt(d))
         radius = 0.5

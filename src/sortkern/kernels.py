@@ -8,8 +8,9 @@ arguments, so this one-sided group average is also the two-sided average
 over all (d!)^2 permutation pairs.
 
 Every mode goes through one evaluator that hands row tiles of the first
-argument, with cache-sized buffers, to every CPU and reproduces, bit for
-bit, the result of building one full distance matrix per permutation term.
+argument, with a bounded scratch per thread, to every CPU and reproduces,
+bit for bit, the result of building one full distance matrix per
+permutation term.
 """
 
 import math
@@ -28,10 +29,16 @@ from .geometry import _distinct_orbits, _sorted_copy, as_design, as_point
 # PERM_SINGLE sums d! terms per pair, so larger dimensions are refused
 PERM_SINGLE_DIM_CAP = 6
 
-# elements per working buffer of a row tile of kernel_cross. Sized per
-# buffer, not per tile: the averaged modes hold dozens of buffers, and
-# splitting a fixed byte budget among them left ufunc calls so short that
-# two threads queued on the GIL between them and ran slower than one.
+# least elements per working buffer of a row tile of kernel_cross; a tile
+# with few buffers gets longer ones (_buffer_elems). What decides whether a
+# second thread pays is the length of each ufunc call, not the tile count:
+# on a 2-vCPU Xeon with one BLAS thread, _cross on 4096 x 1280 at d = 2
+# took 40 ms on one worker and 38-52 ms on two at 16384 elements per
+# buffer, as calls of about 16 us are shorter than the GIL hand-off between
+# them, but 42 against 25 ms (plain) and 99 against 55 ms (averaged) at
+# 65536. Splitting one byte budget evenly among the averaged modes' dozens
+# of buffers left calls even shorter, so no buffer gets fewer than 16384
+# elements.
 _TILE_ELEMS = 16384
 
 _HERMITE_GRID = 20001  # 1-D maximization grid on [-1, 1]
@@ -103,15 +110,22 @@ def _buffer_count(npairs, d):
     return npairs + max(d - 2, 0) + 1
 
 
-def _tile_rows(m):
-    """Rows of W per tile, at least one, for m columns."""
-    return max(1, _TILE_ELEMS // m)
+def _buffer_elems(nbuf):
+    # elements per buffer of a tile: a thread's nbuf buffers share 16
+    # _TILE_ELEMS buffers' worth of scratch (2 MiB), but never fall below
+    # _TILE_ELEMS each
+    return max(_TILE_ELEMS, 16 * _TILE_ELEMS // nbuf)
+
+
+def _tile_rows(m, nbuf):
+    """Rows of W per tile, at least one, for m columns and nbuf buffers."""
+    return max(1, _buffer_elems(nbuf) // m)
 
 
 def _evaluate(k, W, Z, terms):
     """Average over terms pi of amplitude * exp(-||W[pi] - Z||^2 / (2 bw^2)).
 
-    Rows of W are processed in tiles of about _TILE_ELEMS elements per
+    Rows of W are processed in tiles of about _buffer_elems elements per
     buffer, spread over the threads of _fan_out; each thread allocates its
     buffers once per call and reuses them for every tile it takes. Every
     element sees the same operations in the same order as a direct
@@ -126,7 +140,8 @@ def _evaluate(k, W, Z, terms):
         return out
     pairs, steps = _plan(terms)
     npairs = len(pairs)
-    rows = _tile_rows(m)
+    nbuf = _buffer_count(npairs, d)
+    rows = _tile_rows(m, nbuf)
     WT = np.ascontiguousarray(W.T)
     ZT = np.ascontiguousarray(Z.T)
     scale = -2.0 * k.bandwidth * k.bandwidth
@@ -135,7 +150,7 @@ def _evaluate(k, W, Z, terms):
     def tile(r0):
         r1 = min(n, r0 + rows)
         if not hasattr(scratch, "buf"):
-            scratch.buf = np.empty((_buffer_count(npairs, d), min(rows, n) * m))
+            scratch.buf = np.empty((nbuf, min(rows, n) * m))
         views = [b[:(r1 - r0) * m].reshape(r1 - r0, m) for b in scratch.buf]
         table, dist = views[:npairs], views[-1]
         # level[q] is the distance summed over coordinates 0..q: level 0 is a

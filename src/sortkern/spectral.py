@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh
 
-from .errors import ConfigError, NumericalError, _at_least
+from .errors import ConfigError, NumericalError, _int_at_least
 from .kernels import gram
 from .rng import stream
 
@@ -32,8 +32,8 @@ def nystrom_spectrum(k, mode, m, d, seed):
     are clamped to zero; anything more negative is reported as an error,
     as is a trace mismatch beyond 1e-8 relative.
     """
-    _at_least("m", m, 2)
-    _at_least("d", d, 1)
+    _int_at_least("m", m, 2)
+    _int_at_least("d", d, 1)
     X = stream(seed).random((m, d))
     G = gram(k, mode, X)
     try:

@@ -1,0 +1,82 @@
+"""tools/bench_pair.py: merging perfbench result files into a before/after record."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_pair.py"
+_spec = importlib.util.spec_from_file_location("bench_pair", TOOL)
+bench_pair = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pair)
+
+MACHINE = {"nproc": 2, "cpu_model": "test cpu", "python": "3.11.7"}
+
+
+def result_file(path, wall, rss, trace=0, seed=20240601, digest="abc"):
+    # the shape perfbench/run.py writes: details and result of one run
+    children = [{"code": 0, "wall_s": wall, "cpu_s": 1.5 * wall, "rss_mb": rss}] * 2
+    data = {
+        "details": {"digest": digest, "csv_exact": 1, "failed_frac": 0.0, "problems": [],
+                    "workload": "interp_lowd", "seed": seed, "trace": trace,
+                    "cli_args": ["interp_compare", "--seed", str(seed)],
+                    "samples": {"children": children, "setup_s": [0.4, 0.5, 0.45]},
+                    "machine": MACHINE},
+        "result": {"correct": True, "attempted": 9, "failed": 0,
+                   "metrics": {"wall_s": {"value": wall, "unit": "s"},
+                               "trials_per_s": {"value": 3.0 / wall, "unit": "1/s"},
+                               "setup_s": {"value": 0.45, "unit": "s"},
+                               "peak_rss_mb": {"value": rss, "unit": "MB"}}},
+    }
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def test_two_result_files_merge_into_one_pair(tmp_path):
+    parent = result_file(tmp_path / "p.json", 2.5, 230.0)
+    change = result_file(tmp_path / "c.json", 2.0, 229.0, digest="abc")
+    out = tmp_path / "BENCH.json"
+    assert bench_pair.main(["--parent", parent, "--change", change, "--out", str(out)]) == 0
+    w = json.loads(out.read_text())["workloads"]["interp_lowd"]
+    assert w["seed"] == 20240601
+    wall = w["metrics"]["wall_s"]
+    assert wall["unit"] == "s" and wall["better"] == "lower"
+    assert wall["parent"]["median"] == 2.5 and wall["change"]["median"] == 2.0
+    assert wall["pairs"] == 1 and wall["change_wins"] == 1
+    # higher is better for throughput, and equal values win for neither side
+    assert w["metrics"]["trials_per_s"]["change_wins"] == 1
+    assert w["metrics"]["setup_s"]["change_wins"] == 0
+    for side in ("parent", "change"):
+        (run,) = w["runs"][side]
+        assert run["digest"] == "abc" and run["csv_exact"] == 1 and run["correct"]
+        assert len(run["samples"]["children"]) == 2 and run["machine"] == MACHINE
+
+
+def test_pairs_by_position_and_quartiles(tmp_path):
+    parent = [result_file(tmp_path / f"p{i}.json", wall, 230.0)
+              for i, wall in enumerate((2.4, 2.6, 2.5))]
+    change = [result_file(tmp_path / f"c{i}.json", wall, 231.0)
+              for i, wall in enumerate((2.0, 2.7, 2.1))]
+    w = bench_pair.merge([bench_pair.load_run(f) for f in parent],
+                         [bench_pair.load_run(f) for f in change],
+                         bench_pair.directions())["interp_lowd"]
+    wall = w["metrics"]["wall_s"]
+    assert wall["parent"] == {"runs": [2.4, 2.6, 2.5], "median": 2.5,
+                              "q1": pytest.approx(2.45), "q3": pytest.approx(2.55)}
+    assert wall["change_wins"] == 2 and wall["pairs"] == 3
+    assert w["metrics"]["peak_rss_mb"]["change_wins"] == 0
+
+
+@pytest.mark.parametrize("problem", ["traced", "seed", "count"])
+def test_mismatched_inputs_are_refused(problem, tmp_path, capsys):
+    parent = [result_file(tmp_path / "p.json", 2.5, 230.0)]
+    change = [result_file(tmp_path / "c.json", 2.0, 230.0,
+                          trace=1 if problem == "traced" else 0,
+                          seed=777 if problem == "seed" else 20240601)]
+    if problem == "count":
+        change.append(result_file(tmp_path / "c2.json", 2.0, 230.0))
+    out = tmp_path / "BENCH.json"
+    assert bench_pair.main(["--parent", *parent, "--change", *change, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("bench_pair: ")
+    assert not out.exists()

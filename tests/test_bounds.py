@@ -67,6 +67,17 @@ class TestConstants:
     def test_tilde_overflow_to_inf(self):
         assert tilde_constant(inputs(nu=400, d=300)) == math.inf
 
+    def test_zero_c_knu_is_zero_past_overflow(self):
+        # (16 nu^2 d)^nu overflows here, but C_Knu = 0 makes the constant 0,
+        # and the bounds built on it read 0, not the vacuous inf
+        b = inputs(nu=200, d=50, c_knu=0.0)
+        assert tilde_constant(b) == 0.0
+        assert l2_bound(b, 1e-3, KernelMode.PLAIN).value == 0.0
+        assert l2_bound(b, 1e-3, KernelMode.SORTED, form="alpha").value == 0.0
+        for mode in (KernelMode.PLAIN, KernelMode.SORTED):
+            assert pointwise_bound(b, 1e-3, mode).value == 0.0
+            assert eigen_bound_fill(2, 1e-3, b, mode).value == 0.0
+
     def test_p_examples(self):
         assert p_constant(inputs(nu=1, d=1)) == 16.0
         assert p_constant(inputs(nu=1, d=2)) == pytest.approx(16.0 * 2 ** 4.5, rel=1e-15)
@@ -205,6 +216,23 @@ class TestErrorTail:
     @pytest.mark.parametrize("mode", [KernelMode.PLAIN, KernelMode.SORTED])
     def test_underflowed_radius_is_one(self, b, eps, n, mode):
         assert error_tail_bound(eps, n, b, mode) == 1.0
+
+    @pytest.mark.parametrize("zero,other", [
+        # norm_h = 0 meets an infinite Ctilde
+        (dict(norm_h=0.0, c_knu=math.inf), dict(norm_h=0.0, c_knu=1.0)),
+        # C_Knu = 0 meets a norm_h whose square overflows
+        (dict(c_knu=0.0, norm_h=1e200), dict(c_knu=0.0, norm_h=1.0)),
+    ])
+    @pytest.mark.parametrize("mode", [KernelMode.PLAIN, KernelMode.SORTED])
+    def test_zero_factor_makes_m_one(self, zero, other, mode):
+        # an exactly zero factor makes the product exactly 0, so M = 1 and
+        # the value is the one at a finite partner factor
+        got = error_tail_bound(5.0, 10, inputs(nu=1, d=2, **zero), mode)
+        assert got == error_tail_bound(5.0, 10, inputs(nu=1, d=2, **other), mode)
+        for eps, n in ((0.9, 400), (0.5, 2000)):
+            want = h_tail_bound(eps, n, 2, 1.0, bounds._mode_domain(mode))
+            assert 0.0 < want < 1.0
+            assert error_tail_bound(eps, n, inputs(nu=1, d=2, **zero), mode) == want
 
     def test_oracle_grid(self):
         # the fill tail at radius (eps/M)^(1/nu) against the direct display,
@@ -602,6 +630,31 @@ class TestIntegerParameters:
     def test_non_integer_rejected(self, name, call):
         with pytest.raises(ConfigError, match=f"^{re.escape(name)} must be an integer"):
             call(1.5)
+
+    # the other counts, each with a non-integer above its lower limit
+    COUNTS = {
+        "h_tail_bound.n": ("n", 1.5, lambda v: h_tail_bound(1.0, v, 2, 1.0, Domain.CUBE)),
+        "error_tail_bound.n": ("n", 1.5,
+                               lambda v: error_tail_bound(0.1, v, inputs(), KernelMode.PLAIN)),
+        "eigen_bound_fill.j": ("j", 2.5,
+                               lambda v: eigen_bound_fill(v, 0.1, inputs(), KernelMode.PLAIN)),
+        "eigen_bound_covering.j": ("j", 2.5,
+                                   lambda v: eigen_bound_covering(v, inputs(), KernelMode.PLAIN)),
+        "eigen_bound_weyl.j": ("j", 1.5,
+                               lambda v: eigen_bound_weyl(v, inputs(), KernelMode.PLAIN)),
+        "covering_design.d": ("d", 1.5, lambda v: covering_design(0.5, v, Domain.CUBE)),
+        "cone_parameters.d": ("d", 1.5, lambda v: cone_parameters(v, Domain.CUBE)),
+        "nystrom_spectrum.m": ("m", 2.5,
+                               lambda v: nystrom_spectrum(KERNEL, KernelMode.PLAIN, v, 2, 1)),
+        "nystrom_spectrum.d": ("d", 1.5,
+                               lambda v: nystrom_spectrum(KERNEL, KernelMode.PLAIN, 8, v, 1)),
+        "mc_points.mc_samples": ("mc_samples", 1.5, lambda v: mc_points(2, v, 1)),
+    }
+
+    @pytest.mark.parametrize("name,value,call", COUNTS.values(), ids=list(COUNTS))
+    def test_non_integer_count_rejected(self, name, value, call):
+        with pytest.raises(ConfigError, match=f"^{name} must be an integer"):
+            call(value)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, 0, -1])
     @pytest.mark.parametrize("key", ["subcube_classification.nu", "subcube_classification.d",

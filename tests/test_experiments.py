@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import pool_threads
-from sortkern import _pool, experiments
+from sortkern import _pool, experiments, kernels
 from sortkern.errors import CapExceededError, ConfigError
 from sortkern.experiments import (
     Experiment,
@@ -540,6 +540,23 @@ class TestTrialPool:
             _pool._fan_out(work, range(200))
         # each thread finishes at most the unit it holds
         assert len(started) <= 3
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_interp_compare_bytes_do_not_depend_on_workers(self, workers, tmp_path,
+                                                           monkeypatch):
+        # small kernel tiles, so they are spread when the pool has more than
+        # one worker, as are the kd-tree queries
+        monkeypatch.setattr(kernels, "_TILE_ELEMS", 64)
+        out = {}
+        for w in (1, workers):
+            monkeypatch.setattr(_pool, "_worker_count", lambda w=w: w)
+            c = cfg(tmp_path, f"ic-{w}.csv", Experiment.INTERP_COMPARE, kernel=NARROW,
+                    dims=(2, 4), ns=(10, 25), trials=2, candidate_count=1500,
+                    mc_samples=700)
+            run_interp_compare(c)
+            out[w] = [{k: v for k, v in row.items() if k != "fit_ms"}
+                      for row in read_rows(c.out_path)]
+        assert out[workers] == out[1]
 
     def test_candidates_drawn_in_place(self, tmp_path):
         # the candidate rows equal a separate draw stacked on the corners

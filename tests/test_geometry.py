@@ -497,3 +497,21 @@ class TestChecksPerCall:
             call()
             got[name] = tuple(counts)
         assert got == self.EXPECTED
+
+
+class TestTreeWorkers:
+    """The kd-tree path spreads one query over a thread per CPU."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("d", range(1, 5))
+    def test_workers_match_one_query(self, d, workers, monkeypatch):
+        from scipy.spatial import cKDTree
+
+        from sortkern import _pool
+
+        monkeypatch.setattr(_pool, "_worker_count", lambda: workers)
+        # 4321 candidates do not split evenly over 2 or 3 threads
+        rng = np.random.default_rng(500 + d)
+        X, C = rng.random((37, d)), rng.random((4321, d))
+        want = float(cKDTree(X).query(C, k=1)[0].max())
+        assert geometry._fill_distance(X, C) == want

@@ -192,10 +192,16 @@ def enum_cross(k, mode, W, Z):
     return oracle.kernel_cross_enum(k.amplitude, k.bandwidth, mode.value, W, Z)
 
 
-def tile_geometry(m):
+def buffer_count(mode, d):
+    # working buffers of one tile of kernel_cross in this mode and dimension
+    return kernels._buffer_count(len(kernels._plan(kernels._terms(mode, d))[0]), d)
+
+
+def tile_geometry(m, mode, d):
     # (rows per tile, elements per buffer) that kernel_cross uses for m
-    # columns, in every mode and dimension
-    return kernels._tile_rows(m), kernels._TILE_ELEMS
+    # columns in this mode and dimension, under the current _TILE_ELEMS
+    nbuf = buffer_count(mode, d)
+    return kernels._tile_rows(m, nbuf), kernels._buffer_elems(nbuf)
 
 
 class TestBitIdentity:
@@ -208,7 +214,7 @@ class TestBitIdentity:
     def test_rows_around_one_tile(self, mode, d):
         rng = np.random.default_rng(40 + d)
         Z = rng.random((7, d))
-        rows, _ = tile_geometry(7)
+        rows, _ = tile_geometry(7, mode, d)
         for n in (rows - 1, rows, rows + 1):
             W = rng.random((n, d))
             assert np.array_equal(kernel_cross(self.K, mode, W, Z),
@@ -218,8 +224,8 @@ class TestBitIdentity:
     @pytest.mark.parametrize("d", range(1, 7))
     def test_one_column_and_columns_over_budget(self, mode, d):
         rng = np.random.default_rng(60 + d)
-        _, budget = tile_geometry(1)
-        assert tile_geometry(budget + 1)[0] == 1
+        _, budget = tile_geometry(1, mode, d)
+        assert tile_geometry(budget + 1, mode, d)[0] == 1
         for n, m in ((9, 1), (3, budget + 1)):
             W, Z = rng.random((n, d)), rng.random((m, d))
             assert np.array_equal(kernel_cross(self.K, mode, W, Z),
@@ -229,10 +235,11 @@ class TestBitIdentity:
     @pytest.mark.parametrize("d", range(1, 7))
     def test_many_small_tiles(self, mode, d, monkeypatch):
         # a tiny budget puts a few rows in each tile, so the distance
-        # levels are rebuilt on every tile
+        # levels are rebuilt on every tile; eight tiles, the last one ragged
         monkeypatch.setattr(kernels, "_TILE_ELEMS", 16)
+        rows, _ = tile_geometry(5, mode, d)
         rng = np.random.default_rng(80 + d)
-        W, Z = rng.random((23, d)), rng.random((5, d))
+        W, Z = rng.random((8 * rows - 1, d)), rng.random((5, d))
         k = KernelSpec(amplitude=0.7, bandwidth=0.08)
         assert np.array_equal(kernel_cross(k, mode, W, Z), enum_cross(k, mode, W, Z))
 
@@ -253,6 +260,21 @@ class TestBitIdentity:
         assert np.array_equal(G[iu], enum_cross(self.K, mode, X, X)[iu])
 
 
+@pytest.mark.parametrize("mode", list(KernelMode))
+@pytest.mark.parametrize("d", range(1, 7))
+@pytest.mark.parametrize("m", [1, 7, 1280, 5000])
+def test_tile_scratch_budget(mode, d, m):
+    # a thread's scratch is at most 2 MiB, or 16384 elements per buffer where
+    # the buffers outnumber 16; the averaged mode at d >= 5 keeps exactly
+    # those 16384-element buffers, so its peak memory cannot grow unnoticed
+    nbuf = buffer_count(mode, d)
+    rows, _ = tile_geometry(m, mode, d)
+    scratch = nbuf * rows * m * 8
+    assert scratch <= max(2 * 1024 * 1024, nbuf * 16384 * 8)
+    if mode is KernelMode.PERM_SINGLE and d >= 5:
+        assert scratch == nbuf * max(1, 16384 // m) * m * 8
+
+
 class TestEvaluatorPool:
     """The evaluator's row tiles fanned out over the caller and helper threads."""
 
@@ -262,12 +284,13 @@ class TestEvaluatorPool:
     @pytest.mark.parametrize("mode", list(KernelMode))
     @pytest.mark.parametrize("d", range(1, 7))
     def test_workers_match_enumeration(self, workers, mode, d, monkeypatch):
-        # 7 columns and 20 elements per buffer give 2-row tiles, and 37 rows
-        # leave a ragged last one
+        # 7 columns and a budget of 20 give tiles of 2 to 22 rows; 19 tiles
+        # less one row give each thread several, and a ragged last one
         monkeypatch.setattr(_pool, "_worker_count", lambda: workers)
         monkeypatch.setattr(kernels, "_TILE_ELEMS", 20)
+        rows, _ = tile_geometry(7, mode, d)
         rng = np.random.default_rng(100 + d)
-        W, Z = rng.random((37, d)), rng.random((7, d))
+        W, Z = rng.random((19 * rows - 1, d)), rng.random((7, d))
         assert np.array_equal(kernel_cross(self.K, mode, W, Z), enum_cross(self.K, mode, W, Z))
 
     def test_overflowing_divide_is_silent_on_every_thread(self, monkeypatch):
