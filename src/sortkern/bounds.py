@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatchError, _above, _at_least, _int_at_least
+from .errors import ConfigError, _above, _at_least, _int_at_least
 from .geometry import Domain, as_point, ball_volume, cone_condition_holds, simplex_inradius
 from .kernels import KernelMode
 
@@ -72,13 +72,17 @@ def _mode_domain(mode):
         f"bounds are stated for Plain and Sorted modes, got {mode!r}")
 
 
-def _display(direct):
+def _display(direct, *factors):
     """Evaluate a bound's display, direct(), as written, so a finite value keeps its bits.
 
     The one overflow policy of this module: where the display overflows a
     float (OverflowError) or meets inf * 0 (NaN), its value is inf, the
-    vacuous upper bound.
+    vacuous upper bound. Where one of factors, the display's factors that
+    may be 0, is exactly 0, the value is exactly 0, even where another
+    factor is inf or overflows.
     """
+    if 0.0 in factors:
+        return 0.0
     try:
         value = direct()
     except OverflowError:
@@ -87,14 +91,9 @@ def _display(direct):
 
 
 def tilde_constant(b):
-    """The packed constant 8 * binom(nu+2d, 2d) * C_Knu * (16 nu^2 d)^nu.
-
-    Exactly 0 where C_Knu is 0, even where the power overflows.
-    """
-    if b.c_knu == 0.0:
-        return 0.0
+    """The packed constant 8 * binom(nu+2d, 2d) * C_Knu * (16 nu^2 d)^nu."""
     return _display(lambda: 8.0 * float(math.comb(b.nu + 2 * b.d, 2 * b.d)) * b.c_knu
-                    * (16.0 * b.nu * b.nu * b.d) ** b.nu)
+                    * (16.0 * b.nu * b.nu * b.d) ** b.nu, b.c_knu)
 
 
 def p_constant(b):
@@ -113,9 +112,7 @@ def subcube_classification(x, h, nu, d):
     """
     _int_at_least("nu", nu, 1)
     _int_at_least("d", d, 1)
-    x = as_point(x)
-    if x.shape[0] != d:
-        raise DimensionMismatchError(f"x must be a {d}-vector, got shape {x.shape}")
+    x = as_point(x, d)
     _above("h", h, 0.0)
     q = math.floor(1.0 / (8.0 * nu * nu * (math.sqrt(d) + 1.0) * h))
     if q < 1:
@@ -136,8 +133,9 @@ def pointwise_bound(b, h, mode, region=Region.INTERIOR):
     _above("h", h, 0.0)
     dom = _mode_domain(mode)
     near = dom is Domain.SORTED_SIMPLEX and region is Region.NEAR_DIAGONAL
+    ctilde = tilde_constant(b)
     value = _display(lambda: b.norm_h * math.sqrt(
-        tilde_constant(b) * (2.0 * b.d * b.d * h if near else h) ** b.nu))
+        ctilde * (2.0 * b.d * b.d * h if near else h) ** b.nu), b.norm_h, ctilde)
     validity = math.isfinite(value) and cone_condition_holds(h, b.nu, b.d, dom)
     return BoundReport(value=value, validity=validity)
 
@@ -163,7 +161,8 @@ def l2_bound(b, h, mode, form="exact"):
             validity = validity and growth <= b.alpha
         else:
             factor = growth
-    value = _display(lambda: b.norm_h ** 2 * tilde_constant(b) * h ** b.nu * factor)
+    ctilde = tilde_constant(b)
+    value = _display(lambda: b.norm_h ** 2 * ctilde * h ** b.nu * factor, b.norm_h, ctilde)
     validity = validity and math.isfinite(value)
     return BoundReport(value=value, validity=validity)
 
@@ -245,10 +244,8 @@ def error_tail_bound(epsilon, n, b, mode):
     growth = 1.0
     if domain is Domain.SORTED_SIMPLEX:
         growth = 1.0 + p_constant(b) * epsilon ** (1.0 / b.nu)
-    m = 1.0
     ctilde = tilde_constant(b)
-    if b.norm_h != 0.0 and ctilde != 0.0:
-        m = max(1.0, _display(lambda: b.norm_h ** 2 * ctilde * growth))
+    m = max(1.0, _display(lambda: b.norm_h ** 2 * ctilde * growth, b.norm_h, ctilde))
     # in log form, so an infinite M or a tiny epsilon/M gives a radius, not an overflow
     r = math.exp((math.log(epsilon) - math.log(m)) / b.nu)
     return h_tail_bound(r, n, b.d, b.rho_low, domain) if r > 0.0 else 1.0
@@ -263,7 +260,8 @@ def eigen_bound_fill(j, h, b, mode):
     _int_at_least("j", j, 2)
     _above("h", h, 0.0)
     factor = b.alpha if _mode_domain(mode) is Domain.SORTED_SIMPLEX else 1.0
-    value = _display(lambda: math.sqrt(b.c_k0 * tilde_constant(b)) * h ** (b.nu / 2.0) * factor)
+    ctilde = tilde_constant(b)
+    value = _display(lambda: math.sqrt(b.c_k0 * ctilde) * h ** (b.nu / 2.0) * factor, b.c_k0, ctilde)
     return BoundReport(value=value, validity=math.isfinite(value))
 
 
@@ -280,7 +278,7 @@ def eigen_bound_covering(j, b, mode):
         lambda: math.sqrt(8.0 * float(math.comb(b.nu + 2 * b.d, 2 * b.d)) * b.c_k0 * b.c_knu)
         * (48.0 * b.nu * b.nu * b.d) ** (b.nu / 2.0)
         / (ball_volume(b.d) * j * (math.factorial(b.d) if srt else 1)) ** (b.nu / (2.0 * b.d))
-        * (b.alpha if srt else 1.0))
+        * (b.alpha if srt else 1.0), b.c_k0, b.c_knu)
     return BoundReport(value=value, validity=math.isfinite(value))
 
 
@@ -296,5 +294,5 @@ def eigen_bound_weyl(j, b, mode):
         lambda: math.factorial(b.nu + b.d) / math.factorial(b.d) * b.c_knu / (2.0 * math.pi) ** b.nu
         * ((1.0 + b.nu) * float(b.d) ** b.nu * ball_volume(b.d) / b.rho_low) ** (b.nu / b.d)
         / float(j) ** (b.nu / b.d)
-        / (math.factorial(b.d) ** (b.nu / b.d - 1.0) if srt else 1.0))
+        / (math.factorial(b.d) ** (b.nu / b.d - 1.0) if srt else 1.0), b.c_knu)
     return BoundReport(value=value, validity=math.isfinite(value))

@@ -132,12 +132,7 @@ def _trial_draws(cfg, exp_id, d, n, trial):
 
 def _fill_unit(cfg, exp_id, key):
     """Plain and sorted fill distances of one (d, n, trial) unit."""
-    d, n, t = key
-    h, h_sorted = _fill_distances(*_trial_draws(cfg, exp_id, d, n, t))
-    # the sorted estimate over shared candidates is <= the plain one by
-    # the rearrangement principle; min() shields the invariant from
-    # last-ulp rounding between the two runs
-    return h, min(h_sorted, h)
+    return _fill_distances(*_trial_draws(cfg, exp_id, *key))
 
 
 def _fill_trials(cfg, exp_id):

@@ -70,23 +70,34 @@ def _check_unit_range(A, what):
         raise ConfigError(f"{what} coordinates must lie in [0, 1]")
 
 
-def as_point(p):
-    """Validate and return a point as a 1-D float array with finite entries in [0,1]."""
+def _shape_error(what, shape, d, min_rows=None):
+    # the one message for an array argument of the wrong rank, rows or width
+    form = "(d,) with" if min_rows is None else f"(n, d) with n >= {min_rows} and"
+    width = "d >= 1" if d is None else f"d = {d}"
+    return DimensionMismatchError(f"{what} must have shape {form} {width}, got shape {shape}")
+
+
+def as_point(p, d=None):
+    """Validate and return a point as a 1-D float array with finite entries in [0,1].
+
+    The point needs d coordinates, or at least one where d is None.
+    """
     p = np.asarray(p, dtype=float)
-    if p.ndim != 1 or p.shape[0] < 1:
-        raise DimensionMismatchError(f"point must be a 1-D vector, got shape {p.shape}")
+    if p.ndim != 1 or p.shape[0] < 1 or d not in (None, p.shape[0]):
+        raise _shape_error("point", p.shape, d)
     _check_unit_range(p, "point")
     return p
 
 
-def as_design(X, min_rows=1):
+def as_design(X, min_rows=1, d=None):
     """Validate and return a design as an (n, d) float array with finite entries in [0,1].
 
-    The design needs at least min_rows rows and one column.
+    The design needs at least min_rows rows and d columns, or at least one
+    column where d is None.
     """
     X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[0] < min_rows or X.shape[1] < 1:
-        raise DimensionMismatchError(f"design must be an (n, d) array, got shape {X.shape}")
+    if X.ndim != 2 or X.shape[0] < min_rows or X.shape[1] < 1 or d not in (None, X.shape[1]):
+        raise _shape_error("design", X.shape, d, min_rows)
     _check_unit_range(X, "design")
     return X
 
@@ -295,15 +306,12 @@ def fill_distance_estimate(X, domain, candidates):
     and so do candidates whose coordinates or squared norms are not finite;
     finite candidates outside the cube are allowed.
     """
-    X = as_design(X)
     C = np.asarray(candidates, dtype=float)
-    if C.ndim != 2:
-        raise DimensionMismatchError("candidates must be an (n, d) array")
+    if C.ndim != 2 or C.shape[1] < 1:
+        raise DimensionMismatchError(f"candidates must have shape (n, d) with d >= 1, got shape {C.shape}")
     if C.shape[0] == 0:
         raise ConfigError("candidate set is empty")
-    if X.shape[1] != C.shape[1]:
-        raise DimensionMismatchError(
-            f"dimension mismatch: design d={X.shape[1]}, candidates d={C.shape[1]}")
+    X = as_design(X, d=C.shape[1])
     if not isinstance(domain, Domain):
         raise ConfigError(f"unknown domain {domain!r}")
     if domain is Domain.SORTED_SIMPLEX:
@@ -338,14 +346,14 @@ def _fill_distance(X, C):
 def _fill_distances(X, C):
     """Plain and sorted fill distances of the design X over the candidates C.
 
-    X is validated and left as it is; the sorted pass sorts a copy of it.
-    C is a C-contiguous candidate array the caller owns, and the sorted
-    pass canonicalizes it in place, so no second candidate array is held.
+    X is a design the caller drew or validated; the sorted pass sorts a copy
+    of it and canonicalizes the caller's C-contiguous candidates C in place.
+    The sorted distance is <= the plain one (rearrangement principle); min()
+    shields that from last-ulp rounding between the two passes.
     """
-    X = as_design(X)
     h = _fill_distance(X, C)
     _sort_rows_in_place(C)
-    return h, _fill_distance(_sorted_copy(X), C)
+    return h, min(_fill_distance(_sorted_copy(X), C), h)
 
 
 def covering_design(epsilon, d, domain):

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
-from .errors import DimensionMismatchError, FactorizationError, _int_at_least
+from .errors import ConfigError, DimensionMismatchError, FactorizationError, _int_at_least
 from .geometry import _sorted_copy, as_design, as_point
-from .kernels import KernelMode, KernelSpec, _cross, gram
+from .kernels import KernelMode, KernelSpec, _cross, _gram
 from .rng import stream
 
 # diagonal jitter escalation, relative to mean diagonal magnitude
@@ -59,12 +59,8 @@ class InvariantTarget:
 def _as_points(x, d):
     # a point or an (n, d) array, validated once per public call, as rows
     # and whether a scalar result is wanted
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    X = as_point(x)[None, :] if single else as_design(x)
-    if X.shape[1] != d:
-        raise DimensionMismatchError(f"dimension mismatch: point d={X.shape[1]}, expected d={d}")
-    return X, single
+    single = np.ndim(x) == 1
+    return (as_point(x, d)[None, :] if single else as_design(x, d=d)), single
 
 
 def fit(k, mode, X, y):
@@ -82,8 +78,8 @@ def fit(k, mode, X, y):
         raise DimensionMismatchError(
             f"y must have one value per design point, got {y.shape} for n={X.shape[0]}")
     if not np.all(np.isfinite(y)):
-        raise FactorizationError("y contains non-finite values")
-    G = gram(k, mode, X)
+        raise ConfigError("y values must be finite")
+    G = _gram(k, mode, X)
     n = X.shape[0]
     scale = np.trace(G) / n
     tol = _RESIDUAL_TOL * (1.0 + float(np.max(np.abs(y))))
@@ -122,7 +118,7 @@ def evaluate(f, x):
 
 def interpolant_norm_sq(f):
     """Squared RKHS norm of the interpolant, coeffs' G coeffs."""
-    G = gram(f.kernel, f.mode, f.design)
+    G = _gram(f.kernel, f.mode, as_design(f.design))
     return float(f.coeffs @ G @ f.coeffs)
 
 
@@ -133,10 +129,12 @@ def make_invariant_target(k, d, m, seed):
     weights are uniform in [-1, 1]. The permutation averaging uses the
     single-sum form, valid for the isotropic Gaussian.
     """
+    _int_at_least("d", d, 1)
+    _int_at_least("m", m, 1)
     g = stream(seed)
     atoms = _sorted_copy(g.random((m, d)))
     weights = g.uniform(-1.0, 1.0, m)
-    Gz = gram(k, KernelMode.PERM_SINGLE, atoms)
+    Gz = _gram(k, KernelMode.PERM_SINGLE, atoms)
     norm_sq = max(float(weights @ Gz @ weights), 0.0)
     return InvariantTarget(atoms=atoms, weights=weights, kernel=k, norm_sq=norm_sq)
 

@@ -23,7 +23,7 @@ import numpy as np
 from numpy.polynomial import hermite_e
 
 from ._pool import _fan_out
-from .errors import CapExceededError, ConfigError, DimensionMismatchError, DuplicateOrbitError, _above, _int_at_least
+from .errors import CapExceededError, ConfigError, DuplicateOrbitError, _above, _int_at_least
 from .geometry import _distinct_orbits, _sorted_copy, as_design, as_point
 
 # PERM_SINGLE sums d! terms per pair, so larger dimensions are refused
@@ -187,16 +187,12 @@ def _evaluate(k, W, Z, terms):
 def kernel_cross(k, mode, W, Z):
     """All pairwise kernel values between the rows of W and the rows of Z.
 
-    Both arguments must be (n, d) arrays, possibly without rows, with
-    finite entries in [0, 1]; anything else raises ConfigError or
-    DimensionMismatchError.
+    Both arguments must be (n, d) arrays of one width, possibly without
+    rows, with finite entries in [0, 1]; anything else raises ConfigError
+    or DimensionMismatchError.
     """
     W = as_design(W, min_rows=0)
-    Z = as_design(Z, min_rows=0)
-    if W.shape[1] != Z.shape[1]:
-        raise DimensionMismatchError(
-            f"dimension mismatch: {W.shape[1]} vs {Z.shape[1]}")
-    return _cross(k, mode, W, Z)
+    return _cross(k, mode, W, as_design(Z, min_rows=0, d=W.shape[1]))
 
 
 def _cross(k, mode, W, Z):
@@ -213,8 +209,9 @@ def _cross(k, mode, W, Z):
 
 
 def kernel_value(k, mode, w, z):
-    """Single kernel evaluation between two 1-D points."""
-    return float(kernel_cross(k, mode, as_point(w)[None], as_point(z)[None])[0, 0])
+    """Single kernel evaluation between two 1-D points of one width."""
+    w = as_point(w)
+    return float(_cross(k, mode, w[None], as_point(z, w.shape[0])[None])[0, 0])
 
 
 def gram(k, mode, X):
@@ -224,12 +221,16 @@ def gram(k, mode, X):
     once and mirrored. Sorted mode requires pairwise-distinct orbits and
     reports duplicates before any factorization is attempted.
     """
-    X = as_design(X)
+    return _gram(k, mode, as_design(X))
+
+
+def _gram(k, mode, X):
+    # gram on a design the caller has validated or drawn
     if mode is KernelMode.SORTED and not _distinct_orbits(X):
         raise DuplicateOrbitError(
             "design has points in the same permutation orbit; the sorted "
             "kernel matrix would be singular")
-    G = kernel_cross(k, mode, X, X)
+    G = _cross(k, mode, X, X)
     il = np.tril_indices(X.shape[0], -1)
     G[il] = G.T[il]
     return G

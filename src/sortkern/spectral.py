@@ -12,7 +12,7 @@ import numpy as np
 from scipy.linalg import eigh
 
 from .errors import ConfigError, NumericalError, _int_at_least
-from .kernels import gram
+from .kernels import _gram
 from .rng import stream
 
 
@@ -35,7 +35,7 @@ def nystrom_spectrum(k, mode, m, d, seed):
     _int_at_least("m", m, 2)
     _int_at_least("d", d, 1)
     X = stream(seed).random((m, d))
-    G = gram(k, mode, X)
+    G = _gram(k, mode, X)
     try:
         vals = eigh(G, eigvals_only=True)
     except np.linalg.LinAlgError as e:

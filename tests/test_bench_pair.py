@@ -80,3 +80,43 @@ def test_mismatched_inputs_are_refused(problem, tmp_path, capsys):
     assert bench_pair.main(["--parent", *parent, "--change", *change, "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith("bench_pair: ")
     assert not out.exists()
+
+
+def verdicts(tmp_path, parent_walls, change_walls):
+    # per-metric records of synthetic paired runs; peak RSS is constant
+    runs = {side: [bench_pair.load_run(result_file(tmp_path / f"{side}{i}.json", wall, 230.0))
+                   for i, wall in enumerate(walls)]
+            for side, walls in (("p", parent_walls), ("c", change_walls))}
+    return bench_pair.merge(runs["p"], runs["c"], bench_pair.directions())["interp_lowd"]["metrics"]
+
+
+PARENT_WALLS = [3.0, 3.1, 3.2, 3.3, 3.4, 3.5, 3.6, 3.7, 3.8, 3.9]
+
+
+@pytest.mark.parametrize("parent, change, met", [
+    (PARENT_WALLS, [2.0] * 9 + [4.0], True),  # 9 of 10 pairs, median gap over the parent's q3 - q1
+    (PARENT_WALLS, [2.0] * 8 + [4.0] * 2, False),  # 8 of 10 pairs
+    (PARENT_WALLS, [w - 0.01 for w in PARENT_WALLS], False),  # 10 of 10, gap under the spread
+    (PARENT_WALLS[:5], [2.0] * 5, False),  # 5 of 5 pairs: too few to claim a gain
+])
+def test_claim_met(parent, change, met, tmp_path):
+    metrics = verdicts(tmp_path, parent, change)
+    assert metrics["wall_s"]["claim_met"] is met
+    # throughput is better higher, and 3 / wall ranks the pairs the same way
+    assert metrics["trials_per_s"]["claim_met"] is met
+    assert metrics["peak_rss_mb"]["claim_met"] is False
+
+
+@pytest.mark.parametrize("parent, change, unresolved", [
+    # parent q3 - q1 of 2 s against 0.25 of its 4 s median, runs overlapping
+    ([2.0, 3.0, 4.0, 5.0, 6.0], [3.0, 3.5, 4.0, 4.5, 5.0], True),
+    # as wide, but every change run beats every parent run
+    ([2.0, 3.0, 4.0, 5.0, 6.0], [1.0, 1.1, 1.2, 1.3, 1.4], False),
+    # parent q3 - q1 of 0.2 s, inside the bound
+    ([4.0, 4.1, 4.2, 4.3, 4.4], [3.0, 3.5, 4.0, 4.5, 5.0], False),
+])
+def test_unresolved(parent, change, unresolved, tmp_path):
+    metrics = verdicts(tmp_path, parent, change)
+    assert metrics["wall_s"]["bound"] == 0.25
+    assert metrics["wall_s"]["unresolved"] is unresolved
+    assert metrics["peak_rss_mb"]["unresolved"] is False

@@ -51,6 +51,12 @@ def inputs(**kw):
 
 KERNEL = KernelSpec(1.0, 1.0)
 
+# an exactly zero factor against an infinite one, or against a power that
+# overflows (p_constant and the Weyl factorials at nu = 200, d = 50)
+ZERO_NORM_H = inputs(nu=1, d=2, c_k0=1.0, c_knu=math.inf, norm_h=0.0)
+ZERO_C_KNU = inputs(nu=200, d=50, c_k0=1.0, c_knu=0.0)
+ZERO_C_K0 = inputs(nu=1, d=2, c_k0=0.0, c_knu=math.inf)
+
 
 def config(**kw):
     base = dict(experiment=Experiment.TABLE1, kernel=KERNEL, dims=(2,), ns=(5,))
@@ -433,25 +439,38 @@ class TestTailOverflow:
             if x in (0.0, 1.0):
                 assert y == x
 
-    @pytest.mark.parametrize("call", [
-        lambda m: l2_bound(inputs(nu=1, d=2, norm_h=1e200), 0.01, m),
-        lambda m: l2_bound(inputs(nu=40, d=2), 1e10, m),
-        lambda m: pointwise_bound(inputs(nu=40, d=2), 1e10, m),
-        lambda m: pointwise_bound(inputs(nu=40, d=2), 1e10, m, Region.NEAR_DIAGONAL),
-        lambda m: eigen_bound_fill(5, 1e20, inputs(nu=40, d=2), m),
-        # inf * 0: an overflowed factor meets an underflowed or zero one
-        lambda m: l2_bound(inputs(nu=200, d=50, c_k0=0.16), 1e-3, m),
-        lambda m: pointwise_bound(inputs(nu=200, d=50, c_k0=0.16), 1e-3, m),
-        lambda m: l2_bound(inputs(norm_h=0.0, c_knu=math.inf), 0.01, m),
-        lambda m: pointwise_bound(inputs(norm_h=0.0, c_knu=math.inf), 0.01, m),
-        lambda m: eigen_bound_fill(5, 0.01, inputs(c_k0=0.0, c_knu=math.inf), m),
+    @pytest.mark.parametrize("call, want", [
+        (lambda m: l2_bound(inputs(nu=1, d=2, norm_h=1e200), 0.01, m), (math.inf, False)),
+        (lambda m: l2_bound(inputs(nu=40, d=2), 1e10, m), (math.inf, False)),
+        (lambda m: pointwise_bound(inputs(nu=40, d=2), 1e10, m), (math.inf, False)),
+        (lambda m: pointwise_bound(inputs(nu=40, d=2), 1e10, m, Region.NEAR_DIAGONAL),
+         (math.inf, False)),
+        (lambda m: eigen_bound_fill(5, 1e20, inputs(nu=40, d=2), m), (math.inf, False)),
+        # inf * 0: an overflowed factor meets an underflowed one
+        (lambda m: l2_bound(inputs(nu=200, d=50, c_k0=0.16), 1e-3, m), (math.inf, False)),
+        (lambda m: pointwise_bound(inputs(nu=200, d=50, c_k0=0.16), 1e-3, m), (math.inf, False)),
+        # an exactly zero factor makes the display exactly 0, even against an
+        # infinite factor or one that overflows
+        (lambda m: l2_bound(inputs(norm_h=0.0, c_knu=math.inf), 0.01, m), (0.0, True)),
+        (lambda m: pointwise_bound(inputs(norm_h=0.0, c_knu=math.inf), 0.01, m), (0.0, True)),
+        (lambda m: eigen_bound_fill(5, 0.01, inputs(c_k0=0.0, c_knu=math.inf), m), (0.0, True)),
+        (lambda m: l2_bound(ZERO_NORM_H, 1e-4, m, form="alpha"), (0.0, True)),
+        (lambda m: pointwise_bound(ZERO_NORM_H, 1e-3, m, Region.NEAR_DIAGONAL), (0.0, True)),
+        (lambda m: eigen_bound_covering(5, ZERO_C_K0, m), (0.0, True)),
+        (lambda m: eigen_bound_weyl(5, ZERO_C_KNU, m), (0.0, True)),
+        # the cone condition fails at nu = 200, d = 50, h = 1e-3
+        (lambda m: l2_bound(ZERO_C_KNU, 1e-3, m), (0.0, False)),
     ], ids=["l2_norm_h", "l2_h", "pointwise_h", "pointwise_near_h", "eigen_fill_h",
             "l2_inf_times_underflow", "pointwise_inf_times_underflow", "l2_zero_norm_inf_c",
-            "pointwise_zero_norm_inf_c", "eigen_fill_zero_c0_inf_c"])
+            "pointwise_zero_norm_inf_c", "eigen_fill_zero_c0_inf_c", "l2_alpha_zero_norm_inf_c",
+            "pointwise_near_zero_norm_inf_c", "eigen_covering_zero_c0_inf_c",
+            "eigen_weyl_zero_c_knu_overflow", "l2_zero_c_knu_overflow"])
     @pytest.mark.parametrize("mode", [KernelMode.PLAIN, KernelMode.SORTED])
-    def test_report_overflow_is_inf(self, call, mode):
+    def test_report_overflow_is_inf(self, call, want, mode):
+        # (inf, False) where the display overflows or meets inf * 0, and
+        # exactly 0.0 where one of its factors is exactly 0
         r = call(mode)
-        assert (r.value, r.validity) == (math.inf, False)
+        assert (r.value, r.validity) == want
 
     LOG_UNIFORM = st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e)
     CONSTANT = st.one_of(st.sampled_from([0.0, math.inf]), LOG_UNIFORM)

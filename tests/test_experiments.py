@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import pool_threads
-from sortkern import _pool, experiments, kernels
+from sortkern import _pool, experiments, geometry, kernels
 from sortkern.errors import CapExceededError, ConfigError
 from sortkern.experiments import (
     Experiment,
@@ -198,6 +198,24 @@ class TestInterpCompare:
             assert group[0]["l2_bound_value"] == group[2]["l2_bound_value"]
             assert group[0]["fill_distance"] == group[2]["fill_distance"]
             assert group[1]["fill_distance"] <= group[0]["fill_distance"]
+
+    def test_sorted_fill_never_above_plain(self, tmp_path, monkeypatch):
+        # the sorted pass, second of each pair, lands an ulp above the plain
+        # one; _fill_distances clamps it, so no row's sorted distance is larger
+        real, passes = geometry._fill_distance, []
+
+        def skewed(X, C):
+            h = math.nextafter(passes[-1], math.inf) if len(passes) % 2 else real(X, C)
+            passes.append(h)
+            return h
+
+        monkeypatch.setattr(geometry, "_fill_distance", skewed)
+        c = cfg(tmp_path, "ic.csv", Experiment.INTERP_COMPARE, kernel=NARROW,
+                dims=(2,), ns=(15,), trials=2)
+        rows = run_interp_compare(c)
+        assert len(passes) == 4
+        for t in range(2):
+            assert rows[3 * t + 1]["fill_distance"] <= rows[3 * t]["fill_distance"]
 
     def test_deterministic_outside_timing(self, tmp_path):
         a = cfg(tmp_path, "a.csv", Experiment.INTERP_COMPARE, kernel=NARROW,

@@ -10,6 +10,7 @@ from scipy.spatial.distance import cdist
 
 import _oracles as oracle
 from sortkern import experiments, geometry, interpolation, kernels, spectral
+from sortkern.bounds import subcube_classification
 from sortkern.errors import CapExceededError, ConfigError, DimensionMismatchError
 from sortkern.experiments import Experiment, ExperimentConfig
 from sortkern.geometry import (
@@ -269,6 +270,11 @@ class TestCandidateValidation:
         got = fill_distance_estimate(X, Domain.CUBE, C)
         assert got == pytest.approx(brute_fill(X, C), rel=1e-12)
 
+    @pytest.mark.parametrize("shape", [(900,), (900, 0), (900, 2, 1)])
+    def test_candidate_shape_blames_the_candidates(self, shape):
+        with pytest.raises(DimensionMismatchError, match="^candidates must have shape"):
+            fill_distance_estimate(np.full((5, 2), 0.5), Domain.CUBE, np.zeros(shape))
+
 
 class TestDominance:
     def test_rearrangement_pairs(self):
@@ -437,21 +443,52 @@ class TestSortValidation:
             distinct_orbits([0.1, 0.2])
 
 
+K_WIDTH = KernelSpec(1.0, 0.5)
+ROWS2, ROWS3 = np.full((4, 2), 0.5), np.full((4, 3), 0.5)
+
+
+def fitted_at_d2():
+    return interpolation.fit(K_WIDTH, KernelMode.PLAIN, [[0.1, 0.2], [0.7, 0.4]], [1.0, 2.0])
+
+
+class TestWidthRule:
+    """as_point and as_design own the width rule, with one message for every caller."""
+
+    @pytest.mark.parametrize("call, want, got", [
+        (lambda: kernels.kernel_cross(K_WIDTH, KernelMode.PLAIN, ROWS3, ROWS2), 3, "4, 2"),
+        (lambda: kernels.kernel_cross(K_WIDTH, KernelMode.PLAIN, ROWS2, ROWS3), 2, "4, 3"),
+        (lambda: kernels.kernel_value(K_WIDTH, KernelMode.SORTED, [0.1, 0.2, 0.3], [0.1, 0.2]),
+         3, "2,"),
+        (lambda: interpolation.evaluate(fitted_at_d2(), ROWS3), 2, "4, 3"),
+        (lambda: interpolation.evaluate(fitted_at_d2(), [0.1, 0.2, 0.3]), 2, "3,"),
+        (lambda: interpolation.make_invariant_target(K_WIDTH, 3, 2, seed=1).value(ROWS2),
+         3, "4, 2"),
+        (lambda: subcube_classification([0.1, 0.2, 0.3], 0.01, 1, 2), 2, "3,"),
+        (lambda: fill_distance_estimate(ROWS2, Domain.CUBE, ROWS3), 3, "4, 2"),
+    ], ids=["kernel_cross_z", "kernel_cross_w", "kernel_value", "evaluate_rows",
+            "evaluate_point", "target_value", "subcube_classification",
+            "fill_distance_estimate"])
+    def test_wrong_width_has_one_message(self, call, want, got):
+        pattern = (r"^(point must have shape \(d,\) with|design must have shape \(n, d\) "
+                   rf"with n >= \d+ and) d = {want}, got shape \({got}\)$")
+        with pytest.raises(DimensionMismatchError, match=pattern):
+            call()
+
+
 class TestChecksPerCall:
     """Range checks and sorted rows per public call in sorted mode.
 
-    The sort map and the orbit check validate their input once; the layers
-    above call their unchecked forms on input they have validated, so no
-    other call checks or sorts more than before the sort map validated.
+    Each public call checks each array argument once and then calls the
+    unchecked forms below it; a call that draws its own arrays checks none.
     """
 
     # (range checks, rows sorted) for a 5-point design and 7 query points
     # at d = 3, 3 target atoms and 6 Nystrom samples
     EXPECTED = {
-        "fit": (4, 15), "gram": (3, 15), "kernel_cross": (2, 12),
-        "kernel_value": (4, 2), "make_invariant_target": (3, 9),
-        "target_value": (1, 10), "nystrom_spectrum": (3, 18), "evaluate": (1, 12),
-        "interpolant_norm_sq": (3, 15), "fill_distance_estimate": (1, 12),
+        "fit": (1, 15), "gram": (1, 15), "kernel_cross": (2, 12),
+        "kernel_value": (2, 2), "make_invariant_target": (0, 9),
+        "target_value": (1, 10), "nystrom_spectrum": (0, 18), "evaluate": (1, 12),
+        "interpolant_norm_sq": (1, 15), "fill_distance_estimate": (1, 12),
         "sort_point": (1, 1), "sort_points": (1, 5), "distinct_orbits": (1, 5),
     }
 

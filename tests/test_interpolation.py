@@ -62,6 +62,12 @@ class TestFit:
             with pytest.raises(ConfigError, match="finite"):
                 fit(unit_kernel(), mode, X, np.zeros(6))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_y_is_bad_input(self, bad):
+        # bad data, not a numerical failure, so the CLI exits 1 for it, not 2
+        with pytest.raises(ConfigError, match="^y values must be finite$"):
+            fit(unit_kernel(), KernelMode.PLAIN, [[0.1, 0.2], [0.7, 0.4]], [1.0, bad])
+
     def test_length_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             fit(unit_kernel(), KernelMode.PLAIN, [[0.1, 0.2]], [1.0, 2.0])
@@ -162,7 +168,8 @@ class TestEvaluate:
         f = fit(unit_kernel(), KernelMode.PLAIN, [[0.2, 0.4], [0.9, 0.1]], [1.0, -1.0])
         calls = []
         check = interpolation.as_design
-        monkeypatch.setattr(interpolation, "as_design", lambda X: calls.append(1) or check(X))
+        monkeypatch.setattr(interpolation, "as_design",
+                            lambda *args, **kwargs: calls.append(1) or check(*args, **kwargs))
         monkeypatch.setattr(kernels, "as_design", None)  # kernel_cross is not called
         evaluate(f, np.random.default_rng(6).random((3 * interpolation._EVAL_CHUNK + 1, 2)))
         assert calls == [1]
@@ -235,6 +242,18 @@ class TestInvariantTarget:
     def test_atoms_in_simplex(self):
         t = make_invariant_target(unit_kernel(), 4, 6, seed=10)
         assert np.all(np.diff(t.atoms, axis=1) <= 0)
+
+    @pytest.mark.parametrize("d, m, match", [
+        (0, 3, "d must be finite and >= 1"),
+        (2, 0, "m must be finite and >= 1"),
+        (2.5, 3, "d must be an integer"),
+        (2, 1.5, "m must be an integer"),
+    ])
+    def test_bad_counts_rejected(self, d, m, match):
+        # the atom array's shape comes from d and m, so they are checked
+        # before the draw
+        with pytest.raises(ConfigError, match=f"^{match}"):
+            make_invariant_target(unit_kernel(), d, m, seed=3)
 
     def test_deterministic_in_seed(self):
         a = make_invariant_target(unit_kernel(), 2, 3, seed=11)

@@ -11,9 +11,16 @@ when making them. All runs of one workload must share its seed and CLI
 arguments.
 
 Per workload the output holds, for each end-to-end metric of BENCHMARK.json,
-both sides' per-run values with their median and quartiles and the number of
-pairs the change won (ties count for neither); and, per run, the per-child
-samples, the CSV digest, csv_exact, correct and the machine facts.
+both sides' per-run values with their median and quartiles, the number of
+pairs the change won (ties count for neither), and two verdicts:
+
+- claim_met: there are at least ten pairs, the change won at least 9 in 10 of
+  them, and its median beats the parent's by more than the parent's q3 - q1;
+- unresolved: the parent's q3 - q1 is wider than the metric's bound, relative
+  to the parent's median, and not every change run beats every parent run.
+
+Per run it holds the per-child samples, the CSV digest, csv_exact, correct
+and the machine facts.
 """
 
 import argparse
@@ -26,9 +33,9 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def directions(benchmark_path=ROOT / "BENCHMARK.json"):
-    """{metric: "lower" or "higher"} for the benchmark's end-to-end metrics."""
+    """{metric: ("lower" or "higher", relative bound)} for the benchmark's end-to-end metrics."""
     spec = json.loads(Path(benchmark_path).read_text())
-    return {m["name"]: m["better"] for m in spec["end_to_end"]}
+    return {m["name"]: (m["better"], m["bound"]) for m in spec["end_to_end"]}
 
 
 def load_run(path):
@@ -60,18 +67,29 @@ def spread(values):
     return {"median": med, "q1": q1, "q3": q3}
 
 
-def compare(parent, change, metric, better):
-    """Both sides' values of one metric over paired runs, and the change's wins."""
+def compare(parent, change, metric, better, bound):
+    """Both sides' values of one metric over paired runs, the change's wins and the verdicts."""
     p = [r["metrics"][metric] for r in parent]
     c = [r["metrics"][metric] for r in change]
-    wins = sum((b < a) if better == "lower" else (b > a) for a, b in zip(p, c))
-    return {"better": better, "parent": {"runs": p, **spread(p)},
-            "change": {"runs": c, **spread(c)}, "pairs": len(p),
-            "change_wins": wins}
+    sign = 1.0 if better == "lower" else -1.0
+
+    def beats(a, b):
+        # the change's value b beats the parent's value a
+        return sign * (a - b) > 0.0
+
+    wins = sum(beats(a, b) for a, b in zip(p, c))
+    ps, cs = spread(p), spread(c)
+    iqr = ps["q3"] - ps["q1"]
+    return {"better": better, "bound": bound, "parent": {"runs": p, **ps},
+            "change": {"runs": c, **cs}, "pairs": len(p), "change_wins": wins,
+            "claim_met": len(p) >= 10 and 10 * wins >= 9 * len(p)
+                         and sign * (ps["median"] - cs["median"]) > iqr,
+            "unresolved": iqr > bound * abs(ps["median"])
+                          and not all(beats(a, b) for a in p for b in c)}
 
 
-def merge(parent_runs, change_runs, better):
-    """The before/after record of every workload both sides ran."""
+def merge(parent_runs, change_runs, metrics):
+    """The before/after record of every workload both sides ran; metrics as directions() gives them."""
     sides = {"parent": {}, "change": {}}
     for side, runs in (("parent", parent_runs), ("change", change_runs)):
         for r in runs:
@@ -90,8 +108,8 @@ def merge(parent_runs, change_runs, better):
         out[name] = {
             "seed": parent[0]["seed"],
             "cli_args": parent[0]["cli_args"],
-            "metrics": {m: {"unit": units[m], **compare(parent, change, m, b)}
-                        for m, b in better.items() if m in units},
+            "metrics": {m: {"unit": units[m], **compare(parent, change, m, *spec)}
+                        for m, spec in metrics.items() if m in units},
             "runs": {side: [{k: r[k] for k in ("file", "metrics", "correct", "digest",
                                                 "csv_exact", "samples", "machine")}
                             for r in runs]
@@ -118,7 +136,9 @@ def main(argv=None):
         if wall:
             print(f"{name}: wall_s {wall['parent']['median']:.3f} -> "
                   f"{wall['change']['median']:.3f} s, change won "
-                  f"{wall['change_wins']}/{wall['pairs']} pairs")
+                  f"{wall['change_wins']}/{wall['pairs']} pairs"
+                  f"{', claim met' if wall['claim_met'] else ''}"
+                  f"{', unresolved' if wall['unresolved'] else ''}")
     return 0
 
 
