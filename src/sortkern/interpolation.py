@@ -11,8 +11,8 @@ against a known quantity.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
+from ._linalg import load
 from .errors import ConfigError, DimensionMismatchError, FactorizationError, _int_at_least
 from .geometry import _sorted_copy, as_design, as_point
 from .kernels import KernelMode, KernelSpec, _cross, _gram
@@ -83,15 +83,27 @@ def fit(k, mode, X, y):
     n = X.shape[0]
     scale = np.trace(G) / n
     tol = _RESIDUAL_TOL * (1.0 + float(np.max(np.abs(y))))
+    linalg = load()
+    # Each rung factorizes A, a copy of G with the shift added to its
+    # diagonal, in place. A is exactly symmetric, so its transpose is the
+    # Fortran-ordered matrix LAPACK works on, and no other Gram-sized array
+    # is made. Every Gram entry is >= +0.0, so A equals G + shift * I bit
+    # for bit. A failed rung leaves only its message: its exception's
+    # traceback would pin this frame, G and A until the cyclic collector
+    # runs, and numpy allocations never trigger it.
+    A = np.empty_like(G)
     last_err = None
     for delta in _JITTER_LADDER:
         shift = delta * scale
+        np.copyto(A, G)
+        if shift:
+            A.flat[::n + 1] += shift
         try:
-            cf = cho_factor((G + shift * np.eye(n)) if shift else G, lower=True)
-        except LinAlgError as e:
-            last_err = e
+            cf = linalg.cho_factor(A.T, lower=True, overwrite_a=True)
+        except np.linalg.LinAlgError as e:
+            last_err = str(e)
             continue
-        coeffs = cho_solve(cf, y)
+        coeffs = linalg.cho_solve(cf, y)
         resid = float(np.max(np.abs(G @ coeffs - y)))
         if resid <= tol:
             return Interpolant(kernel=k, mode=mode, design=X, coeffs=coeffs,

@@ -41,6 +41,9 @@ PERM_SINGLE_DIM_CAP = 6
 # elements.
 _TILE_ELEMS = 16384
 
+# rows per band in which _gram mirrors the Gram matrix's upper triangle
+_MIRROR_ROWS = 256
+
 _HERMITE_GRID = 20001  # 1-D maximization grid on [-1, 1]
 _SAFETY = 1.01
 
@@ -231,8 +234,18 @@ def _gram(k, mode, X):
             "design has points in the same permutation orbit; the sorted "
             "kernel matrix would be singular")
     G = _cross(k, mode, X, X)
-    il = np.tril_indices(X.shape[0], -1)
-    G[il] = G.T[il]
+    # the strict upper triangle is copied onto the lower one in bands of
+    # _MIRROR_ROWS rows: left of the diagonal block, a band is the transposed
+    # column band above it, and the diagonal block takes its lower half from
+    # its own transpose. No index array is built, and no temporary is larger
+    # than one diagonal block.
+    n = G.shape[0]
+    below = np.tri(_MIRROR_ROWS, k=-1, dtype=bool)
+    for r0 in range(0, n, _MIRROR_ROWS):
+        r1 = min(n, r0 + _MIRROR_ROWS)
+        G[r0:r1, :r0] = G[:r0, r0:r1].T
+        D = G[r0:r1, r0:r1]
+        np.copyto(D, D.T, where=below[:r1 - r0, :r1 - r0])
     return G
 
 

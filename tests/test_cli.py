@@ -292,17 +292,54 @@ def test_readme_flag_table_matches_parser():
         assert parse(text) == defaults[action.dest], flag
 
 
+def fresh_python(code, *args):
+    """Stdout of code run in a fresh interpreter on this package."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    probe = subprocess.run([sys.executable, "-c", code, *args],
+                           env=dict(os.environ, PYTHONPATH=src),
+                           capture_output=True, text=True, timeout=120)
+    assert probe.returncode == 0, probe.stderr
+    return probe.stdout.strip()
+
+
 def test_import_leaves_scipy_spatial_unloaded():
     # the kd-tree module loads on the first low-dimensional fill distance,
     # not with the CLI
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
-    probe = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, sortkern.cli; print('scipy.spatial' in sys.modules)"],
-        env=env, capture_output=True, text=True, timeout=120)
-    assert probe.returncode == 0, probe.stderr
-    assert probe.stdout.strip() == "False"
+    assert fresh_python(
+        "import sys, sortkern.cli; print('scipy.spatial' in sys.modules)") == "False"
+
+
+def test_import_leaves_scipy_linalg_unloaded():
+    # scipy.linalg, most of the CLI's import time, loads on the first fit or
+    # spectrum
+    assert fresh_python(
+        "import sys, sortkern.cli; print('scipy.linalg' in sys.modules)") == "False"
+
+
+FIRST_FIT_PROBE = """
+import sys
+from sortkern import experiments
+from sortkern.kernels import KernelSpec
+
+fit, loaded = experiments.fit, []
+
+def probe(*args, **kwargs):
+    loaded.append("scipy.linalg" in sys.modules)
+    return fit(*args, **kwargs)
+
+experiments.fit = probe
+experiments.run_interp_compare(experiments.ExperimentConfig(
+    experiment=experiments.Experiment.INTERP_COMPARE, kernel=KernelSpec(1.0, 0.5),
+    dims=(5,), ns=(6,), trials=1, mc_samples=10, candidate_count=50,
+    out_path=sys.argv[1]))
+print(loaded)
+"""
+
+
+def test_first_fit_ms_times_no_import(tmp_path):
+    # the runner loads scipy.linalg before it times a fit. At d = 5 no kd-tree
+    # is built, and so no scipy.spatial import loads scipy.linalg first.
+    assert fresh_python(FIRST_FIT_PROBE, str(tmp_path / "out.csv")) == "[True, True, True]"
 
 
 class TestMallocPin:

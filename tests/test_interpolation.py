@@ -1,10 +1,13 @@
 """Interpolation: fitting, canonicalization, invariant targets, L2 error."""
 
+import gc
 import math
+import tracemalloc
 from itertools import permutations
 
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from sortkern.errors import ConfigError, DimensionMismatchError, DuplicateOrbitError, FactorizationError
 from sortkern.interpolation import (
@@ -17,14 +20,56 @@ from sortkern.interpolation import (
     make_invariant_target,
 )
 from sortkern import interpolation, kernels
+from sortkern.experiments import (
+    _EXPERIMENT_IDS,
+    INTERP_ATOMS,
+    Experiment,
+    ExperimentConfig,
+    _trial_draws,
+)
 from sortkern.kernels import KernelMode, KernelSpec, gram, kernel_cross
-from sortkern.rng import stream
+from sortkern.rng import stream, substream_seed
 
 AMP = 1.0 / (2.0 * math.pi)
 
 
 def unit_kernel():
     return KernelSpec(amplitude=AMP, bandwidth=1.0)
+
+
+def well_conditioned():
+    """A plain-mode kernel, design and data whose fit needs no jitter."""
+    X = np.random.default_rng(5).random((12, 3))
+    return unit_kernel(), KernelMode.PLAIN, X, np.random.default_rng(6).normal(size=12)
+
+
+def near_duplicate_orbits():
+    """A sorted-mode kernel, design and data whose fit needs jitter.
+
+    Eight points and their swapped copies moved by 1e-8 lie on nearly equal
+    orbits, so the sorted Gram matrix's Cholesky fails unjittered; the
+    data come from an invariant target, so a jittered fit reproduces them.
+    """
+    k = unit_kernel()
+    B = np.random.default_rng(1).random((8, 2))
+    X = np.vstack([B, B[:, ::-1] + 1e-8])
+    return k, KernelMode.SORTED, X, make_invariant_target(k, 2, 3, seed=77).value(X)
+
+
+def interp_lowd_trial():
+    """The kernel, n = 1280 design and data of the interp_lowd benchmark's trial 0.
+
+    The kernel is the benchmark's bandwidth-0.08 Gaussian with amplitude
+    1/(2 pi), and the plain Gram matrix needs the first jitter rung.
+    """
+    k = KernelSpec(amplitude=AMP, bandwidth=0.08)
+    cfg = ExperimentConfig(experiment=Experiment.INTERP_COMPARE, kernel=k, dims=(2,),
+                           ns=(1280,), trials=1, seed=20240601)
+    exp_id = _EXPERIMENT_IDS[Experiment.INTERP_COMPARE]
+    X, _ = _trial_draws(cfg, exp_id, 2, 1280, 0)
+    target = make_invariant_target(k, 2, INTERP_ATOMS,
+                                   seed=substream_seed(cfg.seed, exp_id, 2, 0, 11))
+    return k, KernelMode.PLAIN, X, target.value(X)
 
 
 class TestFit:
@@ -73,18 +118,46 @@ class TestFit:
             fit(unit_kernel(), KernelMode.PLAIN, [[0.1, 0.2]], [1.0, 2.0])
 
     def test_jitter_recorded_on_near_duplicates(self):
-        # two nearly orbit-identical points make the sorted Gram singular
-        # at working precision; the ladder must rescue or report cleanly
-        k = unit_kernel()
-        X = np.array([[0.1, 0.2], [0.2, 0.1 + 1e-13], [0.7, 0.3]])
+        # two copies of each orbit, 1e-8 apart, make the sorted Gram matrix
+        # singular at working precision; the ladder must rescue the fit
+        k, mode, X, y = near_duplicate_orbits()
+        G = gram(k, mode, X)
+        with pytest.raises(LinAlgError):
+            cho_factor(G, lower=True)
+        f = fit(k, mode, X, y)
+        assert f.jitter_used > 0.0
+        assert np.abs(G @ f.coeffs - y).max() <= 1e-8 * (1.0 + np.abs(y).max())
+
+    @pytest.mark.parametrize("design, jittered", [
+        (well_conditioned, False), (near_duplicate_orbits, True), (interp_lowd_trial, True)])
+    def test_matches_shifted_factorization(self, design, jittered):
+        # the shift goes onto the diagonal of one copy of G, factorized in
+        # place, and gives the coefficients of G + shift * I bit for bit
+        k, mode, X, y = design()
+        f = fit(k, mode, X, y)
+        G = gram(k, mode, X)
+        want = cho_solve(cho_factor(G + f.jitter_used * np.eye(len(X)), lower=True), y)
+        assert (f.jitter_used > 0.0) == jittered
+        assert np.array_equal(f.coeffs.view(np.uint64), want.view(np.uint64))
+
+    def test_leaves_no_memory_behind(self):
+        # A failed rung's exception, kept past its except block, pinned fit's
+        # frame through its traceback: G, the failed factor and the shifted
+        # copies, 37.5 MiB on this design. That cycle waits for the cyclic
+        # collector, and numpy allocations never trigger it.
+        k, mode, X, y = interp_lowd_trial()
+        gc.collect()
+        gc.disable()
+        tracemalloc.start()
         try:
-            f = fit(k, KernelMode.SORTED, X, [1.0, 1.0, 0.5])
-            assert f.jitter_used >= 0.0
-            G = gram(k, KernelMode.SORTED, X)
-            resid = np.abs(G @ f.coeffs - [1.0, 1.0, 0.5]).max()
-            assert resid <= 1e-8 * 2.0
-        except FactorizationError:
-            pass
+            before = tracemalloc.get_traced_memory()[0]
+            f = fit(k, mode, X, y)
+            left = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert f.jitter_used == pytest.approx(1e-12 * AMP, rel=1e-12)
+        assert left <= 1e6
 
     def test_failure_reports_diagnostics(self):
         # conflicting values on one orbit cannot be interpolated by any

@@ -187,6 +187,19 @@ class TestGram:
                 for j in range(i, 6):
                     assert G[i, j] == pytest.approx(kernel_value(k, mode, X[i], X[j]), rel=1e-13)
 
+    @pytest.mark.parametrize("mode", list(KernelMode))
+    @pytest.mark.parametrize("n", [1, 2, kernels._MIRROR_ROWS - 1, kernels._MIRROR_ROWS,
+                                   kernels._MIRROR_ROWS + 1, 2000])
+    def test_banded_mirror_matches_index_mirror(self, mode, n):
+        # the bands copy the entries the strict lower triangle's index
+        # gather copied, bit for bit
+        k = unit_kernel(0.3)
+        X = np.random.default_rng(n).random((n, 3))
+        want = kernels._cross(k, mode, X, X)
+        il = np.tril_indices(n, -1)
+        want[il] = want.T[il]
+        assert np.array_equal(gram(k, mode, X).view(np.uint64), want.view(np.uint64))
+
 
 def enum_cross(k, mode, W, Z):
     return oracle.kernel_cross_enum(k.amplitude, k.bandwidth, mode.value, W, Z)

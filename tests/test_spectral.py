@@ -1,13 +1,16 @@
 """Spectral: Nystrom estimates, trace identity, slopes, bound dominance."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh
 
+from sortkern import _pool
 from sortkern.bounds import BoundInputs, eigen_bound_covering, eigen_bound_weyl
 from sortkern.errors import ConfigError, NumericalError
-from sortkern.kernels import KernelMode, KernelSpec, sup_kernel_constant
+from sortkern.kernels import KernelMode, KernelSpec, gram, sup_kernel_constant
 from sortkern.rng import stream
 from sortkern.spectral import SpectrumEstimate, decay_slope, nystrom_spectrum
 
@@ -65,12 +68,37 @@ class TestNystrom:
         m, d, seed = 120, 3, 11
         s = nystrom_spectrum(k, KernelMode.SORTED, m, d, seed=seed)
         from sortkern.geometry import sort_points
-        from sortkern.kernels import gram
-        from scipy.linalg import eigh
         X = sort_points(stream(seed).random((m, d)))
         vals = eigh(gram(k, KernelMode.PLAIN, X), eigvals_only=True)[::-1] / m
         vals = np.maximum(vals, 0.0)
         assert np.abs(s.eigenvalues - vals).max() <= 1e-9
+
+    @pytest.mark.parametrize("mode", list(KernelMode))
+    def test_matches_eigh_of_an_untouched_copy(self, mode):
+        # the solver overwrites the Gram matrix's transpose in place and gets
+        # the eigenvalues it got from its own copy, bit for bit
+        k = KernelSpec(amplitude=AMP, bandwidth=0.3)
+        m, d, seed = 300, 3, 13
+        G = gram(k, mode, stream(seed).random((m, d)))
+        want = np.maximum(eigh(G.copy(), eigvals_only=True)[::-1] / m, 0.0)
+        got = nystrom_spectrum(k, mode, m, d, seed=seed).eigenvalues
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("mode", [KernelMode.PLAIN, KernelMode.SORTED])
+    def test_peak_memory_is_one_gram_matrix(self, mode, monkeypatch):
+        # assembly, mirror and eigensolver share one Gram-sized array; the
+        # rest is tile scratch (two workers' worth here) and the solver's
+        # finiteness mask. An index-gather mirror alone peaked at 2.4 Gram
+        # sizes.
+        monkeypatch.setattr(_pool, "_worker_count", lambda: 2)
+        m = 2000
+        tracemalloc.start()
+        try:
+            nystrom_spectrum(unit_kernel(), mode, m, 3, seed=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.3 * m * m * 8
 
 
 class TestDecaySlope:
