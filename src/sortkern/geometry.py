@@ -41,6 +41,14 @@ _PRUNE_PRESCAN = 32
 _PRUNE_WARM = 512
 _PRUNE_CHUNK = 32768
 
+# kd-tree path: candidates per grid cell, the least number of candidates in
+# the warm cells, and each cell bound's relative widening and absolute one
+# in ulps of the largest candidate coordinate
+_CELL_CANDIDATES = 16
+_CELL_WARM = 256
+_CELL_REL = 1e-9
+_CELL_ULPS = 64
+
 
 class Domain(Enum):
     """Approximation domain: the unit cube or its sorted fundamental simplex."""
@@ -294,6 +302,90 @@ def _maxmin_sq_pruned(X, C):
     return h2
 
 
+def _grid_cells(C):
+    """Grid cell of each candidate: (cell numbers, cells per axis, origin, width, top).
+
+    The scalar bounding box [C.min(), C.max()]^d is cut into k cells per
+    axis, about N / _CELL_CANDIDATES in all; cell (i_0, ..., i_{d-1}) has
+    number sum_j i_j k^(d-1-j) and spans [origin + i_j width,
+    origin + (i_j + 1) width] on axis j; origin and top are C.min() and
+    C.max(). One cell is used where there are too few candidates for more,
+    or where the width would not be a normal float (zero or tiny span);
+    that cell is all warm, so its bound is never needed.
+    """
+    N, d = C.shape
+    origin, top = float(C.min()), float(C.max())
+    k = max(1, int((N / _CELL_CANDIDATES) ** (1.0 / d)))
+    if (top - origin) / k < np.finfo(float).tiny:
+        k = 1
+    width = (top - origin) / k
+    cell = np.zeros(N, dtype=np.int64)
+    if k > 1:
+        for j in range(d):
+            # the quotient is >= 0; rounding can put C.max() at k
+            i = ((C[:, j] - origin) / width).astype(np.int64)
+            np.minimum(i, k - 1, out=i)
+            cell *= k
+            cell += i
+    return cell, k, origin, width, top
+
+
+def _cell_bounds(C, nearest):
+    """(cell numbers, candidates per cell, bound per cell) of the candidates C.
+
+    nearest(P) gives the distance from each row of P to the design. Each
+    occupied cell of _grid_cells is bounded by
+    ub = nearest(centre) + half-diagonal, widened by _CELL_REL and by
+    _CELL_ULPS ulps of the largest coordinate, which cover the rounding of
+    the binning, the centres and every computed distance; so by the
+    triangle inequality no candidate's nearest() exceeds its cell's ub.
+    Empty cells are bounded by -inf.
+    """
+    cell, k, origin, width, top = _grid_cells(C)
+    d = C.shape[1]
+    counts = np.bincount(cell, minlength=k ** d)
+    occupied = np.flatnonzero(counts)
+    centres = origin + (np.stack(np.unravel_index(occupied, (k,) * d), axis=1) + 0.5) * width
+    slack = 0.5 * width * math.sqrt(d) + _CELL_ULPS * np.spacing(max(-origin, top))
+    ub = np.full(k ** d, -np.inf)
+    ub[occupied] = (nearest(centres) + slack) * (1.0 + _CELL_REL)
+    return cell, counts, ub
+
+
+def _maxmin_tree(X, C):
+    """Exact max-min distance from the rows of C to X through one kd-tree of X.
+
+    The candidates of the cells with the highest _cell_bounds, at least
+    _CELL_WARM of them, are queried for a witnessed lower bound lo; then
+    only those in the other cells with a bound >= lo are. Every pruned
+    candidate's computed distance is below lo, and every queried one gets
+    the float one query of all of C returns for it, so the result is
+    float(cKDTree(X).query(C)[0].max()) bit for bit.
+    """
+    # scipy.spatial takes about 0.13 s to import even with numpy and
+    # scipy.linalg loaded, so only the low-dimensional path loads it
+    from scipy.spatial import cKDTree
+
+    tree = cKDTree(X)
+    workers = _pool._worker_count()
+
+    def nearest(P):
+        return tree.query(P, k=1, workers=workers)[0]
+
+    cell, counts, ub = _cell_bounds(C, nearest)
+    # the highest-bound cells up to the first that brings the count to
+    # _CELL_WARM candidates, all cells where there are fewer
+    occupied = np.flatnonzero(counts)
+    order = occupied[np.argsort(-ub[occupied], kind="stable")]
+    warm = np.zeros(ub.shape[0], dtype=bool)
+    warm[order[:np.searchsorted(np.cumsum(counts[order]), _CELL_WARM) + 1]] = True
+    lo = float(nearest(C[warm[cell]]).max())
+    rest = C[((ub >= lo) & ~warm)[cell]]
+    if rest.shape[0]:
+        lo = max(lo, float(nearest(rest).max()))
+    return lo
+
+
 def fill_distance_estimate(X, domain, candidates):
     """Max over candidates c of the distance from c to its nearest design point.
 
@@ -329,17 +421,14 @@ def _fill_distance(X, C):
     X is a validated design and C a nonempty candidate array of the same
     width, both C-contiguous and already in the domain's coordinates.
     Candidates whose coordinates or squared norms are not finite raise
-    ConfigError. A kd-tree answers up to _TREE_MAX_DIM, its queries spread
-    over one thread per CPU, the pruned scan above it.
+    ConfigError. Up to _TREE_MAX_DIM a kd-tree answers for the candidates
+    a grid bound leaves (_maxmin_tree), its centre, warm and survivor
+    queries each spread over one thread per CPU; the pruned scan answers
+    above it.
     """
     if X.shape[1] <= _TREE_MAX_DIM:
-        # scipy.spatial takes about 0.13 s to import even with numpy and
-        # scipy.linalg loaded, so only the low-dimensional path loads it
-        from scipy.spatial import cKDTree
-
         _candidate_sq_norms(C)
-        dist, _ = cKDTree(X).query(C, k=1, workers=_pool._worker_count())
-        return float(dist.max())
+        return _maxmin_tree(X, C)
     return float(math.sqrt(max(_maxmin_sq_pruned(X, C), 0.0)))
 
 

@@ -17,6 +17,7 @@ import math
 import threading
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from itertools import permutations
 
 import numpy as np
@@ -125,7 +126,7 @@ def _tile_rows(m, nbuf):
     return max(1, _buffer_elems(nbuf) // m)
 
 
-def _evaluate(k, W, Z, terms):
+def _evaluate(k, W, Z, terms, upper=False):
     """Average over terms pi of amplitude * exp(-||W[pi] - Z||^2 / (2 bw^2)).
 
     Rows of W are processed in tiles of about _buffer_elems elements per
@@ -134,7 +135,10 @@ def _evaluate(k, W, Z, terms):
     element sees the same operations in the same order as a direct
     evaluation: squared differences summed from coordinate 0 upwards,
     division by -2 bw^2, exp, amplitude product, terms summed in order,
-    and one final division by the term count.
+    and one final division by the term count. With upper (W and Z the same
+    design) a tile's columns start at its first row's diagonal, so below
+    the diagonal only the entries in each tile's diagonal block are set;
+    the caller mirrors the upper triangle over them.
     """
     n, d = W.shape
     m = Z.shape[0]
@@ -144,25 +148,34 @@ def _evaluate(k, W, Z, terms):
     pairs, steps = _plan(terms)
     npairs = len(pairs)
     nbuf = _buffer_count(npairs, d)
-    rows = _tile_rows(m, nbuf)
     WT = np.ascontiguousarray(W.T)
     ZT = np.ascontiguousarray(Z.T)
     scale = -2.0 * k.bandwidth * k.bandwidth
     scratch = threading.local()
 
+    # (end row, first column) of the tile at each first row
+    spans = {}
+    r0 = 0
+    while r0 < n:
+        c0 = r0 if upper else 0
+        r1 = min(n, r0 + _tile_rows(m - c0, nbuf))
+        spans[r0] = r1, c0
+        r0 = r1
+    size = max((r1 - r0) * (m - c0) for r0, (r1, c0) in spans.items())
+
     def tile(r0):
-        r1 = min(n, r0 + rows)
+        r1, c0 = spans[r0]
         if not hasattr(scratch, "buf"):
-            scratch.buf = np.empty((nbuf, min(rows, n) * m))
-        views = [b[:(r1 - r0) * m].reshape(r1 - r0, m) for b in scratch.buf]
+            scratch.buf = np.empty((nbuf, size))
+        views = [b[:(r1 - r0) * (m - c0)].reshape(r1 - r0, m - c0) for b in scratch.buf]
         table, dist = views[:npairs], views[-1]
         # level[q] is the distance summed over coordinates 0..q: level 0 is a
         # table entry, the last level is dist
         level = [None, *views[npairs:-1], dist]
         for (p, q), T in zip(pairs, table):
-            np.subtract(WT[p, r0:r1, None], ZT[q], out=T)
+            np.subtract(WT[p, r0:r1, None], ZT[q, c0:], out=T)
             np.multiply(T, T, out=T)
-        acc = out[r0:r1]
+        acc = out[r0:r1, c0:]
         # below a bandwidth of about 1e-154 the division overflows to -inf,
         # and exp(-inf) = 0 is the exact kernel value; numpy keeps this
         # setting per thread, so each tile sets it on the thread running it
@@ -183,7 +196,7 @@ def _evaluate(k, W, Z, terms):
         if len(terms) > 1:
             np.divide(acc, len(terms), out=acc)
 
-    _fan_out(tile, range(0, n, rows))
+    _fan_out(tile, list(spans))
     return out
 
 
@@ -198,8 +211,9 @@ def kernel_cross(k, mode, W, Z):
     return _cross(k, mode, W, as_design(Z, min_rows=0, d=W.shape[1]))
 
 
-def _cross(k, mode, W, Z):
-    # kernel_cross on arguments the caller has validated
+def _cross(k, mode, W, Z, upper=False):
+    # kernel_cross on arguments the caller has validated; upper (for a Gram
+    # matrix) as in _evaluate
     d = W.shape[1]
     check_mode_cap(mode, d)
     # sorted mode is defined on the canonical representatives; the averaged
@@ -208,7 +222,7 @@ def _cross(k, mode, W, Z):
     # for any permutation of w or z, making the invariance exact in floats
     if mode is not KernelMode.PLAIN:
         W, Z = _sorted_copy(W), _sorted_copy(Z)
-    return _evaluate(k, W, Z, _terms(mode, d))
+    return _evaluate(k, W, Z, _terms(mode, d), upper)
 
 
 def kernel_value(k, mode, w, z):
@@ -233,7 +247,7 @@ def _gram(k, mode, X):
         raise DuplicateOrbitError(
             "design has points in the same permutation orbit; the sorted "
             "kernel matrix would be singular")
-    G = _cross(k, mode, X, X)
+    G = _cross(k, mode, X, X, upper=True)
     # the strict upper triangle is copied onto the lower one in bands of
     # _MIRROR_ROWS rows: left of the diagonal block, a band is the transposed
     # column band above it, and the diagonal block takes its lower half from
@@ -278,13 +292,15 @@ def _envelope_peak(g, sigma, t):
     return peak / scale
 
 
+@lru_cache(maxsize=4096, typed=True)
 def _derivative_envelopes(g, sigma):
     """(grid, exact) maxima over t in [-1, 1] of |d^g/dt^g exp(-t^2/(2 sigma^2))|.
 
     The grid maximum reads a 20001-point grid. The exact one uses
     d/dx [He_g(x) e^{-x^2/2}] = -He_{g+1}(x) e^{-x^2/2}: in x = t/sigma
     the peak sits at a root of He_{g+1} inside |x| <= 1/sigma, or at an
-    endpoint.
+    endpoint. Memoized per (order, bandwidth): sup_kernel_constant needs
+    every order up to nu, and a sweep over nu asks for each one again.
     """
     grid = _envelope_peak(g, sigma, np.linspace(-1.0, 1.0, _HERMITE_GRID))
     t = sigma * hermite_e.hermegauss(g + 1)[0]

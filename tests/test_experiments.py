@@ -345,6 +345,29 @@ class TestBoundsReport:
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
+    def test_envelopes_memoized_per_order_and_bandwidth(self, tmp_path, monkeypatch):
+        # each order's envelope pair is computed once for the bandwidth, for
+        # every nu and d that needs it, and the CSV keeps the bytes of a run
+        # that recomputes them on every call
+        kernels._derivative_envelopes.cache_clear()
+        peaks = []
+        peak = kernels._envelope_peak
+
+        def counted_peak(g, sigma, t):
+            peaks.append((g, sigma))
+            return peak(g, sigma, t)
+
+        monkeypatch.setattr(kernels, "_envelope_peak", counted_peak)
+        memo = cfg(tmp_path, "memo.csv", Experiment.BOUNDS_REPORT, dims=(3, 6), nu=12)
+        run_bounds_report(memo)
+        sigma = KERNEL.bandwidth
+        assert sorted(peaks) == [(g, sigma) for g in range(1, 13) for _ in range(2)]
+        monkeypatch.setattr(kernels, "_derivative_envelopes",
+                            kernels._derivative_envelopes.__wrapped__)
+        run_bounds_report(cfg(tmp_path, "plain.csv", Experiment.BOUNDS_REPORT, dims=(3, 6), nu=12))
+        assert (tmp_path / "memo.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+
+
 class TestDispatch:
     def test_run_routes_by_experiment(self, tmp_path):
         c = cfg(tmp_path, "br.csv", Experiment.BOUNDS_REPORT, dims=(2,))

@@ -142,9 +142,9 @@ class TestFillDistance:
     def test_matches_brute_force_tree_path(self, d, n, nc):
         rng = np.random.default_rng(100 + d)
         X, C = rng.random((n, d)), rng.random((nc, d))
-        for dom, srt in ((Domain.CUBE, False), (Domain.SORTED_SIMPLEX, True)):
+        for dom in Domain:
             got = fill_distance_estimate(X, dom, C)
-            assert got == pytest.approx(brute_fill(X, C, srt), rel=1e-12)
+            assert same_bits(got, one_tree_query(X, C, dom))
 
     @pytest.mark.parametrize("d,n,nc", [(5, 80, 3000), (6, 700, 5000), (9, 1500, 20000)])
     def test_matches_brute_force_pruned_path(self, d, n, nc):
@@ -161,6 +161,26 @@ class TestFillDistance:
         C = np.vstack([X, rng.random((4000, 6))])
         got = fill_distance_estimate(X, Domain.CUBE, C)
         assert got == pytest.approx(brute_fill(X, C), rel=1e-12)
+
+
+def in_domain(X, C, dom):
+    # design and candidates in the domain's coordinates, C-contiguous
+    if dom is Domain.SORTED_SIMPLEX:
+        X, C = sort_points(X), np.sort(C, axis=1)[:, ::-1]
+    return np.ascontiguousarray(X), np.ascontiguousarray(C)
+
+
+def one_tree_query(X, C, dom):
+    # the kd-tree path's oracle: one query of every candidate in the domain's
+    # coordinates
+    from scipy.spatial import cKDTree
+
+    X, C = in_domain(X, C, dom)
+    return float(cKDTree(X).query(C, k=1)[0].max())
+
+
+def same_bits(a, b):
+    return np.float64(a).view(np.uint64) == np.float64(b).view(np.uint64)
 
 
 def adversarial_cloud(kind, d, n, nc, seed):
@@ -551,4 +571,105 @@ class TestTreeWorkers:
         rng = np.random.default_rng(500 + d)
         X, C = rng.random((37, d)), rng.random((4321, d))
         want = float(cKDTree(X).query(C, k=1)[0].max())
-        assert geometry._fill_distance(X, C) == want
+        assert same_bits(geometry._fill_distance(X, C), want)
+
+
+# lattice levels per axis whose points fall on the grid's cell boundaries:
+# (levels - 1) is a multiple of the cells per axis of levels^d candidates
+BOUNDARY_LEVELS = {1: 65, 2: 17, 3: 7, 4: 5}
+
+
+def tree_adversary(kind, d, seed):
+    # a design and candidates built to stress the kd-tree path's cell bound
+    rng = np.random.default_rng(seed)
+    X = rng.random((40, d))
+    if kind == "outside_cube":
+        return X, 3.0 * rng.random((3000, d)) - 1.0
+    if kind == "far_cluster":
+        return X, 1e6 + 1e-6 * rng.random((3000, d))
+    if kind == "cell_boundaries":
+        q = BOUNDARY_LEVELS[d]
+        C = np.indices((q,) * d).reshape(d, -1).T / (q - 1.0)
+        return C[rng.integers(0, C.shape[0], 30)], C
+    if kind == "far_design":
+        # distances near 1 from candidates whose coordinates are near 1e-4:
+        # the rounding of a distance is many ulps of the largest coordinate,
+        # so only the relative widening makes the bound hold
+        return 0.5 + 0.5 * X, 1e-4 * rng.uniform(0.5, 1.0) * rng.random((3000, d))
+    if kind == "zero_span":
+        return X, np.repeat(rng.random((1, d)), 3000, axis=0)
+    if kind == "one_candidate":
+        return X, rng.random((1, d))
+    if kind == "design_rows":
+        return X, np.vstack([X[rng.integers(0, 40, 2000)], rng.random((500, d))])
+    # candidates within 1e-12 of a design point near 1.0, all on one side
+    # of it, so at d = 1 the triangle inequality is tight, over a span that
+    # leaves each rounded cell centre a random fraction of an ulp off: the
+    # relative widening of bounds near 1e-12 covers far less than an ulp of
+    # the coordinates, so only the absolute slack makes the bound hold
+    p = 1.0 - 1e-13 * rng.random(d)
+    return np.vstack([X, p]), p - 1e-12 * rng.uniform(0.5, 1.0) * rng.random((3000, d))
+
+
+TREE_ADVERSARIES = ["outside_cube", "far_cluster", "cell_boundaries", "far_design", "zero_span",
+                    "one_candidate", "design_rows", "near_design_point"]
+
+
+class TestTreeGrid:
+    """The kd-tree path's grid bound: the float of one full query, from few queries."""
+
+    @pytest.mark.parametrize("kind", TREE_ADVERSARIES)
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("d", range(1, 5))
+    def test_adversaries_match_one_query(self, kind, d, workers, monkeypatch):
+        from sortkern import _pool
+
+        monkeypatch.setattr(_pool, "_worker_count", lambda: workers)
+        for seed in range(3):
+            X, C = tree_adversary(kind, d, 10 * d + seed)
+            if kind == "cell_boundaries":
+                q, k = BOUNDARY_LEVELS[d], geometry._grid_cells(C)[1]
+                assert k > 1 and (q - 1) % k == 0
+            for dom in Domain:
+                got = fill_distance_estimate(X, dom, C)
+                assert same_bits(got, one_tree_query(X, C, dom))
+
+    @pytest.mark.parametrize("kind", TREE_ADVERSARIES)
+    @pytest.mark.parametrize("d", range(1, 5))
+    def test_no_candidate_exceeds_its_cell_bound(self, kind, d):
+        # the invariant the pruning rests on, for every candidate rather
+        # than only for the maximum
+        from scipy.spatial import cKDTree
+
+        for seed in range(3):
+            X, C = tree_adversary(kind, d, 10 * d + seed)
+            for dom in Domain:
+                A, B = in_domain(X, C, dom)
+                tree = cKDTree(A)
+
+                def nearest(P):
+                    return tree.query(P, k=1)[0]
+
+                cell, counts, ub = geometry._cell_bounds(B, nearest)
+                assert np.all(nearest(B) <= ub[cell])
+                assert np.array_equal(counts, np.bincount(cell, minlength=ub.shape[0]))
+
+    def test_queries_far_fewer_points_than_candidates(self, monkeypatch):
+        import scipy.spatial
+        from scipy.spatial import cKDTree
+
+        queried = []
+
+        class CountingTree(cKDTree):
+            def query(self, x, *args, **kwargs):
+                queried.append(len(x))
+                return super().query(x, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.spatial, "cKDTree", CountingTree)
+        rng = np.random.default_rng(3)
+        X, C = rng.random((500, 3)), rng.random((200_000, 3))
+        got = fill_distance_estimate(X, Domain.CUBE, C)
+        monkeypatch.undo()
+        assert same_bits(got, one_tree_query(X, C, Domain.CUBE))
+        # the occupied cells' centres, the warm cells and any survivors
+        assert 2 <= len(queried) <= 3 and sum(queried) < 200_000 // 10

@@ -190,15 +190,30 @@ class TestGram:
     @pytest.mark.parametrize("mode", list(KernelMode))
     @pytest.mark.parametrize("n", [1, 2, kernels._MIRROR_ROWS - 1, kernels._MIRROR_ROWS,
                                    kernels._MIRROR_ROWS + 1, 2000])
-    def test_banded_mirror_matches_index_mirror(self, mode, n):
+    def test_banded_mirror_matches_index_mirror(self, mode, n, monkeypatch):
         # the bands copy the entries the strict lower triangle's index
-        # gather copied, bit for bit
+        # gather copied, bit for bit, and the evaluator computes the upper
+        # triangle only: tiles start at their diagonal column
         k = unit_kernel(0.3)
         X = np.random.default_rng(n).random((n, 3))
         want = kernels._cross(k, mode, X, X)
         il = np.tril_indices(n, -1)
         want[il] = want.T[il]
-        assert np.array_equal(gram(k, mode, X).view(np.uint64), want.view(np.uint64))
+        evaluated = []
+        exp = np.exp
+
+        def counting_exp(x, *args, **kwargs):
+            evaluated.append(x.size)
+            return exp(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "exp", counting_exp)
+        got = gram(k, mode, X)
+        monkeypatch.undo()
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        entries = sum(evaluated) / len(kernels._terms(mode, 3))
+        assert n * (n + 1) / 2 <= entries <= n * n
+        if n == 2000:
+            assert entries < 0.52 * n * n
 
 
 def enum_cross(k, mode, W, Z):
