@@ -32,14 +32,13 @@ COVERING_POINT_CAP = 10 ** 7
 # in a core's L2 cache
 _PRESCAN_TILE_BYTES = 1 << 19
 
-# candidate rows per chunk and design points per block of the exact NN pass
-_EXACT_CAND_CHUNK = 65536
-_EXACT_BLOCK = 4096
-
-# pruned scan: prescan design points, warm-set size, candidates per chunk
+# pruned scan: prescan design points, warm-set size, elements of the work
+# buffer that holds each product after the prescan (2 MiB), and survivors
+# per chunk, as many as fill that buffer at _PRUNE_PRESCAN design points
 _PRUNE_PRESCAN = 32
 _PRUNE_WARM = 512
-_PRUNE_CHUNK = 32768
+_BLOCK_ELEMS = 1 << 18
+_PRUNE_CHUNK = _BLOCK_ELEMS // _PRUNE_PRESCAN
 
 # kd-tree path: candidates per grid cell, the least number of candidates in
 # the warm cells, and each cell bound's relative widening and absolute one
@@ -172,47 +171,45 @@ def simplex_inradius(d):
     return 1.0 / (2.0 + math.sqrt(2.0) * (d - 1))
 
 
-def _exact_min_sq(C, X, xsq):
-    """Exact squared nearest-neighbor distance from each row of C to X."""
-    out = np.empty(C.shape[0])
-    n = X.shape[0]
-    for s in range(0, C.shape[0], _EXACT_CAND_CHUNK):
-        c = C[s:s + _EXACT_CAND_CHUNK]
-        m = np.full(c.shape[0], np.inf)
-        for j in range(0, n, _EXACT_BLOCK):
-            T = c @ X[j:j + _EXACT_BLOCK].T
-            T *= -2.0
-            T += xsq[j:j + _EXACT_BLOCK][None, :]
-            np.minimum(m, T.min(axis=1), out=m)
-        m += np.einsum("ij,ij->i", c, c)
-        out[s:s + _EXACT_CAND_CHUNK] = m
-    return out
+def _block_min(c, X2, xsq, j, k, buf):
+    """Per row of c, min over design points x_j..x_{j+k-1} of -2 c.x + |x|^2, formed in buf."""
+    T = buf[:c.shape[0] * k].reshape(c.shape[0], k)
+    np.matmul(c, X2[j:j + k].T, out=T)
+    T += xsq[j:j + k][None, :]
+    return T.min(axis=1)
 
 
-def _candidate_sq_norms(C):
-    # one pass over the candidates; a NaN, an infinity or a square that
-    # overflows leaves a non-finite norm
-    csq = np.einsum("ij,ij->i", C, C)
-    if not np.isfinite(csq).all():
-        raise ConfigError("candidate coordinates and their squared norms must be finite")
-    return csq
+def _exact_min_sq(C, X2, xsq, csq, buf):
+    """Exact squared nearest-neighbor distance from each row of C to the design.
+
+    X2 is -2 times the design, xsq and csq hold the squared norms of its
+    rows and of C's; the design is taken in column blocks that fill buf.
+    """
+    n = X2.shape[0]
+    m = np.full(C.shape[0], np.inf)
+    b = buf.shape[0] // C.shape[0]
+    for j in range(0, n, b):
+        np.minimum(m, _block_min(C, X2, xsq, j, min(b, n - j), buf), out=m)
+    return m + csq
 
 
 def _prescan_sq(X, C, xsq, csq, k0):
     """Squared distance from each row of C to its nearest point among X[:k0].
 
     Every element sees the operations of one (N, k0) product C @ X[:k0].T:
-    dot product, times -2, plus the design point's squared norm, min over
+    dot product, times -2 (folded into the design copy: scaling by a power
+    of two is exact), plus the design point's squared norm, min over
     the k0 points, plus the candidate's squared norm. The product is formed
-    transposed, (k0, cols) per column tile of _PRESCAN_TILE_BYTES, so the
-    (N, k0) matrix never exists and the min is an elementwise minimum of
-    contiguous rows. Every tile has the same width, a multiple of 64 (the
-    last one is zero-padded): a partial micro-tile at a ragged edge of a
-    BLAS product can round differently.
+    transposed, (k0, cols) per column tile, so the (N, k0) matrix never
+    exists and the min is an elementwise minimum of contiguous rows; the
+    product and a tile of candidates each fit in _PRESCAN_TILE_BYTES.
+    Every tile has the same width, a multiple of 64 (the last one is
+    zero-padded): a partial micro-tile at a ragged edge of a BLAS product
+    can round differently.
     """
     N, d = C.shape
-    cols = max(64, _PRESCAN_TILE_BYTES // (8 * k0) // 64 * 64)
-    XT = X[:k0]
+    cols = max(64, _PRESCAN_TILE_BYTES // (8 * max(k0, d)) // 64 * 64)
+    XT = -2.0 * X[:k0]
     xs = xsq[:k0, None]
     m = np.empty(N)
     T = np.empty((k0, cols))
@@ -223,7 +220,6 @@ def _prescan_sq(X, C, xsq, csq, k0):
             tile = np.zeros((cols, d))
             tile[:e - s] = C[s:e]
         np.matmul(XT, tile.T, out=T)
-        T *= -2.0
         T += xs
         np.minimum.reduce(T[:, :e - s], axis=0, out=m[s:e])
     m += csq
@@ -257,21 +253,26 @@ def _maxmin_sq_pruned(X, C):
     """Exact max over rows of C of squared NN distance to X.
 
     A shallow prescan scores every candidate by its distance to the first
-    few design points; candidates are then processed best-first in chunks,
-    and the running maximum prunes candidates that provably cannot win.
-    The returned value equals the full brute-force max-min exactly.
-    Candidates whose coordinates or squared norms are not finite raise
-    ConfigError.
+    min(_PRUNE_PRESCAN, n) design points; the min(_PRUNE_WARM, N) best
+    scored get exact distances, whose max is a witnessed lower bound. Where
+    the prescan saw every design point the other scores are exact already.
+    Otherwise the other candidates are processed best-first in chunks, and
+    the running maximum prunes candidates that provably cannot win. The
+    returned value equals the full brute-force max-min exactly. X and C are
+    finite; the caller checks them.
     """
     n = X.shape[0]
     xsq = np.einsum("ij,ij->i", X, X)
-    csq = _candidate_sq_norms(C)
-    k0 = _PRUNE_PRESCAN
-    if n <= k0 or C.shape[0] <= _PRUNE_WARM:
-        return float(_exact_min_sq(C, X, xsq).max())
+    csq = np.einsum("ij,ij->i", C, C)
+    X2 = -2.0 * X
+    buf = np.empty(_BLOCK_ELEMS)
+    k0 = min(_PRUNE_PRESCAN, n)
     m = _prescan_sq(X, C, xsq, csq, k0)
-    top = _warm_set(m, _PRUNE_WARM)
-    h2 = float(_exact_min_sq(C[top], X, xsq).max())
+    top = _warm_set(m, min(_PRUNE_WARM, C.shape[0]))
+    h2 = float(_exact_min_sq(C[top], X2, xsq, csq[top], buf).max())
+    if k0 == n:
+        m[top] = -np.inf
+        return max(h2, float(m.max()))
     rest = _survivors(m, top, h2)
     for s in range(0, rest.shape[0], _PRUNE_CHUNK):
         idx = rest[s:s + _PRUNE_CHUNK]
@@ -283,20 +284,17 @@ def _maxmin_sq_pruned(X, C):
         mm = m[idx] - cs
         j, b = k0, k0
         while j < n and idx.shape[0]:
-            # finish small tails in one shot instead of many tiny blocks
-            if idx.shape[0] * (n - j) <= 262144:
-                b = n - j
-            k = min(b, n - j)
-            T = c @ X[j:j + k].T
-            T *= -2.0
-            T += xsq[j:j + k][None, :]
-            np.minimum(mm, T.min(axis=1), out=mm)
+            # blocks double from k0 until they fill buf; a tail that fits
+            # goes in one shot
+            cap = buf.shape[0] // idx.shape[0]
+            k = n - j if n - j <= cap else min(b, cap)
+            np.minimum(mm, _block_min(c, X2, xsq, j, k, buf), out=mm)
             alive = (mm + cs) > h2
             if alive.mean() < 0.7:
                 keep = np.flatnonzero(alive)
                 idx, c, cs, mm = idx[keep], c[keep], cs[keep], mm[keep]
             j += k
-            b = min(2 * b, 4096)
+            b *= 2
         if idx.shape[0]:
             h2 = max(h2, float((mm + cs).max()))
     return h2
@@ -406,6 +404,9 @@ def fill_distance_estimate(X, domain, candidates):
     X = as_design(X, d=C.shape[1])
     if not isinstance(domain, Domain):
         raise ConfigError(f"unknown domain {domain!r}")
+    # a NaN, an infinity or a square that overflows leaves a non-finite norm
+    if not np.isfinite(np.einsum("ij,ij->i", C, C)).all():
+        raise ConfigError("candidate coordinates and their squared norms must be finite")
     if domain is Domain.SORTED_SIMPLEX:
         X = _sorted_copy(X)
         C = _sorted_copy(C)
@@ -419,15 +420,13 @@ def _fill_distance(X, C):
     """Exact max-min distance from the rows of C to the rows of X.
 
     X is a validated design and C a nonempty candidate array of the same
-    width, both C-contiguous and already in the domain's coordinates.
-    Candidates whose coordinates or squared norms are not finite raise
-    ConfigError. Up to _TREE_MAX_DIM a kd-tree answers for the candidates
-    a grid bound leaves (_maxmin_tree), its centre, warm and survivor
-    queries each spread over one thread per CPU; the pruned scan answers
-    above it.
+    width with finite coordinates and squared norms, both C-contiguous and
+    already in the domain's coordinates; nothing is checked here. Up to
+    _TREE_MAX_DIM a kd-tree answers for the candidates a grid bound leaves
+    (_maxmin_tree), its centre, warm and survivor queries each spread over
+    one thread per CPU; the pruned scan answers above it.
     """
     if X.shape[1] <= _TREE_MAX_DIM:
-        _candidate_sq_norms(C)
         return _maxmin_tree(X, C)
     return float(math.sqrt(max(_maxmin_sq_pruned(X, C), 0.0)))
 

@@ -1,6 +1,7 @@
 """Geometry: sort map, orbits, fill-distance estimation, coverings, cones."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -170,6 +171,12 @@ def in_domain(X, C, dom):
     return np.ascontiguousarray(X), np.ascontiguousarray(C)
 
 
+def in_domain_pairs(X, C):
+    # (design, candidates) in the cube's and in the sorted simplex's
+    # coordinates, C-contiguous
+    return [in_domain(X, C, dom) for dom in Domain]
+
+
 def one_tree_query(X, C, dom):
     # the kd-tree path's oracle: one query of every candidate in the domain's
     # coordinates
@@ -217,15 +224,58 @@ class TestPrunedScanOracle:
             assert geometry._maxmin_sq_pruned(A, B) == oracle.maxmin_sq_pruned(A, B)
 
     @pytest.mark.parametrize("kind", ["uniform", "lattice", "duplicates", "design_rows"])
-    @pytest.mark.parametrize("warm,chunk,prescan", [(1, 7, 32), (64, 100, 16), (511, 4096, 32)])
+    @pytest.mark.parametrize("warm,chunk,prescan",
+                             [(1, 7, 32), (64, 100, 16), (64, 100, 8), (511, 4096, 32), (8000, 4096, 32)])
     def test_bit_identical_small_warm_and_chunks(self, kind, warm, chunk, prescan, monkeypatch):
-        # many survivor chunks, and a running maximum that moves between them
+        # many survivor chunks, and a running maximum that moves between
+        # them; a warm set larger than the 6000 candidates holds them all
         X, C = adversarial_cloud(kind, 6, 300, 6000, seed=warm + chunk)
         monkeypatch.setattr(geometry, "_PRUNE_PRESCAN", prescan)
         monkeypatch.setattr(geometry, "_PRUNE_WARM", warm)
         monkeypatch.setattr(geometry, "_PRUNE_CHUNK", chunk)
         want = oracle.maxmin_sq_pruned(X, C, prescan=prescan, warm=warm, chunk=chunk)
         assert geometry._maxmin_sq_pruned(X, C) == want
+
+    @pytest.mark.parametrize("d", [5, 6, 12])
+    @pytest.mark.parametrize("nc", [1, 2, 3, 511, 512, 513, 5000])
+    @pytest.mark.parametrize("n", [1, 2, 31, 32, 33, 513, 4097])
+    def test_degenerate_shapes_bit_identical(self, n, nc, d):
+        # a one-row or one-column product goes through gemv, which can round
+        # differently from a block; a prescan that saw every design point
+        # still sends the warm set through the exact pass
+        rng = np.random.default_rng(10000 * d + 10 * n + nc)
+        for A, B in in_domain_pairs(rng.random((n, d)), rng.random((nc, d))):
+            got = np.float64(geometry._maxmin_sq_pruned(A, B))
+            assert got.view(np.uint64) == np.float64(oracle.maxmin_sq_pruned(A, B)).view(np.uint64)
+
+    def test_exact_pass_sees_only_the_warm_set(self, monkeypatch):
+        # the prescan of a 10-point design sees every point: the exact pass
+        # gets the warm set and no other candidate
+        rng = np.random.default_rng(16)
+        X, C = rng.random((10, 6)), rng.random((200_000, 6))
+        exact, rows = geometry._exact_min_sq, []
+
+        def counted(c, *args):
+            rows.append(c.shape[0])
+            return exact(c, *args)
+
+        monkeypatch.setattr(geometry, "_exact_min_sq", counted)
+        assert geometry._maxmin_sq_pruned(X, C) == oracle.maxmin_sq_pruned(X, C)
+        assert sum(rows) <= geometry._PRUNE_WARM
+
+    @pytest.mark.parametrize("d", [6, 12])
+    def test_peak_memory_is_bounded(self, d):
+        # every product after the prescan is formed in one 2 MiB buffer, so
+        # a pass stays below one d = 12 candidate array (19.2 MB)
+        rng = np.random.default_rng(d)
+        for X, C in in_domain_pairs(rng.random((5000, d)), rng.random((200_000, d))):
+            tracemalloc.start()
+            try:
+                geometry._fill_distance(X, C)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 16e6
 
     @pytest.mark.parametrize("kind", ["lattice", "duplicates", "all_tied"])
     def test_visit_order_matches_stable_sort(self, kind):
