@@ -1,16 +1,12 @@
 """The thread pool the package's parallel loops share.
 
 _fan_out runs a function over a list of keys on the calling thread and one
-helper thread per further CPU. The fill-distance trials of the experiments
-and the row tiles of the kernel evaluator both go through it, and
-_worker_count also sets the threads of each query of the kd-tree fill path:
-the grid cells' centres, the warm cells' candidates and the survivors.
-Threads, not processes: the hot numpy and scipy calls release the GIL, a
-thread pays no interpreter start-up, and the process's peak RSS stays the
-whole program's. Nesting is not limited: inside a table1 or tail_curves
-trial the kd-tree queries start threads of their own; for the one query of
-every candidate that the grid bound replaced, that timed no slower on two
-CPUs than running it on the trial's thread.
+helper thread per further CPU; the experiments' fill-distance trials and the
+kernel evaluator's row tiles go through it. Only it starts threads in the
+package (BLAS keeps its own): a key's work, the kd-tree fill queries
+included, runs on the thread that took it, so nothing nests. Threads, not
+processes: the hot numpy and scipy calls release the GIL, a thread pays no
+interpreter start-up, and the process's peak RSS stays the whole program's.
 """
 
 import os

@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from .errors import ConfigError, _above, _at_least, _int_at_least
 from .geometry import Domain, as_point, ball_volume, cone_condition_holds, simplex_inradius
 from .kernels import KernelMode
@@ -114,11 +112,17 @@ def subcube_classification(x, h, nu, d):
     _int_at_least("d", d, 1)
     x = as_point(x, d)
     _above("h", h, 0.0)
-    q = math.floor(1.0 / (8.0 * nu * nu * (math.sqrt(d) + 1.0) * h))
-    if q < 1:
+    v = 1.0 / (8.0 * nu * nu * (math.sqrt(d) + 1.0) * h)
+    if v < 1.0:
         return Region.NEAR_DIAGONAL
-    idx = np.minimum((x * q).astype(int), q - 1)
-    return Region.INTERIOR if len(set(idx.tolist())) == d else Region.NEAR_DIAGONAL
+    if math.isinf(v):
+        # cells of width 0: one per distinct coordinate
+        cells = x.tolist()
+    else:
+        # Python integers stay exact where an int64 cast of x * q overflows
+        q = math.floor(v)
+        cells = [min(math.floor(c * q), q - 1) for c in x.tolist()]
+    return Region.INTERIOR if len(set(cells)) == d else Region.NEAR_DIAGONAL
 
 
 def pointwise_bound(b, h, mode, region=Region.INTERIOR):

@@ -7,9 +7,9 @@ significant digits, and returns the rows as dictionaries (the returned
 dictionaries may carry extra diagnostic fields beyond the CSV columns).
 Identical configs produce byte-identical files, except the wall-clock
 fit_ms column of the interpolation comparison. The fill-distance trials
-of table1 and tail_curves run on every CPU the process may use, and so do
-the fill distances and kernel work inside each interp_compare trial; no
-file depends on how many CPUs there are.
+of table1 and tail_curves run on every CPU the process may use, and so
+does the kernel work inside each interp_compare trial; no file depends on
+how many CPUs there are.
 """
 
 import csv
@@ -222,11 +222,11 @@ def run_interp_compare(cfg):
     consts = {d: sup_kernel_constant(cfg.kernel, cfg.nu, d) for d in cfg.dims}
     for d in cfg.dims:
         c_k0, c_knu = consts[d]
+        targets = [make_invariant_target(cfg.kernel, d, INTERP_ATOMS,
+                                         seed=substream_seed(cfg.seed, exp_id, d, t, 11))
+                   for t in range(cfg.trials)]
         for n in cfg.ns:
-            for t in range(cfg.trials):
-                target = make_invariant_target(
-                    cfg.kernel, d, INTERP_ATOMS,
-                    seed=substream_seed(cfg.seed, exp_id, d, t, 11))
+            for t, target in enumerate(targets):
                 X, C = _trial_draws(cfg, exp_id, d, n, t)
                 fill = dict(zip((KernelMode.PLAIN, KernelMode.SORTED), _fill_distances(X, C)))
                 # the candidates are done with; freeing them lowers the peak

@@ -15,7 +15,6 @@ from enum import Enum
 
 import numpy as np
 
-from . import _pool
 from .errors import CapExceededError, ConfigError, DimensionMismatchError, _above, _int_at_least
 
 # Exact NN queries via a tree are fast only in low dimension; above this
@@ -365,10 +364,9 @@ def _maxmin_tree(X, C):
     from scipy.spatial import cKDTree
 
     tree = cKDTree(X)
-    workers = _pool._worker_count()
 
     def nearest(P):
-        return tree.query(P, k=1, workers=workers)[0]
+        return tree.query(P, k=1)[0]
 
     cell, counts, ub = _cell_bounds(C, nearest)
     # the highest-bound cells up to the first that brings the count to
@@ -423,8 +421,7 @@ def _fill_distance(X, C):
     width with finite coordinates and squared norms, both C-contiguous and
     already in the domain's coordinates; nothing is checked here. Up to
     _TREE_MAX_DIM a kd-tree answers for the candidates a grid bound leaves
-    (_maxmin_tree), its centre, warm and survivor queries each spread over
-    one thread per CPU; the pruned scan answers above it.
+    (_maxmin_tree); the pruned scan answers above it.
     """
     if X.shape[1] <= _TREE_MAX_DIM:
         return _maxmin_tree(X, C)
@@ -512,4 +509,5 @@ def cone_condition_holds(h, nu, d, domain):
         scale = 8.0 * nu * nu * (d + 1.0) * (d ** 1.5 + 1.0) * h
     else:
         raise ConfigError(f"unknown domain {domain!r}")
-    return math.floor(1.0 / scale) > 1
+    # floor(v) > 1 exactly when v >= 2; at a subnormal h, v is inf
+    return 1.0 / scale >= 2.0

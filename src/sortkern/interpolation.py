@@ -51,16 +51,22 @@ class InvariantTarget:
 
     def value(self, x):
         """Target values at a point (scalar) or at rows of an array."""
-        X, single = _as_points(x, self.atoms.shape[1])
-        out = _cross(self.kernel, KernelMode.PERM_SINGLE, X, self.atoms) @ self.weights
-        return float(out[0]) if single else out
+        return _expansion(self.kernel, KernelMode.PERM_SINGLE, self.atoms, self.weights, x)
 
 
-def _as_points(x, d):
-    # a point or an (n, d) array, validated once per public call, as rows
-    # and whether a scalar result is wanted
+def _expansion(kernel, mode, centres, coeffs, x):
+    # sum_j coeffs[j] * K_mode(x, centres[j]) at a point (a scalar) or at the
+    # rows of an array, checked here once, _EVAL_CHUNK rows at a time. A lone
+    # last row joins the chunk before it: a one-row product takes another BLAS
+    # kernel, and so every row gets the float one product over all rows gives.
     single = np.ndim(x) == 1
-    return (as_point(x, d)[None, :] if single else as_design(x, d=d)), single
+    X = as_point(x, centres.shape[1])[None, :] if single else as_design(x, d=centres.shape[1])
+    n = X.shape[0]
+    out = np.empty(n)
+    starts = range(0, max(n - 1, 1), _EVAL_CHUNK)
+    for s, e in zip(starts, [*starts[1:], n]):
+        out[s:e] = _cross(kernel, mode, X[s:e], centres) @ coeffs
+    return float(out[0]) if single else out
 
 
 def fit(k, mode, X, y):
@@ -120,12 +126,7 @@ def evaluate(f, x):
 
     Points must have finite coordinates in [0, 1]; others raise ConfigError.
     """
-    X, single = _as_points(x, f.design.shape[1])
-    out = np.empty(X.shape[0])
-    for s in range(0, X.shape[0], _EVAL_CHUNK):
-        out[s:s + _EVAL_CHUNK] = (
-            _cross(f.kernel, f.mode, X[s:s + _EVAL_CHUNK], f.design) @ f.coeffs)
-    return float(out[0]) if single else out
+    return _expansion(f.kernel, f.mode, f.design, f.coeffs, x)
 
 
 def interpolant_norm_sq(f):

@@ -33,13 +33,14 @@ def result_file(path, wall, rss, trace=0, seed=20240601, digest="abc"):
     return str(path)
 
 
-def test_two_result_files_merge_into_one_pair(tmp_path):
+def test_two_result_files_merge_into_one_pair(tmp_path, capsys):
     parent = result_file(tmp_path / "p.json", 2.5, 230.0)
     change = result_file(tmp_path / "c.json", 2.0, 229.0, digest="abc")
     out = tmp_path / "BENCH.json"
     assert bench_pair.main(["--parent", parent, "--change", change, "--out", str(out)]) == 0
+    assert "digests equal" in capsys.readouterr().out
     w = json.loads(out.read_text())["workloads"]["interp_lowd"]
-    assert w["seed"] == 20240601
+    assert w["seed"] == 20240601 and w["digests_equal"] is True
     wall = w["metrics"]["wall_s"]
     assert wall["unit"] == "s" and wall["better"] == "lower"
     assert wall["parent"]["median"] == 2.5 and wall["change"]["median"] == 2.0
@@ -66,6 +67,19 @@ def test_pairs_by_position_and_quartiles(tmp_path):
                               "q1": pytest.approx(2.45), "q3": pytest.approx(2.55)}
     assert wall["change_wins"] == 2 and wall["pairs"] == 3
     assert w["metrics"]["peak_rss_mb"]["change_wins"] == 0
+
+
+def test_a_moved_digest_is_reported(tmp_path, capsys):
+    # the runs still merge; only the verdict on the bytes changes
+    parent = [result_file(tmp_path / f"p{i}.json", 2.5, 230.0) for i in range(2)]
+    change = [result_file(tmp_path / "c0.json", 2.0, 230.0),
+              result_file(tmp_path / "c1.json", 2.0, 230.0, digest="abd")]
+    out = tmp_path / "BENCH.json"
+    assert bench_pair.main(["--parent", *parent, "--change", *change, "--out", str(out)]) == 0
+    assert "digests differ" in capsys.readouterr().out
+    w = json.loads(out.read_text())["workloads"]["interp_lowd"]
+    assert w["digests_equal"] is False
+    assert [r["digest"] for r in w["runs"]["change"]] == ["abc", "abd"]
 
 
 @pytest.mark.parametrize("problem", ["traced", "seed", "count"])

@@ -327,6 +327,20 @@ class TestSubcubeClassification:
         assert subcube_classification([0.3], 0.005, 1, 1) is Region.INTERIOR
 
 
+@pytest.mark.parametrize("h", [1e-21, 1e-300, 5e-324])
+def test_tiny_fill_distance(h):
+    # 1/h overflows to inf at 5e-324, and the cells per axis pass 2^63
+    # below about 5e-21 at nu = 1, d = 2
+    for dom in Domain:
+        assert cone_condition_holds(h, 1, 2, dom)
+    b = inputs(nu=1, d=2)
+    for mode in (KernelMode.PLAIN, KernelMode.SORTED):
+        for report in (l2_bound(b, h, mode), pointwise_bound(b, h, mode)):
+            assert math.isfinite(report.value) and report.validity
+    assert subcube_classification([0.5, 0.3], h, 1, 2) is Region.INTERIOR
+    assert subcube_classification([0.4, 0.4], h, 1, 2) is Region.NEAR_DIAGONAL
+
+
 class TestOracleEquivalence:
     def test_random_draws(self):
         rng = np.random.default_rng(777)

@@ -586,7 +586,7 @@ class TestTrialPool:
     def test_interp_compare_bytes_do_not_depend_on_workers(self, workers, tmp_path,
                                                            monkeypatch):
         # small kernel tiles, so they are spread when the pool has more than
-        # one worker, as are the kd-tree queries
+        # one worker
         monkeypatch.setattr(kernels, "_TILE_ELEMS", 64)
         out = {}
         for w in (1, workers):

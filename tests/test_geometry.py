@@ -607,21 +607,33 @@ class TestChecksPerCall:
 
 
 class TestTreeWorkers:
-    """The kd-tree path spreads one query over a thread per CPU."""
+    """Whatever the pool's worker count, the kd-tree path queries on its caller's thread."""
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("d", range(1, 5))
     def test_workers_match_one_query(self, d, workers, monkeypatch):
+        import scipy.spatial
         from scipy.spatial import cKDTree
 
         from sortkern import _pool
 
-        monkeypatch.setattr(_pool, "_worker_count", lambda: workers)
-        # 4321 candidates do not split evenly over 2 or 3 threads
         rng = np.random.default_rng(500 + d)
         X, C = rng.random((37, d)), rng.random((4321, d))
-        want = float(cKDTree(X).query(C, k=1)[0].max())
-        assert same_bits(geometry._fill_distance(X, C), want)
+        plain = one_tree_query(X, C, Domain.CUBE)
+        srt = min(one_tree_query(X, C, Domain.SORTED_SIMPLEX), plain)
+        threads = []
+
+        class RecordingTree(cKDTree):
+            def query(self, x, k=1, eps=0, p=2, distance_upper_bound=np.inf, workers=1):
+                threads.append(workers)
+                return super().query(x, k, eps, p, distance_upper_bound, workers)
+
+        monkeypatch.setattr(_pool, "_worker_count", lambda: workers)
+        monkeypatch.setattr(scipy.spatial, "cKDTree", RecordingTree)
+        assert same_bits(geometry._fill_distance(X, C), plain)
+        got = geometry._fill_distances(X, C)
+        assert same_bits(got[0], plain) and same_bits(got[1], srt)
+        assert threads and set(threads) == {1}
 
 
 # lattice levels per axis whose points fall on the grid's cell boundaries:
@@ -672,17 +684,21 @@ class TestTreeGrid:
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("d", range(1, 5))
     def test_adversaries_match_one_query(self, kind, d, workers, monkeypatch):
+        # the (seed, domain) fills run on a pool of this many workers, as the
+        # experiments' trials run theirs
         from sortkern import _pool
 
-        monkeypatch.setattr(_pool, "_worker_count", lambda: workers)
+        cases = []
         for seed in range(3):
             X, C = tree_adversary(kind, d, 10 * d + seed)
             if kind == "cell_boundaries":
                 q, k = BOUNDARY_LEVELS[d], geometry._grid_cells(C)[1]
                 assert k > 1 and (q - 1) % k == 0
-            for dom in Domain:
-                got = fill_distance_estimate(X, dom, C)
-                assert same_bits(got, one_tree_query(X, C, dom))
+            cases += [(X, dom, C) for dom in Domain]
+        monkeypatch.setattr(_pool, "_worker_count", lambda: workers)
+        got = _pool._fan_out(lambda case: fill_distance_estimate(*case), cases)
+        for (X, dom, C), h in zip(cases, got):
+            assert same_bits(h, one_tree_query(X, C, dom))
 
     @pytest.mark.parametrize("kind", TREE_ADVERSARIES)
     @pytest.mark.parametrize("d", range(1, 5))

@@ -312,6 +312,17 @@ class TestInvariantTarget:
         with pytest.raises(ConfigError):
             t.value(np.array([[0.1, 0.2], bad]))
 
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_chunked_values_match_one_product(self, d):
+        # values come _EVAL_CHUNK rows at a time, each row with the float
+        # that one product over all the rows gives it
+        t = make_invariant_target(unit_kernel(), d, INTERP_ATOMS, seed=20 + d)
+        rng = np.random.default_rng(30 + d)
+        for n in (1, 2, 3, 5, 80, 1000, 4095, 4096, 4097, 5001, 8193, 20000, 20001, 20003):
+            X = rng.random((n, d))
+            whole = kernels._cross(t.kernel, KernelMode.PERM_SINGLE, X, t.atoms) @ t.weights
+            assert np.array_equal(t.value(X).view(np.uint64), whole.view(np.uint64))
+
     def test_atoms_in_simplex(self):
         t = make_invariant_target(unit_kernel(), 4, 6, seed=10)
         assert np.all(np.diff(t.atoms, axis=1) <= 0)

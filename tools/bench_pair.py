@@ -19,6 +19,8 @@ pairs the change won (ties count for neither), and two verdicts:
 - unresolved: the parent's q3 - q1 is wider than the metric's bound, relative
   to the parent's median, and not every change run beats every parent run.
 
+Per workload it also holds digests_equal: whether every run of both sides
+reported the same CSV digest, so whether the change kept the output's bytes.
 Per run it holds the per-child samples, the CSV digest, csv_exact, correct
 and the machine facts.
 """
@@ -108,6 +110,7 @@ def merge(parent_runs, change_runs, metrics):
         out[name] = {
             "seed": parent[0]["seed"],
             "cli_args": parent[0]["cli_args"],
+            "digests_equal": len({r["digest"] for r in parent + change}) == 1,
             "metrics": {m: {"unit": units[m], **compare(parent, change, m, *spec)}
                         for m, spec in metrics.items() if m in units},
             "runs": {side: [{k: r[k] for k in ("file", "metrics", "correct", "digest",
@@ -136,7 +139,8 @@ def main(argv=None):
         if wall:
             print(f"{name}: wall_s {wall['parent']['median']:.3f} -> "
                   f"{wall['change']['median']:.3f} s, change won "
-                  f"{wall['change_wins']}/{wall['pairs']} pairs"
+                  f"{wall['change_wins']}/{wall['pairs']} pairs, "
+                  f"digests {'equal' if w['digests_equal'] else 'differ'}"
                   f"{', claim met' if wall['claim_met'] else ''}"
                   f"{', unresolved' if wall['unresolved'] else ''}")
     return 0
