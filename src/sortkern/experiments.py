@@ -78,6 +78,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if not isinstance(self.experiment, Experiment):
             raise ConfigError(f"unknown experiment {self.experiment!r}")
+        if not isinstance(self.kernel, KernelSpec):
+            raise ConfigError(f"kernel must be a KernelSpec, got {self.kernel!r}")
         if not self.dims or not self.ns:
             raise ConfigError("dims and ns must be nonempty")
         for d in self.dims:

@@ -31,19 +31,17 @@ COVERING_POINT_CAP = 10 ** 7
 # in a core's L2 cache
 _PRESCAN_TILE_BYTES = 1 << 19
 
-# pruned scan: prescan design points, warm-set size, elements of the work
-# buffer that holds each product after the prescan (2 MiB), and survivors
-# per chunk, as many as fill that buffer at _PRUNE_PRESCAN design points
+# pruned scan: prescan design points and elements of the work buffer that
+# holds each product after it (2 MiB); both fill paths: warm-set size and
+# survivors per chunk, as many as fill that buffer at _PRUNE_PRESCAN points
 _PRUNE_PRESCAN = 32
 _PRUNE_WARM = 512
 _BLOCK_ELEMS = 1 << 18
 _PRUNE_CHUNK = _BLOCK_ELEMS // _PRUNE_PRESCAN
 
-# kd-tree path: candidates per grid cell, the least number of candidates in
-# the warm cells, and each cell bound's relative widening and absolute one
-# in ulps of the largest candidate coordinate
+# kd-tree path: candidates per grid cell, and each cell bound's relative
+# widening and absolute one in ulps of the largest candidate coordinate
 _CELL_CANDIDATES = 16
-_CELL_WARM = 256
 _CELL_REL = 1e-9
 _CELL_ULPS = 64
 
@@ -155,6 +153,7 @@ def _distinct_orbits(X):
 
 def cube_corners(d):
     """The 2^d vertices of [0,1]^d, or an empty set when d exceeds CORNER_DIM_CAP."""
+    _int_at_least("d", d, 1)
     if d > CORNER_DIM_CAP:
         return np.empty((0, d))
     return np.indices((2,) * d).reshape(d, -1).T.astype(float)
@@ -228,7 +227,7 @@ def _prescan_sq(X, C, xsq, csq, k0):
 def _warm_set(m, warm):
     """The first `warm` indices of the best-first order, in that order.
 
-    Best-first is descending prescan score with ties in index order, the
+    Best-first is descending score or bound with ties in index order, the
     order of a stable sort of -m. A partial selection finds the warm set,
     so only it and the warm pass's survivors are ever sorted.
     """
@@ -248,17 +247,34 @@ def _survivors(m, top, h2):
     return rest[np.argsort(-m[rest], kind="stable")]
 
 
+def _best_first(ub, top, lo, exact):
+    """Max of lo and the exact values of the candidates outside the warm set top.
+
+    ub bounds each candidate's exact value from above and a candidate attains
+    lo. Those with ub > lo go best-first, _PRUNE_CHUNK at a time, less those
+    whose ub no longer beats the running lo; exact(idx, lo) gives the max of
+    their exact values, or -inf where it proves that none beats lo.
+    """
+    rest = _survivors(ub, top, lo)
+    for s in range(0, rest.shape[0], _PRUNE_CHUNK):
+        idx = rest[s:s + _PRUNE_CHUNK]
+        idx = idx[ub[idx] > lo]
+        if idx.shape[0]:
+            lo = max(lo, exact(idx, lo))
+    return lo
+
+
 def _maxmin_sq_pruned(X, C):
     """Exact max over rows of C of squared NN distance to X.
 
     A shallow prescan scores every candidate by its distance to the first
-    min(_PRUNE_PRESCAN, n) design points; the min(_PRUNE_WARM, N) best
-    scored get exact distances, whose max is a witnessed lower bound. Where
-    the prescan saw every design point the other scores are exact already.
-    Otherwise the other candidates are processed best-first in chunks, and
-    the running maximum prunes candidates that provably cannot win. The
-    returned value equals the full brute-force max-min exactly. X and C are
-    finite; the caller checks them.
+    min(_PRUNE_PRESCAN, n) design points, an upper bound; the
+    min(_PRUNE_WARM, N) best scored get exact distances, whose max is a
+    witnessed lower bound. Where the prescan saw every design point the
+    other scores are exact already; otherwise _best_first visits the rest,
+    each chunk in doubling design blocks that drop a candidate once it
+    falls to the running max. The returned value equals the full
+    brute-force max-min exactly. X and C are finite; the caller checks them.
     """
     n = X.shape[0]
     xsq = np.einsum("ij,ij->i", X, X)
@@ -272,12 +288,8 @@ def _maxmin_sq_pruned(X, C):
     if k0 == n:
         m[top] = -np.inf
         return max(h2, float(m.max()))
-    rest = _survivors(m, top, h2)
-    for s in range(0, rest.shape[0], _PRUNE_CHUNK):
-        idx = rest[s:s + _PRUNE_CHUNK]
-        idx = idx[m[idx] > h2]
-        if idx.shape[0] == 0:
-            continue
+
+    def exact(idx, h2):
         c = C[idx]
         cs = csq[idx]
         mm = m[idx] - cs
@@ -294,9 +306,9 @@ def _maxmin_sq_pruned(X, C):
                 idx, c, cs, mm = idx[keep], c[keep], cs[keep], mm[keep]
             j += k
             b *= 2
-        if idx.shape[0]:
-            h2 = max(h2, float((mm + cs).max()))
-    return h2
+        return float((mm + cs).max()) if idx.shape[0] else -math.inf
+
+    return _best_first(m, top, h2, exact)
 
 
 def _grid_cells(C):
@@ -308,7 +320,7 @@ def _grid_cells(C):
     origin + (i_j + 1) width] on axis j; origin and top are C.min() and
     C.max(). One cell is used where there are too few candidates for more,
     or where the width would not be a normal float (zero or tiny span);
-    that cell is all warm, so its bound is never needed.
+    that cell is bounded like any other.
     """
     N, d = C.shape
     origin, top = float(C.min()), float(C.max())
@@ -328,7 +340,7 @@ def _grid_cells(C):
 
 
 def _cell_bounds(C, nearest):
-    """(cell numbers, candidates per cell, bound per cell) of the candidates C.
+    """Per candidate of C, the bound of its grid cell on its nearest() value.
 
     nearest(P) gives the distance from each row of P to the design. Each
     occupied cell of _grid_cells is bounded by
@@ -336,27 +348,24 @@ def _cell_bounds(C, nearest):
     _CELL_ULPS ulps of the largest coordinate, which cover the rounding of
     the binning, the centres and every computed distance; so by the
     triangle inequality no candidate's nearest() exceeds its cell's ub.
-    Empty cells are bounded by -inf.
     """
     cell, k, origin, width, top = _grid_cells(C)
     d = C.shape[1]
-    counts = np.bincount(cell, minlength=k ** d)
-    occupied = np.flatnonzero(counts)
+    occupied = np.flatnonzero(np.bincount(cell, minlength=k ** d))
     centres = origin + (np.stack(np.unravel_index(occupied, (k,) * d), axis=1) + 0.5) * width
     slack = 0.5 * width * math.sqrt(d) + _CELL_ULPS * np.spacing(max(-origin, top))
-    ub = np.full(k ** d, -np.inf)
+    ub = np.empty(k ** d)
     ub[occupied] = (nearest(centres) + slack) * (1.0 + _CELL_REL)
-    return cell, counts, ub
+    return ub[cell]
 
 
 def _maxmin_tree(X, C):
     """Exact max-min distance from the rows of C to X through one kd-tree of X.
 
-    The candidates of the cells with the highest _cell_bounds, at least
-    _CELL_WARM of them, are queried for a witnessed lower bound lo; then
-    only those in the other cells with a bound >= lo are. Every pruned
-    candidate's computed distance is below lo, and every queried one gets
-    the float one query of all of C returns for it, so the result is
+    _best_first runs over _cell_bounds from the min(_PRUNE_WARM, N)
+    candidates with the highest bounds. A pruned candidate's distance is
+    <= the running max, and every queried one gets the float one query of
+    all of C returns for it, so the result is
     float(cKDTree(X).query(C)[0].max()) bit for bit.
     """
     # scipy.spatial takes about 0.13 s to import even with numpy and
@@ -368,18 +377,10 @@ def _maxmin_tree(X, C):
     def nearest(P):
         return tree.query(P, k=1)[0]
 
-    cell, counts, ub = _cell_bounds(C, nearest)
-    # the highest-bound cells up to the first that brings the count to
-    # _CELL_WARM candidates, all cells where there are fewer
-    occupied = np.flatnonzero(counts)
-    order = occupied[np.argsort(-ub[occupied], kind="stable")]
-    warm = np.zeros(ub.shape[0], dtype=bool)
-    warm[order[:np.searchsorted(np.cumsum(counts[order]), _CELL_WARM) + 1]] = True
-    lo = float(nearest(C[warm[cell]]).max())
-    rest = C[((ub >= lo) & ~warm)[cell]]
-    if rest.shape[0]:
-        lo = max(lo, float(nearest(rest).max()))
-    return lo
+    ub = _cell_bounds(C, nearest)
+    top = _warm_set(ub, min(_PRUNE_WARM, C.shape[0]))
+    return _best_first(ub, top, float(nearest(C[top]).max()),
+                       lambda idx, lo: float(nearest(C[idx]).max()))
 
 
 def fill_distance_estimate(X, domain, candidates):
@@ -405,13 +406,8 @@ def fill_distance_estimate(X, domain, candidates):
     # a NaN, an infinity or a square that overflows leaves a non-finite norm
     if not np.isfinite(np.einsum("ij,ij->i", C, C)).all():
         raise ConfigError("candidate coordinates and their squared norms must be finite")
-    if domain is Domain.SORTED_SIMPLEX:
-        X = _sorted_copy(X)
-        C = _sorted_copy(C)
-    else:
-        X = np.ascontiguousarray(X)
-        C = np.ascontiguousarray(C)
-    return _fill_distance(X, C)
+    to_domain = _sorted_copy if domain is Domain.SORTED_SIMPLEX else np.ascontiguousarray
+    return _fill_distance(to_domain(X), to_domain(C))
 
 
 def _fill_distance(X, C):
@@ -419,9 +415,10 @@ def _fill_distance(X, C):
 
     X is a validated design and C a nonempty candidate array of the same
     width with finite coordinates and squared norms, both C-contiguous and
-    already in the domain's coordinates; nothing is checked here. Up to
-    _TREE_MAX_DIM a kd-tree answers for the candidates a grid bound leaves
-    (_maxmin_tree); the pruned scan answers above it.
+    already in the domain's coordinates; nothing is checked here. Both
+    paths run _best_first: up to _TREE_MAX_DIM over grid-cell bounds and
+    kd-tree queries (_maxmin_tree), above it over prescan bounds and
+    blocked products (_maxmin_sq_pruned).
     """
     if X.shape[1] <= _TREE_MAX_DIM:
         return _maxmin_tree(X, C)

@@ -172,6 +172,7 @@ def rmse_stderr(diff):
 
 def mc_points(d, mc_samples, seed):
     """The seeded uniform cube sample that l2_error averages over."""
+    _int_at_least("d", d, 1)
     _int_at_least("mc_samples", mc_samples, 1)
     return stream(seed).random((mc_samples, d))
 

@@ -134,3 +134,17 @@ def test_unresolved(parent, change, unresolved, tmp_path):
     assert metrics["wall_s"]["bound"] == 0.25
     assert metrics["wall_s"]["unresolved"] is unresolved
     assert metrics["peak_rss_mb"]["unresolved"] is False
+
+
+@pytest.mark.parametrize("rss, regressed", [(230.0 * 1.06, True), (230.0 * 1.04, False)])
+def test_regressed(rss, regressed, tmp_path, capsys):
+    # peak RSS rising 6% and 4% against its 5% bound, wall time steady
+    parent = [result_file(tmp_path / f"p{i}.json", 2.5, 230.0) for i in range(3)]
+    change = [result_file(tmp_path / f"c{i}.json", 2.5, rss) for i in range(3)]
+    out = tmp_path / "BENCH.json"
+    assert bench_pair.main(["--parent", *parent, "--change", *change, "--out", str(out)]) == 0
+    metrics = json.loads(out.read_text())["workloads"]["interp_lowd"]["metrics"]
+    assert metrics["peak_rss_mb"]["bound"] == 0.05
+    assert metrics["peak_rss_mb"]["regressed"] is regressed
+    assert not any(metrics[m]["regressed"] for m in ("wall_s", "trials_per_s", "setup_s"))
+    assert ("regressed: peak_rss_mb" in capsys.readouterr().out) is regressed

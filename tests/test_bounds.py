@@ -35,6 +35,7 @@ from sortkern.geometry import (
     cone_condition_holds,
     cone_parameters,
     covering_design,
+    cube_corners,
     simplex_inradius,
 )
 from sortkern.interpolation import mc_points
@@ -610,6 +611,8 @@ class TestNonFiniteRejected:
         "nystrom_spectrum.m": ("m", lambda v: nystrom_spectrum(KERNEL, KernelMode.PLAIN, v, 2, 1)),
         "nystrom_spectrum.d": ("d", lambda v: nystrom_spectrum(KERNEL, KernelMode.PLAIN, 8, v, 1)),
         "mc_points.mc_samples": ("mc_samples", lambda v: mc_points(2, v, 1)),
+        "mc_points.d": ("d", lambda v: mc_points(v, 5, 1)),
+        "cube_corners.d": ("d", lambda v: cube_corners(v)),
     }
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -657,6 +660,8 @@ class TestIntegerParameters:
                                      lambda v: subcube_classification([0.1, 0.2], 0.01, 1, v)),
         "h_tail_bound.d": ("d", lambda v: h_tail_bound(0.1, 10, v, 1.0, Domain.CUBE)),
         "h_tail_valid.d": ("d", lambda v: h_tail_valid(0.1, v, Domain.SORTED_SIMPLEX)),
+        "mc_points.d": ("d", lambda v: mc_points(v, 5, 1)),
+        "cube_corners.d": ("d", lambda v: cube_corners(v)),
     }
 
     @pytest.mark.parametrize("name,call", ROUTED.values(), ids=list(ROUTED))
@@ -691,7 +696,8 @@ class TestIntegerParameters:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, 0, -1])
     @pytest.mark.parametrize("key", ["subcube_classification.nu", "subcube_classification.d",
-                                     "h_tail_bound.d", "h_tail_valid.d"])
+                                     "h_tail_bound.d", "h_tail_valid.d", "mc_points.d",
+                                     "cube_corners.d"])
     def test_out_of_range_rejected(self, key, bad):
         name, call = self.ROUTED[key]
         with pytest.raises(ConfigError, match=f"^{name} must be finite"):

@@ -71,6 +71,11 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="experiment"):
             cfg(tmp_path, "x.csv", "table1")
 
+    @pytest.mark.parametrize("kernel", ["x", None, (1.0, 1.0)])
+    def test_non_kernelspec_kernel_rejected(self, kernel, tmp_path):
+        with pytest.raises(ConfigError, match="^kernel must be a KernelSpec"):
+            cfg(tmp_path, "x.csv", Experiment.TABLE1, kernel=kernel)
+
     def test_tail_needs_eps_grid(self, tmp_path):
         with pytest.raises(ConfigError, match="eps"):
             run_tail_curves(cfg(tmp_path, "x.csv", Experiment.TAIL_CURVES))

@@ -660,6 +660,10 @@ def tree_adversary(kind, d, seed):
         return 0.5 + 0.5 * X, 1e-4 * rng.uniform(0.5, 1.0) * rng.random((3000, d))
     if kind == "zero_span":
         return X, np.repeat(rng.random((1, d)), 3000, axis=0)
+    if kind == "subnormal_span":
+        # a span whose cell width is not a normal float: one cell, with
+        # more candidates than the warm set, so its bound decides the rest
+        return X, 1e-309 * rng.random((3000, d))
     if kind == "one_candidate":
         return X, rng.random((1, d))
     if kind == "design_rows":
@@ -674,7 +678,7 @@ def tree_adversary(kind, d, seed):
 
 
 TREE_ADVERSARIES = ["outside_cube", "far_cluster", "cell_boundaries", "far_design", "zero_span",
-                    "one_candidate", "design_rows", "near_design_point"]
+                    "subnormal_span", "one_candidate", "design_rows", "near_design_point"]
 
 
 class TestTreeGrid:
@@ -716,9 +720,7 @@ class TestTreeGrid:
                 def nearest(P):
                     return tree.query(P, k=1)[0]
 
-                cell, counts, ub = geometry._cell_bounds(B, nearest)
-                assert np.all(nearest(B) <= ub[cell])
-                assert np.array_equal(counts, np.bincount(cell, minlength=ub.shape[0]))
+                assert np.all(nearest(B) <= geometry._cell_bounds(B, nearest))
 
     def test_queries_far_fewer_points_than_candidates(self, monkeypatch):
         import scipy.spatial
@@ -737,5 +739,27 @@ class TestTreeGrid:
         got = fill_distance_estimate(X, Domain.CUBE, C)
         monkeypatch.undo()
         assert same_bits(got, one_tree_query(X, C, Domain.CUBE))
-        # the occupied cells' centres, the warm cells and any survivors
+        # the occupied cells' centres, the warm set and any survivors
         assert 2 <= len(queried) <= 3 and sum(queried) < 200_000 // 10
+
+    def test_sorted_table1_pass_queries_few_points(self, monkeypatch):
+        # table1's draw for (d = 3, n = 5000, trial 2) at its default seed:
+        # its sorted pass queried 150k of 200k points when every candidate
+        # that survived the warm cells went to one query
+        import scipy.spatial
+        from scipy.spatial import cKDTree
+
+        queried = []
+
+        class CountingTree(cKDTree):
+            def query(self, x, *args, **kwargs):
+                queried.append(len(x))
+                return super().query(x, *args, **kwargs)
+
+        cfg = ExperimentConfig(experiment=Experiment.TABLE1, kernel=KernelSpec(1.0, 1.0))
+        X, C = experiments._trial_draws(cfg, experiments._EXPERIMENT_IDS[Experiment.TABLE1], 3, 5000, 2)
+        monkeypatch.setattr(scipy.spatial, "cKDTree", CountingTree)
+        got = fill_distance_estimate(X, Domain.SORTED_SIMPLEX, C)
+        monkeypatch.undo()
+        assert same_bits(got, one_tree_query(X, C, Domain.SORTED_SIMPLEX))
+        assert sum(queried) < 40_000

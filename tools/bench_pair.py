@@ -12,12 +12,14 @@ arguments.
 
 Per workload the output holds, for each end-to-end metric of BENCHMARK.json,
 both sides' per-run values with their median and quartiles, the number of
-pairs the change won (ties count for neither), and two verdicts:
+pairs the change won (ties count for neither), and three verdicts:
 
 - claim_met: there are at least ten pairs, the change won at least 9 in 10 of
   them, and its median beats the parent's by more than the parent's q3 - q1;
 - unresolved: the parent's q3 - q1 is wider than the metric's bound, relative
-  to the parent's median, and not every change run beats every parent run.
+  to the parent's median, and not every change run beats every parent run;
+- regressed: the change's median is worse than the parent's by more than the
+  metric's bound, relative to the parent's median.
 
 Per workload it also holds digests_equal: whether every run of both sides
 reported the same CSV digest, so whether the change kept the output's bytes.
@@ -87,7 +89,8 @@ def compare(parent, change, metric, better, bound):
             "claim_met": len(p) >= 10 and 10 * wins >= 9 * len(p)
                          and sign * (ps["median"] - cs["median"]) > iqr,
             "unresolved": iqr > bound * abs(ps["median"])
-                          and not all(beats(a, b) for a in p for b in c)}
+                          and not all(beats(a, b) for a in p for b in c),
+            "regressed": sign * (cs["median"] - ps["median"]) > bound * abs(ps["median"])}
 
 
 def merge(parent_runs, change_runs, metrics):
@@ -136,13 +139,15 @@ def main(argv=None):
     Path(args.out).write_text(json.dumps({"workloads": workloads}, indent=1) + "\n")
     for name, w in workloads.items():
         wall = w["metrics"].get("wall_s")
+        regressed = [m for m, r in w["metrics"].items() if r["regressed"]]
         if wall:
             print(f"{name}: wall_s {wall['parent']['median']:.3f} -> "
                   f"{wall['change']['median']:.3f} s, change won "
                   f"{wall['change_wins']}/{wall['pairs']} pairs, "
                   f"digests {'equal' if w['digests_equal'] else 'differ'}"
                   f"{', claim met' if wall['claim_met'] else ''}"
-                  f"{', unresolved' if wall['unresolved'] else ''}")
+                  f"{', unresolved' if wall['unresolved'] else ''}"
+                  f"{', regressed: ' + ', '.join(regressed) if regressed else ''}")
     return 0
 
 
