@@ -21,7 +21,6 @@ from .rng import stream
 # diagonal jitter escalation, relative to mean diagonal magnitude
 _JITTER_LADDER = (0.0, 1e-12, 1e-11, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6)
 _RESIDUAL_TOL = 1e-8
-_EVAL_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -56,16 +55,15 @@ class InvariantTarget:
 
 def _expansion(kernel, mode, centres, coeffs, x):
     # sum_j coeffs[j] * K_mode(x, centres[j]) at a point (a scalar) or at the
-    # rows of an array, checked here once, _EVAL_CHUNK rows at a time. A lone
-    # last row joins the chunk before it: a one-row product takes another BLAS
-    # kernel, and so every row gets the float one product over all rows gives.
+    # rows of an array, checked here once; the evaluator contracts each row
+    # tile with coeffs, so no kernel matrix is held
+    m = centres.shape[0]
+    if np.shape(coeffs) != (m,):
+        raise DimensionMismatchError(
+            f"{np.shape(coeffs)} coefficients for {m} centres, need ({m},)")
     single = np.ndim(x) == 1
     X = as_point(x, centres.shape[1])[None, :] if single else as_design(x, d=centres.shape[1])
-    n = X.shape[0]
-    out = np.empty(n)
-    starts = range(0, max(n - 1, 1), _EVAL_CHUNK)
-    for s, e in zip(starts, [*starts[1:], n]):
-        out[s:e] = _cross(kernel, mode, X[s:e], centres) @ coeffs
+    out = _cross(kernel, mode, X, centres, coeffs=coeffs)
     return float(out[0]) if single else out
 
 

@@ -10,7 +10,10 @@ over all (d!)^2 permutation pairs.
 Every mode goes through one evaluator that hands row tiles of the first
 argument, with a bounded scratch per thread, to every CPU and reproduces,
 bit for bit, the result of building one full distance matrix per
-permutation term.
+permutation term. Given a coefficient vector, it contracts each tile with
+it and returns the kernel expansion without ever holding the kernel
+matrix; with BLAS at one thread that is bit for bit the product of the
+full matrix with the vector.
 """
 
 import math
@@ -121,12 +124,19 @@ def _buffer_elems(nbuf):
     return max(_TILE_ELEMS, 16 * _TILE_ELEMS // nbuf)
 
 
-def _tile_rows(m, nbuf):
-    """Rows of W per tile, at least one, for m columns and nbuf buffers."""
-    return max(1, _buffer_elems(nbuf) // m)
+def _tile_rows(m, nbuf, contract=False):
+    """Rows of W per tile, at least one, for m columns and nbuf buffers.
+
+    A tile contracted with coefficients has a multiple of 4 rows, at least
+    4: on one BLAS thread OpenBLAS's gemv groups output rows by 4 from the
+    first row it gets, so tiles that start at multiples of 4 keep the
+    groups, and the floats, of one product over all rows.
+    """
+    rows = max(1, _buffer_elems(nbuf) // m)
+    return max(4, rows - rows % 4) if contract else rows
 
 
-def _evaluate(k, W, Z, terms, upper=False):
+def _evaluate(k, W, Z, terms, upper=False, coeffs=None):
     """Average over terms pi of amplitude * exp(-||W[pi] - Z||^2 / (2 bw^2)).
 
     Rows of W are processed in tiles of about _buffer_elems elements per
@@ -139,15 +149,24 @@ def _evaluate(k, W, Z, terms, upper=False):
     design) a tile's columns start at its first row's diagonal, so below
     the diagonal only the entries in each tile's diagonal block are set;
     the caller mirrors the upper triangle over them.
+
+    With coeffs (an (m,) vector, upper False) the result is the (n,)
+    vector of the kernel matrix times coeffs: each tile's values go to one
+    more buffer of its thread's scratch, which is contracted with coeffs
+    into the tile's rows of the result. Tiles then have a multiple of 4
+    rows (_tile_rows), and a last tile of one row joins the one before it,
+    because numpy takes a one-row product through dot, not gemv.
     """
     n, d = W.shape
     m = Z.shape[0]
-    out = np.empty((n, m))
+    contract = coeffs is not None
+    out = np.empty(n if contract else (n, m))
     if n == 0 or m == 0:
+        out.fill(0.0)
         return out
     pairs, steps = _plan(terms)
     npairs = len(pairs)
-    nbuf = _buffer_count(npairs, d)
+    nbuf = _buffer_count(npairs, d) + contract
     WT = np.ascontiguousarray(W.T)
     ZT = np.ascontiguousarray(Z.T)
     scale = -2.0 * k.bandwidth * k.bandwidth
@@ -158,7 +177,9 @@ def _evaluate(k, W, Z, terms, upper=False):
     r0 = 0
     while r0 < n:
         c0 = r0 if upper else 0
-        r1 = min(n, r0 + _tile_rows(m - c0, nbuf))
+        r1 = min(n, r0 + _tile_rows(m - c0, nbuf, contract))
+        if contract and r1 == n - 1:
+            r1 = n
         spans[r0] = r1, c0
         r0 = r1
     size = max((r1 - r0) * (m - c0) for r0, (r1, c0) in spans.items())
@@ -168,6 +189,7 @@ def _evaluate(k, W, Z, terms, upper=False):
         if not hasattr(scratch, "buf"):
             scratch.buf = np.empty((nbuf, size))
         views = [b[:(r1 - r0) * (m - c0)].reshape(r1 - r0, m - c0) for b in scratch.buf]
+        acc = views.pop() if contract else out[r0:r1, c0:]
         table, dist = views[:npairs], views[-1]
         # level[q] is the distance summed over coordinates 0..q: level 0 is a
         # table entry, the last level is dist
@@ -175,7 +197,6 @@ def _evaluate(k, W, Z, terms, upper=False):
         for (p, q), T in zip(pairs, table):
             np.subtract(WT[p, r0:r1, None], ZT[q, c0:], out=T)
             np.multiply(T, T, out=T)
-        acc = out[r0:r1, c0:]
         # below a bandwidth of about 1e-154 the division overflows to -inf,
         # and exp(-inf) = 0 is the exact kernel value; numpy keeps this
         # setting per thread, so each tile sets it on the thread running it
@@ -195,6 +216,8 @@ def _evaluate(k, W, Z, terms, upper=False):
                     np.add(acc, dist, out=acc)
         if len(terms) > 1:
             np.divide(acc, len(terms), out=acc)
+        if contract:
+            np.matmul(acc, coeffs, out=out[r0:r1])
 
     _fan_out(tile, list(spans))
     return out
@@ -211,9 +234,9 @@ def kernel_cross(k, mode, W, Z):
     return _cross(k, mode, W, as_design(Z, min_rows=0, d=W.shape[1]))
 
 
-def _cross(k, mode, W, Z, upper=False):
+def _cross(k, mode, W, Z, upper=False, coeffs=None):
     # kernel_cross on arguments the caller has validated; upper (for a Gram
-    # matrix) as in _evaluate
+    # matrix) and coeffs (for a kernel expansion) as in _evaluate
     d = W.shape[1]
     check_mode_cap(mode, d)
     # sorted mode is defined on the canonical representatives; the averaged
@@ -222,7 +245,7 @@ def _cross(k, mode, W, Z, upper=False):
     # for any permutation of w or z, making the invariance exact in floats
     if mode is not KernelMode.PLAIN:
         W, Z = _sorted_copy(W), _sorted_copy(Z)
-    return _evaluate(k, W, Z, _terms(mode, d), upper)
+    return _evaluate(k, W, Z, _terms(mode, d), upper, coeffs)
 
 
 def kernel_value(k, mode, w, z):

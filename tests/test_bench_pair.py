@@ -148,3 +148,22 @@ def test_regressed(rss, regressed, tmp_path, capsys):
     assert metrics["peak_rss_mb"]["regressed"] is regressed
     assert not any(metrics[m]["regressed"] for m in ("wall_s", "trials_per_s", "setup_s"))
     assert ("regressed: peak_rss_mb" in capsys.readouterr().out) is regressed
+
+
+@pytest.mark.parametrize("parent_rss, change_rss, change_walls, met", [
+    # peak RSS 117.7 -> 100.2 MB on every pair, wall time steady
+    (117.7, 100.2, PARENT_WALLS, "peak_rss_mb"),
+    # wall time and throughput gained, peak RSS steady
+    (230.0, 230.0, [2.0] * 10, "wall_s, trials_per_s"),
+])
+def test_summary_names_every_claimed_metric(parent_rss, change_rss, change_walls, met,
+                                            tmp_path, capsys):
+    parent = [result_file(tmp_path / f"p{i}.json", wall, parent_rss)
+              for i, wall in enumerate(PARENT_WALLS)]
+    change = [result_file(tmp_path / f"c{i}.json", wall, change_rss)
+              for i, wall in enumerate(change_walls)]
+    out = tmp_path / "BENCH.json"
+    assert bench_pair.main(["--parent", *parent, "--change", *change, "--out", str(out)]) == 0
+    assert capsys.readouterr().out.strip().endswith(f"claim met: {met}")
+    metrics = json.loads(out.read_text())["workloads"]["interp_lowd"]["metrics"]
+    assert [m for m, r in metrics.items() if r["claim_met"]] == met.split(", ")

@@ -19,7 +19,7 @@ from sortkern.interpolation import (
     l2_error,
     make_invariant_target,
 )
-from sortkern import interpolation, kernels
+from sortkern import _pool, interpolation, kernels
 from sortkern.experiments import (
     _EXPERIMENT_IDS,
     INTERP_ATOMS,
@@ -237,15 +237,51 @@ class TestEvaluate:
             evaluate(f, rows)
 
     def test_points_validated_once_per_call(self, monkeypatch):
-        # one check for the whole array, none per evaluation chunk
+        # one check for the whole array, none per row tile; at two centres
+        # a tile holds 32768 rows, so 100001 points span four tiles
         f = fit(unit_kernel(), KernelMode.PLAIN, [[0.2, 0.4], [0.9, 0.1]], [1.0, -1.0])
         calls = []
         check = interpolation.as_design
         monkeypatch.setattr(interpolation, "as_design",
                             lambda *args, **kwargs: calls.append(1) or check(*args, **kwargs))
         monkeypatch.setattr(kernels, "as_design", None)  # kernel_cross is not called
-        evaluate(f, np.random.default_rng(6).random((3 * interpolation._EVAL_CHUNK + 1, 2)))
+        evaluate(f, np.random.default_rng(6).random((100001, 2)))
         assert calls == [1]
+
+    @pytest.mark.parametrize("length", [0, 11, 13])
+    def test_coefficient_length_checked_before_kernel_work(self, length, monkeypatch):
+        # a coefficient or weight vector of the wrong length is reported with
+        # both lengths, before any kernel value is computed
+        k, mode, X, _ = well_conditioned()
+        bad_f = Interpolant(kernel=k, mode=mode, design=X, coeffs=np.ones(length),
+                            jitter_used=0.0)
+        t = make_invariant_target(k, 3, 12, seed=4)
+        bad_t = InvariantTarget(atoms=t.atoms, weights=np.ones(length), kernel=k,
+                                norm_sq=t.norm_sq)
+        monkeypatch.setattr(interpolation, "_cross", None)
+        for call in (lambda x: evaluate(bad_f, x), bad_t.value):
+            for x in (X[0], X):
+                with pytest.raises(DimensionMismatchError, match=rf"\({length},\) .* 12 centres"):
+                    call(x)
+
+    @pytest.mark.parametrize("mode", list(KernelMode))
+    def test_holds_no_kernel_matrix(self, mode, monkeypatch):
+        # 21000 points against 1280 centres at d = 2, on two threads: each
+        # holds one tile's buffers, about 2 MiB, never the kernel matrix
+        # (215 MB) or a block of it of thousands of rows (42 MB per 4096)
+        monkeypatch.setattr(_pool, "_worker_count", lambda: 2)
+        rng = np.random.default_rng(7)
+        f = Interpolant(kernel=KernelSpec(amplitude=AMP, bandwidth=0.08), mode=mode,
+                        design=rng.random((1280, 2)), coeffs=rng.uniform(-1.0, 1.0, 1280),
+                        jitter_used=0.0)
+        X = rng.random((21000, 2))
+        tracemalloc.start()
+        try:
+            evaluate(f, X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2 ** 20
 
 
 class TestMinimalNorm:
@@ -284,6 +320,9 @@ class TestInvariantTarget:
         z = InvariantTarget(atoms=t.atoms, weights=np.zeros(3), kernel=k, norm_sq=0.0)
         assert z.norm_sq == 0.0
         assert np.all(z.value(np.random.default_rng(0).random((10, 2))) == 0.0)
+        # no atoms at all: the empty sum
+        e = InvariantTarget(atoms=np.empty((0, 2)), weights=np.empty(0), kernel=k, norm_sq=0.0)
+        assert np.array_equal(e.value(np.random.default_rng(0).random((10, 2))), np.zeros(10))
 
     def test_norm_matches_double_average(self):
         # the single-sum norm equals the one from the two-sided average over
@@ -314,8 +353,8 @@ class TestInvariantTarget:
 
     @pytest.mark.parametrize("d", [2, 3, 5])
     def test_chunked_values_match_one_product(self, d):
-        # values come _EVAL_CHUNK rows at a time, each row with the float
-        # that one product over all the rows gives it
+        # values come one contracted row tile at a time, each row with the
+        # float that one product over all the rows gives it
         t = make_invariant_target(unit_kernel(), d, INTERP_ATOMS, seed=20 + d)
         rng = np.random.default_rng(30 + d)
         for n in (1, 2, 3, 5, 80, 1000, 4095, 4096, 4097, 5001, 8193, 20000, 20001, 20003):

@@ -15,7 +15,7 @@ import _oracles as oracle
 from conftest import pool_threads
 from sortkern import _pool, kernels
 from sortkern.errors import CapExceededError, ConfigError, DimensionMismatchError, DuplicateOrbitError
-from sortkern.interpolation import make_invariant_target
+from sortkern.interpolation import Interpolant, evaluate, make_invariant_target
 from sortkern.kernels import (
     KernelMode,
     KernelSpec,
@@ -220,16 +220,18 @@ def enum_cross(k, mode, W, Z):
     return oracle.kernel_cross_enum(k.amplitude, k.bandwidth, mode.value, W, Z)
 
 
-def buffer_count(mode, d):
-    # working buffers of one tile of kernel_cross in this mode and dimension
-    return kernels._buffer_count(len(kernels._plan(kernels._terms(mode, d))[0]), d)
+def buffer_count(mode, d, contract=False):
+    # working buffers of one tile of kernel_cross in this mode and dimension,
+    # and one more (the accumulator) for a tile contracted with coefficients
+    return kernels._buffer_count(len(kernels._plan(kernels._terms(mode, d))[0]), d) + contract
 
 
-def tile_geometry(m, mode, d):
-    # (rows per tile, elements per buffer) that kernel_cross uses for m
-    # columns in this mode and dimension, under the current _TILE_ELEMS
-    nbuf = buffer_count(mode, d)
-    return kernels._tile_rows(m, nbuf), kernels._buffer_elems(nbuf)
+def tile_geometry(m, mode, d, contract=False):
+    # (rows per tile, elements per buffer) that kernel_cross, or with contract
+    # an expansion, uses for m columns in this mode and dimension, under the
+    # current _TILE_ELEMS
+    nbuf = buffer_count(mode, d, contract)
+    return kernels._tile_rows(m, nbuf, contract), kernels._buffer_elems(nbuf)
 
 
 class TestBitIdentity:
@@ -294,13 +296,23 @@ class TestBitIdentity:
 def test_tile_scratch_budget(mode, d, m):
     # a thread's scratch is at most 2 MiB, or 16384 elements per buffer where
     # the buffers outnumber 16; the averaged mode at d >= 5 keeps exactly
-    # those 16384-element buffers, so its peak memory cannot grow unnoticed
-    nbuf = buffer_count(mode, d)
-    rows, _ = tile_geometry(m, mode, d)
-    scratch = nbuf * rows * m * 8
-    assert scratch <= max(2 * 1024 * 1024, nbuf * 16384 * 8)
-    if mode is KernelMode.PERM_SINGLE and d >= 5:
-        assert scratch == nbuf * max(1, 16384 // m) * m * 8
+    # those 16384-element buffers, so its peak memory cannot grow unnoticed.
+    # A tile contracted with coefficients has one more buffer, the
+    # accumulator, and a multiple of 4 rows, at least 4, which may take it
+    # over the budget at large m.
+    for contract in (False, True):
+        nbuf = buffer_count(mode, d, contract)
+        rows, elems = tile_geometry(m, mode, d, contract)
+        scratch = nbuf * rows * m * 8
+        assert scratch <= max(2 * 1024 * 1024, nbuf * 16384 * 8, nbuf * 4 * m * 8 * contract)
+        if contract:
+            # the most rows in multiples of 4 that fit a buffer, else 4
+            assert rows % 4 == 0 and (rows == 4 or rows * m <= elems < (rows + 4) * m)
+        if mode is KernelMode.PERM_SINGLE and d >= 5:
+            per_buffer = max(1, 16384 // m)
+            if contract:
+                per_buffer = max(4, per_buffer - per_buffer % 4)
+            assert scratch == nbuf * per_buffer * m * 8
 
 
 class TestEvaluatorPool:
@@ -320,6 +332,31 @@ class TestEvaluatorPool:
         rng = np.random.default_rng(100 + d)
         W, Z = rng.random((19 * rows - 1, d)), rng.random((7, d))
         assert np.array_equal(kernel_cross(self.K, mode, W, Z), enum_cross(self.K, mode, W, Z))
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("mode", list(KernelMode))
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_contraction_matches_one_product(self, workers, mode, d, monkeypatch):
+        # evaluate contracts each row tile with the coefficients, and every
+        # value keeps the float of one product of the whole kernel matrix.
+        # A budget of 20 gives tiles of 4 to 12 rows at 7 centres; one centre
+        # past a buffer's elements (21 to 107 centres) forces tiles of 4 rows. The point counts
+        # cover lone rows, a tile and 1 to 3 rows past one and three tiles,
+        # where the last row would be a tile of its own.
+        monkeypatch.setattr(_pool, "_worker_count", lambda: workers)
+        monkeypatch.setattr(kernels, "_TILE_ELEMS", 20)
+        rng = np.random.default_rng(120 + d)
+        _, elems = tile_geometry(7, mode, d, contract=True)
+        for m in (7, elems + 1):
+            rows, _ = tile_geometry(m, mode, d, contract=True)
+            assert rows % 4 == 0 and (m <= elems or rows == 4)
+            centres = rng.random((m, d))
+            f = Interpolant(self.K, mode, centres, rng.uniform(-1.0, 1.0, m), 0.0)
+            for n in (1, 2, 3, 4, 5, rows - 1, rows, rows + 1, rows + 2, rows + 3,
+                      3 * rows + 1, 3 * rows + 2, 3 * rows + 3):
+                X = rng.random((n, d))
+                want = kernels._cross(self.K, mode, X, centres) @ f.coeffs
+                assert np.array_equal(evaluate(f, X).view(np.uint64), want.view(np.uint64))
 
     def test_overflowing_divide_is_silent_on_every_thread(self, monkeypatch):
         # numpy keeps its error state per thread, so each helper sets its own

@@ -24,7 +24,9 @@ pairs the change won (ties count for neither), and three verdicts:
 Per workload it also holds digests_equal: whether every run of both sides
 reported the same CSV digest, so whether the change kept the output's bytes.
 Per run it holds the per-child samples, the CSV digest, csv_exact, correct
-and the machine facts.
+and the machine facts. On stdout each workload gets one line: the wall_s
+medians and wins, whether the digests agree, and every metric that a
+verdict flags.
 """
 
 import argparse
@@ -139,15 +141,14 @@ def main(argv=None):
     Path(args.out).write_text(json.dumps({"workloads": workloads}, indent=1) + "\n")
     for name, w in workloads.items():
         wall = w["metrics"].get("wall_s")
-        regressed = [m for m, r in w["metrics"].items() if r["regressed"]]
-        if wall:
-            print(f"{name}: wall_s {wall['parent']['median']:.3f} -> "
-                  f"{wall['change']['median']:.3f} s, change won "
-                  f"{wall['change_wins']}/{wall['pairs']} pairs, "
-                  f"digests {'equal' if w['digests_equal'] else 'differ'}"
-                  f"{', claim met' if wall['claim_met'] else ''}"
-                  f"{', unresolved' if wall['unresolved'] else ''}"
-                  f"{', regressed: ' + ', '.join(regressed) if regressed else ''}")
+        parts = [f"wall_s {wall['parent']['median']:.3f} -> {wall['change']['median']:.3f} s, "
+                 f"change won {wall['change_wins']}/{wall['pairs']} pairs"] if wall else []
+        parts.append(f"digests {'equal' if w['digests_equal'] else 'differ'}")
+        for verdict in ("claim_met", "unresolved", "regressed"):
+            flagged = [m for m, r in w["metrics"].items() if r[verdict]]
+            if flagged:
+                parts.append(f"{verdict.replace('_', ' ')}: {', '.join(flagged)}")
+        print(f"{name}: {', '.join(parts)}")
     return 0
 
 
