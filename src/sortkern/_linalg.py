@@ -1,21 +1,137 @@
-"""scipy.linalg, imported on first use.
+"""LAPACK and the kd-tree without importing scipy.linalg or scipy.spatial.
 
-Importing scipy.linalg takes about 0.3 s, most of `import sortkern.cli`:
-its array-API layer loads numpy.f2py, numpy.testing and numpy.ma. Only the
-Gram solve of fit and the eigensolver of nystrom_spectrum need it, so they
-reach it through this module, and a command that does neither never pays.
-A runner that times its fits calls load() first, so no timing absorbs the
-import.
+fit needs dpotrf and dpotrs, nystrom_spectrum needs dsyevr, and the fill
+path up to d = 4 needs scipy's cKDTree. This module, the only one in
+sortkern that touches scipy, loads the compiled modules that hold them,
+scipy/linalg/_flapack and scipy/spatial/_ckdtree, from their files alone on
+first use. Importing scipy.linalg instead loads numpy.f2py, numpy.testing
+and numpy.ma through scipy's array-API layer, about 0.25 s and 16 MB;
+_ckdtree still imports scipy.sparse, which loads them too.
+
+Each module loads once, under one lock: the pool's threads reach their
+first kd-tree together, and a Cython module that a second thread loads
+while the first is still executing it comes back half initialised. A
+module that scipy has already imported is used as it is, and a loaded one
+goes into sys.modules under its own name, so a later import of
+scipy.linalg or scipy.spatial reuses it. Where a file is missing or fails
+to load, the public scipy.linalg.lapack or scipy.spatial stands in.
+
+The LAPACK calls pass the arguments scipy.linalg's cho_factor(a,
+lower=True, overwrite_a=True), cho_solve and eigh(a, eigvals_only=True,
+overwrite_a=True) pass for a float64 matrix, so they give the same bits.
+They skip scipy's finiteness checks: fit and nystrom_spectrum factor only
+Gram matrices of validated designs. A runner that times its fits calls
+load() first, so no timing absorbs the load.
 """
+
+import os
+import sys
+import threading
+
+import numpy as np
+
+_LOCK = threading.Lock()
+# scipy's private module name -> the module loaded for it
+_modules = {}
+
+
+def _extension_path(name):
+    # the file of scipy's compiled module `name`, or None
+    import importlib.machinery
+    import importlib.util
+
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is None:
+        return None
+    stem = os.path.join(scipy.submodule_search_locations[0], *name.split(".")[1:])
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        if os.path.isfile(stem + suffix):
+            return stem + suffix
+    return None
+
+
+def _standalone(name):
+    # scipy's compiled module `name` loaded from its file alone, or None
+    import importlib.util
+
+    path = _extension_path(name)
+    if path is None:
+        return None
+    spec = importlib.util.spec_from_file_location(name, path)
+    try:
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module
+        spec.loader.exec_module(module)
+    except ImportError:
+        sys.modules.pop(name, None)
+        return None
+    return module
+
+
+def _module(name, public):
+    # the module for `name`, loaded by the first call; `public` is the
+    # scipy module that has the same names
+    with _LOCK:
+        if name not in _modules:
+            import importlib
+
+            _modules[name] = (sys.modules.get(name) or _standalone(name)
+                              or importlib.import_module(public))
+        return _modules[name]
 
 
 def load():
-    """The scipy.linalg module, imported by the first call."""
-    import scipy.linalg
-
-    return scipy.linalg
+    """scipy's float64 LAPACK wrappers, loaded by the first call."""
+    return _module("scipy.linalg._flapack", "scipy.linalg.lapack")
 
 
-def eigh(a, **kwargs):
-    """scipy.linalg.eigh(a, **kwargs)."""
-    return load().eigh(a, **kwargs)
+def _kdtree_module():
+    # the module that holds scipy's cKDTree, loaded by the first call
+    return _module("scipy.spatial._ckdtree", "scipy.spatial")
+
+
+def cho_factor(a):
+    """Cholesky factor L of the symmetric float64 matrix a, in its lower triangle.
+
+    A Fortran-ordered a is factorized in place and returned; the upper
+    triangle keeps a's entries. Raises np.linalg.LinAlgError where a is not
+    positive definite.
+    """
+    c, info = load().dpotrf(a, lower=1, overwrite_a=1, clean=0)
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"{info}-th leading minor of the array is not positive definite")
+    if info < 0:
+        raise ValueError(
+            f'LAPACK reported an illegal value in {-info}-th argument on entry to "POTRF".')
+    return c
+
+
+def cho_solve(c, b):
+    """Solution x of L L' x = b for a factor c from cho_factor."""
+    x, info = load().dpotrs(c, b, lower=1)
+    if info != 0:
+        raise ValueError(f"illegal value in {-info}th argument of internal potrs")
+    return x
+
+
+def eigh(a):
+    """Eigenvalues of the symmetric float64 matrix a, ascending, from its lower triangle.
+
+    A Fortran-ordered a is overwritten. Raises np.linalg.LinAlgError where
+    the solver fails.
+    """
+    lapack = load()
+    lwork, liwork, info = lapack.dsyevr_lwork(a.shape[0], lower=1)
+    if info != 0:
+        raise ValueError(f"Internal work array size computation failed: {info}")
+    w, _, _, _, info = lapack.dsyevr(a, compute_v=0, lower=1, overwrite_a=1,
+                                     lwork=int(lwork), liwork=int(liwork))
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dsyevr failed with info {info}")
+    return w
+
+
+def cKDTree(data):
+    """scipy's cKDTree of the rows of data."""
+    return _kdtree_module().cKDTree(data)

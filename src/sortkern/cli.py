@@ -1,7 +1,9 @@
 """Command-line harness for the seeded experiment suite.
 
-Usage: sortkern <experiment> [flags]. Every flag has a default, so
+Usage: sortkern <experiment> [flags]. Every flag has a default, and
 `sortkern table1` reproduces the reference fill-distance table as is.
+interp_compare alone needs --d: it averages over all d! permutations,
+capped at d = 6, and the default dimensions reach 12.
 Exit codes: 0 success, 1 configuration, input or file-system error, 2
 numerical failure; each failure prints one line on stderr.
 """

@@ -218,7 +218,7 @@ def run_interp_compare(cfg):
     # the targets and the PermSingle rows are averaged; fail before any trial
     for d in cfg.dims:
         check_mode_cap(KernelMode.PERM_SINGLE, d)
-    # scipy.linalg loads here, so the first fit_ms times no import
+    # LAPACK loads here, so the first fit_ms times no load
     _linalg.load()
     rows = []
     consts = {d: sup_kernel_constant(cfg.kernel, cfg.nu, d) for d in cfg.dims}
@@ -311,7 +311,7 @@ def run_eigen_decay(cfg):
     b = BoundInputs(nu=cfg.nu, d=d, c_k0=c_k0, c_knu=c_knu,
                     rho_low=1.0, rho_high=1.0, alpha=cfg.alpha)
     j_top = m // 4
-    # scipy.linalg loads here, not inside the first eigensolver call
+    # LAPACK loads here, not inside the first eigensolver call
     _linalg.load()
     spectra = {
         mode: [nystrom_spectrum(cfg.kernel, mode, m, d,

@@ -15,6 +15,7 @@ from enum import Enum
 
 import numpy as np
 
+from ._linalg import cKDTree
 from .errors import CapExceededError, ConfigError, DimensionMismatchError, _above, _int_at_least
 
 # Exact NN queries via a tree are fast only in low dimension; above this
@@ -368,10 +369,6 @@ def _maxmin_tree(X, C):
     all of C returns for it, so the result is
     float(cKDTree(X).query(C)[0].max()) bit for bit.
     """
-    # scipy.spatial takes about 0.13 s to import even with numpy and
-    # scipy.linalg loaded, so only the low-dimensional path loads it
-    from scipy.spatial import cKDTree
-
     tree = cKDTree(X)
 
     def nearest(P):

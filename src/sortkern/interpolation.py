@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import load
+from ._linalg import cho_factor, cho_solve
 from .errors import ConfigError, DimensionMismatchError, FactorizationError, _int_at_least
 from .geometry import _sorted_copy, as_design, as_point
 from .kernels import KernelMode, KernelSpec, _cross, _gram
@@ -87,7 +87,6 @@ def fit(k, mode, X, y):
     n = X.shape[0]
     scale = np.trace(G) / n
     tol = _RESIDUAL_TOL * (1.0 + float(np.max(np.abs(y))))
-    linalg = load()
     # Each rung factorizes A, a copy of G with the shift added to its
     # diagonal, in place. A is exactly symmetric, so its transpose is the
     # Fortran-ordered matrix LAPACK works on, and no other Gram-sized array
@@ -103,11 +102,11 @@ def fit(k, mode, X, y):
         if shift:
             A.flat[::n + 1] += shift
         try:
-            cf = linalg.cho_factor(A.T, lower=True, overwrite_a=True)
+            c = cho_factor(A.T)
         except np.linalg.LinAlgError as e:
             last_err = str(e)
             continue
-        coeffs = linalg.cho_solve(cf, y)
+        coeffs = cho_solve(c, y)
         resid = float(np.max(np.abs(G @ coeffs - y)))
         if resid <= tol:
             return Interpolant(kernel=k, mode=mode, design=X, coeffs=coeffs,

@@ -42,7 +42,7 @@ def nystrom_spectrum(k, mode, m, d, seed):
     # G is exactly symmetric, so its transpose is the Fortran-ordered matrix
     # LAPACK works on, and the solver overwrites it instead of copying it
     try:
-        vals = eigh(G.T, eigvals_only=True, overwrite_a=True)
+        vals = eigh(G.T)
     except np.linalg.LinAlgError as e:
         raise NumericalError(f"symmetric eigensolver failed for m={m}, d={d}: {e}") from e
     vals = vals[::-1] / m

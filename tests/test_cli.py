@@ -144,6 +144,26 @@ SMALL_RUNS = [
 ]
 
 
+def test_interp_compare_defaults_exit_one(tmp_path, monkeypatch, capsys):
+    # the default dimensions reach 12, past the averaged kernel's cap of 6
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(["interp_compare"]) == 1
+    assert capsys.readouterr().err == (
+        "sortkern: error: perm_single is averaged over d! terms; d=9 exceeds the cap 6\n")
+    assert not any(tmp_path.iterdir())
+
+
+def test_readme_interp_compare_command_runs(tmp_path):
+    # the README's command, at a reduced size
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    commands = re.findall(r"^sortkern (interp_compare .*)$", text, flags=re.M)
+    assert len(commands) == 1
+    out = tmp_path / "x.csv"
+    assert run_cli(commands[0].split() + ["--n", "12", "--trials", "1", "--mc-samples", "100",
+                                          "--candidates", "500", "--out", str(out)]) == 0
+    assert out.exists()
+
+
 class TestBadValues:
     def test_negative_seed(self, tmp_path, capsys):
         err = one_line_failure(["table1", "--d", "3", "--n", "5", "--trials", "1",
@@ -310,21 +330,21 @@ def test_import_leaves_scipy_spatial_unloaded():
 
 
 def test_import_leaves_scipy_linalg_unloaded():
-    # scipy.linalg, most of the CLI's import time, loads on the first fit or
-    # spectrum
+    # sortkern reaches LAPACK without scipy.linalg, whose import would be
+    # most of the CLI's import time
     assert fresh_python(
         "import sys, sortkern.cli; print('scipy.linalg' in sys.modules)") == "False"
 
 
 FIRST_FIT_PROBE = """
 import sys
-from sortkern import experiments
+from sortkern import _linalg, experiments
 from sortkern.kernels import KernelSpec
 
 fit, loaded = experiments.fit, []
 
 def probe(*args, **kwargs):
-    loaded.append("scipy.linalg" in sys.modules)
+    loaded.append("scipy.linalg._flapack" in _linalg._modules)
     return fit(*args, **kwargs)
 
 experiments.fit = probe
@@ -337,9 +357,24 @@ print(loaded)
 
 
 def test_first_fit_ms_times_no_import(tmp_path):
-    # the runner loads scipy.linalg before it times a fit. At d = 5 no kd-tree
-    # is built, and so no scipy.spatial import loads scipy.linalg first.
+    # the runner loads LAPACK before it times a fit, so no fit_ms times the
+    # load. At d = 5 no kd-tree is built, so nothing else loads it first.
     assert fresh_python(FIRST_FIT_PROBE, str(tmp_path / "out.csv")) == "[True, True, True]"
+
+
+@pytest.mark.parametrize("argv", [
+    "eigen_decay --d 3 --n 200 --trials 1",
+    "interp_compare --d 2 --n 80 --trials 1 --mc-samples 200 --candidates 2000",
+    "interp_compare --d 5 --n 40 --trials 1 --mc-samples 200 --candidates 2000",
+    "table1 --d 3,6 --n 50 --trials 2 --candidates 2000",
+])
+def test_commands_leave_scipy_linalg_and_spatial_unloaded(argv, tmp_path):
+    # LAPACK and the kd-tree (interp_compare at d = 2, table1 at d = 3) come
+    # from scipy's compiled modules alone
+    code = ("import sys, sortkern.cli\n"
+            "assert sortkern.cli.main(sys.argv[1:]) == 0\n"
+            "print([m for m in ('scipy.linalg', 'scipy.spatial') if m in sys.modules])")
+    assert fresh_python(code, *argv.split(), "--out", str(tmp_path / "out.csv")) == "[]"
 
 
 class TestMallocPin:

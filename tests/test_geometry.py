@@ -612,7 +612,6 @@ class TestTreeWorkers:
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("d", range(1, 5))
     def test_workers_match_one_query(self, d, workers, monkeypatch):
-        import scipy.spatial
         from scipy.spatial import cKDTree
 
         from sortkern import _pool
@@ -629,7 +628,7 @@ class TestTreeWorkers:
                 return super().query(x, k, eps, p, distance_upper_bound, workers)
 
         monkeypatch.setattr(_pool, "_worker_count", lambda: workers)
-        monkeypatch.setattr(scipy.spatial, "cKDTree", RecordingTree)
+        monkeypatch.setattr(geometry, "cKDTree", RecordingTree)
         assert same_bits(geometry._fill_distance(X, C), plain)
         got = geometry._fill_distances(X, C)
         assert same_bits(got[0], plain) and same_bits(got[1], srt)
@@ -723,7 +722,6 @@ class TestTreeGrid:
                 assert np.all(nearest(B) <= geometry._cell_bounds(B, nearest))
 
     def test_queries_far_fewer_points_than_candidates(self, monkeypatch):
-        import scipy.spatial
         from scipy.spatial import cKDTree
 
         queried = []
@@ -733,7 +731,7 @@ class TestTreeGrid:
                 queried.append(len(x))
                 return super().query(x, *args, **kwargs)
 
-        monkeypatch.setattr(scipy.spatial, "cKDTree", CountingTree)
+        monkeypatch.setattr(geometry, "cKDTree", CountingTree)
         rng = np.random.default_rng(3)
         X, C = rng.random((500, 3)), rng.random((200_000, 3))
         got = fill_distance_estimate(X, Domain.CUBE, C)
@@ -746,7 +744,6 @@ class TestTreeGrid:
         # table1's draw for (d = 3, n = 5000, trial 2) at its default seed:
         # its sorted pass queried 150k of 200k points when every candidate
         # that survived the warm cells went to one query
-        import scipy.spatial
         from scipy.spatial import cKDTree
 
         queried = []
@@ -758,7 +755,7 @@ class TestTreeGrid:
 
         cfg = ExperimentConfig(experiment=Experiment.TABLE1, kernel=KernelSpec(1.0, 1.0))
         X, C = experiments._trial_draws(cfg, experiments._EXPERIMENT_IDS[Experiment.TABLE1], 3, 5000, 2)
-        monkeypatch.setattr(scipy.spatial, "cKDTree", CountingTree)
+        monkeypatch.setattr(geometry, "cKDTree", CountingTree)
         got = fill_distance_estimate(X, Domain.SORTED_SIMPLEX, C)
         monkeypatch.undo()
         assert same_bits(got, one_tree_query(X, C, Domain.SORTED_SIMPLEX))

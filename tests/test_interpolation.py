@@ -19,7 +19,7 @@ from sortkern.interpolation import (
     l2_error,
     make_invariant_target,
 )
-from sortkern import _pool, interpolation, kernels
+from sortkern import _linalg, _pool, interpolation, kernels
 from sortkern.experiments import (
     _EXPERIMENT_IDS,
     INTERP_ATOMS,
@@ -166,6 +166,68 @@ class TestFit:
         X = np.array([[0.1, 0.2], [0.2, 0.1 + 1e-16], [0.7, 0.3]])
         with pytest.raises(FactorizationError, match="jitter"):
             fit(k, KernelMode.SORTED, X, [1.0, -1.0, 0.5])
+
+
+def same_bits(a, b):
+    return np.array_equal(np.asarray(a).view(np.uint64), np.asarray(b).view(np.uint64))
+
+
+def scipy_rung(k, mode, X, y):
+    """The shift of fit's ladder at which scipy.linalg first solves the system."""
+    G = gram(k, mode, X)
+    n = len(X)
+    tol = interpolation._RESIDUAL_TOL * (1.0 + np.max(np.abs(y)))
+    for delta in interpolation._JITTER_LADDER:
+        shift = delta * np.trace(G) / n
+        try:
+            coeffs = cho_solve(cho_factor(G + shift * np.eye(n), lower=True), y)
+        except LinAlgError:
+            continue
+        if np.max(np.abs(G @ coeffs - y)) <= tol:
+            return shift
+    return None
+
+
+class TestLapackCalls:
+    """_linalg's Cholesky calls give scipy.linalg's bits, failures included."""
+
+    @pytest.mark.parametrize("mode, d, n, bandwidth", [
+        (KernelMode.PLAIN, 2, 200, 0.1), (KernelMode.SORTED, 3, 150, 0.3),
+        (KernelMode.PERM_SINGLE, 4, 60, 0.3), (KernelMode.PERM_SINGLE, 5, 160, 0.3)])
+    def test_factor_and_solve_match_scipy(self, mode, d, n, bandwidth):
+        rng = stream(7)
+        G = gram(KernelSpec(AMP, bandwidth), mode, rng.random((n, d)))
+        y = rng.normal(size=n)
+        want = cho_factor(G, lower=True)
+        # in place on the transpose of a copy, as fit calls it
+        got = _linalg.cho_factor(G.copy().T)
+        assert same_bits(got, want[0])
+        assert same_bits(_linalg.cho_solve(got, y), cho_solve(want, y))
+
+    def test_shifted_factor_matches_scipy(self):
+        # the interp_lowd trial's plain system at the rung it needs
+        k, mode, X, y = interp_lowd_trial()
+        G = gram(k, mode, X)
+        A = G + 1e-12 * np.trace(G) / len(X) * np.eye(len(X))
+        want = cho_factor(A, lower=True)
+        got = _linalg.cho_factor(A.copy().T)
+        assert same_bits(got, want[0])
+        assert same_bits(_linalg.cho_solve(got, y), cho_solve(want, y))
+
+    def test_not_positive_definite_raises_as_scipy(self):
+        k, mode, X, _ = near_duplicate_orbits()
+        G = gram(k, mode, X)
+        with pytest.raises(LinAlgError) as want:
+            cho_factor(G, lower=True)
+        with pytest.raises(np.linalg.LinAlgError) as got:
+            _linalg.cho_factor(G.copy().T)
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("design", [well_conditioned, near_duplicate_orbits, interp_lowd_trial])
+    def test_fit_lands_on_scipy_rung(self, design):
+        k, mode, X, y = design()
+        assert fit(k, mode, X, y).jitter_used == scipy_rung(k, mode, X, y)
 
 
 class TestEvaluate:

@@ -1,0 +1,168 @@
+"""_linalg: the one module that touches scipy, loading each compiled module once."""
+
+import ast
+import hashlib
+from pathlib import Path
+
+import numpy as np
+import pytest
+import scipy.linalg
+from scipy.spatial import cKDTree
+
+import sortkern
+from sortkern.kernels import KernelMode, KernelSpec, gram
+from sortkern.rng import stream
+from test_cli import fresh_python
+
+SRC = Path(sortkern.__file__).resolve().parent
+
+
+def scipy_imports(source):
+    """Names of the scipy modules a source imports, by statement or by call."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names += [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.append(node.module)
+        elif (isinstance(node, ast.Call) and node.args
+              and isinstance(node.args[0], ast.Constant) and isinstance(node.args[0].value, str)
+              and getattr(node.func, "attr", getattr(node.func, "id", None))
+              in ("import_module", "__import__")):
+            names.append(node.args[0].value)
+    return [n for n in names if n == "scipy" or n.startswith("scipy.")]
+
+
+def test_only_linalg_imports_scipy():
+    assert scipy_imports(
+        "import os, scipy\nfrom scipy.spatial import cKDTree\n"
+        "def f():\n    import scipy.linalg as la\n    importlib.import_module('scipy.sparse')"
+    ) == ["scipy", "scipy.spatial", "scipy.linalg", "scipy.sparse"]
+    importers = {p.name for p in SRC.glob("*.py") if scipy_imports(p.read_text())}
+    assert importers <= {"_linalg.py"}
+
+
+def test_import_loads_no_scipy_module():
+    assert fresh_python(
+        "import sys, sortkern.cli\n"
+        "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])") == "[]"
+
+
+LOADERS_AT_ONCE = """
+import sys, threading
+import numpy as np
+from sortkern import _linalg
+
+sys.setswitchinterval(1e-6)
+barrier = threading.Barrier(8, timeout=60)
+got, errors = [], []
+
+def use(loader):
+    # each module is used as soon as its loader returns it
+    m = loader()
+    if loader is _linalg.load:
+        m.dpotrf(np.eye(3))
+    else:
+        m.cKDTree(np.eye(3)).query(np.zeros((1, 3)))
+    return m
+
+def run(i):
+    loaders = (_linalg.load, _linalg._kdtree_module)
+    barrier.wait()
+    try:
+        got.append({f.__name__: use(f) for f in loaders[::1 - 2 * (i % 2)]})
+    except BaseException as e:
+        errors.append(repr(e))
+
+threads = [threading.Thread(target=run, args=(i,)) for i in range(8)]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join(60)
+assert not any(t.is_alive() for t in threads)
+assert not errors, errors
+assert len(got) == 8 and all(g == got[0] for g in got), got
+lapack, tree = got[0]["load"], got[0]["_kdtree_module"]
+assert lapack.__name__ == "scipy.linalg._flapack" and hasattr(lapack, "dsyevr")
+assert tree.__name__ == "scipy.spatial._ckdtree" and hasattr(tree, "cKDTree")
+print("ok")
+"""
+
+
+def test_loaders_at_once_load_each_module_once():
+    # eight threads released together all get the one module of each kind,
+    # and none gets it before it is fully loaded
+    assert fresh_python(LOADERS_AT_ONCE) == "ok"
+
+
+TABLE1_CHILD = """
+import sys
+from sortkern import _pool, cli
+
+workers = int(sys.argv[1])
+_pool._worker_count = lambda: workers
+sys.exit(cli.main(["table1", "--d", "3", "--n", "50,500", "--trials", "4",
+                   "--candidates", "20000", "--out", sys.argv[2]]))
+"""
+
+
+def test_pooled_table1_loads_the_tree_once(tmp_path):
+    # the pool's threads reach their first kd-tree together
+    one, pooled = tmp_path / "one.csv", tmp_path / "pooled.csv"
+    fresh_python(TABLE1_CHILD, "1", str(one))
+    fresh_python(TABLE1_CHILD, "4", str(pooled))
+    assert pooled.read_bytes() == one.read_bytes()
+
+
+def digest(parts):
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(np.ascontiguousarray(part).tobytes())
+    return h.hexdigest()
+
+
+CHILD_DIGEST = """
+import hashlib, sys
+import numpy as np
+from sortkern import _linalg
+
+setup, inputs, broken = sys.argv[1:]
+if setup == "before":
+    import scipy.linalg, scipy.spatial
+elif setup == "missing":
+    _linalg._extension_path = lambda name: None
+elif setup == "broken":
+    _linalg._extension_path = lambda name: broken
+G, y, X, C = np.load(inputs).values()
+c = _linalg.cho_factor(G.copy().T)
+parts = [c, _linalg.cho_solve(c, y), _linalg.eigh(G.copy().T), _linalg.cKDTree(X).query(C)[0]]
+standalone = "scipy.linalg" not in sys.modules and "scipy.spatial" not in sys.modules
+if setup == "after":
+    import scipy.linalg, scipy.spatial
+    # the public modules reuse the loaded ones
+    assert scipy.linalg.lapack.dpotrf is _linalg.load().dpotrf
+    assert scipy.spatial.cKDTree is _linalg._kdtree_module().cKDTree
+h = hashlib.sha256()
+for part in parts:
+    h.update(np.ascontiguousarray(part).tobytes())
+print(standalone, h.hexdigest())
+"""
+
+
+@pytest.mark.parametrize("setup, standalone", [
+    ("alone", True), ("after", True), ("before", False), ("missing", False), ("broken", False)])
+def test_same_bits_with_and_without_public_scipy(setup, standalone, tmp_path):
+    # scipy.linalg and scipy.spatial imported after or before the standalone
+    # load, and the public modules standing in for a missing file and for
+    # one that fails to load, all give the public functions' bits
+    rng = stream(41)
+    X, C = rng.random((150, 3)), rng.random((2000, 3))
+    G, y = gram(KernelSpec(1.0, 0.3), KernelMode.PLAIN, X), rng.normal(size=150)
+    np.savez(tmp_path / "inputs.npz", G=G, y=y, X=X, C=C)
+    broken = tmp_path / "broken.so"
+    broken.write_bytes(b"not a shared object")
+    c = scipy.linalg.cho_factor(G, lower=True)
+    want = digest([c[0], scipy.linalg.cho_solve(c, y),
+                   scipy.linalg.eigh(G, eigvals_only=True), cKDTree(X).query(C)[0]])
+    got = fresh_python(CHILD_DIGEST, setup, str(tmp_path / "inputs.npz"), str(broken))
+    assert got == f"{standalone} {want}"

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh
 
-from sortkern import _pool
+from sortkern import _linalg, _pool
 from sortkern.bounds import BoundInputs, eigen_bound_covering, eigen_bound_weyl
 from sortkern.errors import ConfigError, NumericalError
 from sortkern.kernels import KernelMode, KernelSpec, gram, sup_kernel_constant
@@ -84,12 +84,20 @@ class TestNystrom:
         got = nystrom_spectrum(k, mode, m, d, seed=seed).eigenvalues
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
+    @pytest.mark.parametrize("mode, d, m", [
+        (KernelMode.PLAIN, 2, 400), (KernelMode.SORTED, 3, 500), (KernelMode.PERM_SINGLE, 5, 160)])
+    def test_eigh_matches_scipy(self, mode, d, m):
+        # the solver nystrom_spectrum calls gives scipy.linalg.eigh's bits
+        G = gram(KernelSpec(amplitude=AMP, bandwidth=0.3), mode, stream(17).random((m, d)))
+        want = eigh(G, eigvals_only=True)
+        got = _linalg.eigh(G.copy().T)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
     @pytest.mark.parametrize("mode", [KernelMode.PLAIN, KernelMode.SORTED])
     def test_peak_memory_is_one_gram_matrix(self, mode, monkeypatch):
         # assembly, mirror and eigensolver share one Gram-sized array; the
-        # rest is tile scratch (two workers' worth here) and the solver's
-        # finiteness mask. An index-gather mirror alone peaked at 2.4 Gram
-        # sizes.
+        # rest is tile scratch (two workers' worth here). An index-gather
+        # mirror alone peaked at 2.4 Gram sizes.
         monkeypatch.setattr(_pool, "_worker_count", lambda: 2)
         m = 2000
         tracemalloc.start()
