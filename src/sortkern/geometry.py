@@ -170,54 +170,64 @@ def simplex_inradius(d):
     return 1.0 / (2.0 + math.sqrt(2.0) * (d - 1))
 
 
-def _block_min(c, X2, xsq, j, k, buf):
-    """Per row of c, min over design points x_j..x_{j+k-1} of -2 c.x + |x|^2, formed in buf."""
-    T = buf[:c.shape[0] * k].reshape(c.shape[0], k)
-    np.matmul(c, X2[j:j + k].T, out=T)
-    T += xsq[j:j + k][None, :]
-    return T.min(axis=1)
+def _exact_max_sq(c, cs, mm, j, X2, xsq, buf, lo):
+    """Max over rows of c of the exact squared distance to the design, or -inf.
 
-
-def _exact_min_sq(C, X2, xsq, csq, buf):
-    """Exact squared nearest-neighbor distance from each row of C to the design.
-
-    X2 is -2 times the design, xsq and csq hold the squared norms of its
-    rows and of C's; the design is taken in column blocks that fill buf.
+    X2 is -2 times the design and xsq its rows' squared norms; cs holds the
+    squared norms of c's rows and mm each row's running min of
+    -2 c.x + |x|^2 over the design points before j: inf from j = 0 for the
+    warm set, the prescan's from j = k0 for survivors. The rest of the
+    design is taken in blocks formed in buf: from j = 0 each fills buf,
+    from j > 0 they double from j until they fill it, and a tail that fits
+    goes in one shot. A row is dropped once its distance so far falls to
+    lo; -inf is returned where none is left.
     """
     n = X2.shape[0]
-    m = np.full(C.shape[0], np.inf)
-    b = buf.shape[0] // C.shape[0]
-    for j in range(0, n, b):
-        np.minimum(m, _block_min(C, X2, xsq, j, min(b, n - j), buf), out=m)
-    return m + csq
+    b = j or buf.shape[0] // c.shape[0]
+    while j < n and c.shape[0]:
+        cap = buf.shape[0] // c.shape[0]
+        k = n - j if n - j <= cap else min(b, cap)
+        T = buf[:c.shape[0] * k].reshape(c.shape[0], k)
+        np.matmul(c, X2[j:j + k].T, out=T)
+        T += xsq[j:j + k][None, :]
+        np.minimum(mm, T.min(axis=1), out=mm)
+        alive = (mm + cs) > lo
+        if alive.mean() < 0.7:
+            keep = np.flatnonzero(alive)
+            c, cs, mm = c[keep], cs[keep], mm[keep]
+        j += k
+        b *= 2
+    return float((mm + cs).max()) if c.shape[0] else -math.inf
 
 
-def _prescan_sq(X, C, xsq, csq, k0):
-    """Squared distance from each row of C to its nearest point among X[:k0].
+def _prescan_sq(X2, C, xsq, csq, k0, buf):
+    """Squared distance from each row of C to its nearest point among the first k0.
 
-    Every element sees the operations of one (N, k0) product C @ X[:k0].T:
-    dot product, times -2 (folded into the design copy: scaling by a power
-    of two is exact), plus the design point's squared norm, min over
-    the k0 points, plus the candidate's squared norm. The product is formed
-    transposed, (k0, cols) per column tile, so the (N, k0) matrix never
-    exists and the min is an elementwise minimum of contiguous rows; the
-    product and a tile of candidates each fit in _PRESCAN_TILE_BYTES.
-    Every tile has the same width, a multiple of 64 (the last one is
-    zero-padded): a partial micro-tile at a ragged edge of a BLAS product
-    can round differently.
+    X2 is -2 times the design (scaling by a power of two is exact) and xsq
+    its rows' squared norms. Every element sees the operations of one
+    (N, k0) product C @ X2[:k0].T: dot product, plus the design point's
+    squared norm, min over the k0 points, plus the candidate's squared
+    norm. The product is formed transposed, (k0, cols) per column tile, so
+    the (N, k0) matrix never exists and the min is an elementwise minimum
+    of contiguous rows. The product tile and the zero-padded last tile of
+    candidates are views of buf, and each fits in _PRESCAN_TILE_BYTES.
+    Every tile has the same width, a multiple of 64: a partial micro-tile
+    at a ragged edge of a BLAS product can round differently.
     """
     N, d = C.shape
     cols = max(64, _PRESCAN_TILE_BYTES // (8 * max(k0, d)) // 64 * 64)
-    XT = -2.0 * X[:k0]
+    XT = X2[:k0]
     xs = xsq[:k0, None]
     m = np.empty(N)
-    T = np.empty((k0, cols))
+    T = buf[:k0 * cols].reshape(k0, cols)
+    pad = buf[k0 * cols:(k0 + d) * cols].reshape(cols, d)
     for s in range(0, N, cols):
         e = min(N, s + cols)
         tile = C[s:e]
         if e - s < cols:
-            tile = np.zeros((cols, d))
-            tile[:e - s] = C[s:e]
+            pad[:e - s] = tile
+            pad[e - s:] = 0.0
+            tile = pad
         np.matmul(XT, tile.T, out=T)
         T += xs
         np.minimum.reduce(T[:, :e - s], axis=0, out=m[s:e])
@@ -269,47 +279,32 @@ def _maxmin_sq_pruned(X, C):
     """Exact max over rows of C of squared NN distance to X.
 
     A shallow prescan scores every candidate by its distance to the first
-    min(_PRUNE_PRESCAN, n) design points, an upper bound; the
+    k0 = min(_PRUNE_PRESCAN, n) design points, an upper bound; the
     min(_PRUNE_WARM, N) best scored get exact distances, whose max is a
     witnessed lower bound. Where the prescan saw every design point the
-    other scores are exact already; otherwise _best_first visits the rest,
-    each chunk in doubling design blocks that drop a candidate once it
-    falls to the running max. The returned value equals the full
-    brute-force max-min exactly. X and C are finite; the caller checks them.
+    other scores are exact already; otherwise _best_first visits the rest.
+    _exact_max_sq computes both: the warm set over the whole design, and
+    each survivor chunk from its prescan minimum over the design past k0,
+    dropping a candidate once it falls to the running max. Every product,
+    the prescan's included, is formed in one work buffer of _BLOCK_ELEMS
+    elements (more only for d in the thousands). The returned value equals
+    the full brute-force max-min exactly. X and C are finite; the caller
+    checks them.
     """
     n = X.shape[0]
     xsq = np.einsum("ij,ij->i", X, X)
     csq = np.einsum("ij,ij->i", C, C)
     X2 = -2.0 * X
-    buf = np.empty(_BLOCK_ELEMS)
     k0 = min(_PRUNE_PRESCAN, n)
-    m = _prescan_sq(X, C, xsq, csq, k0)
+    buf = np.empty(max(_BLOCK_ELEMS, 64 * (k0 + C.shape[1])))
+    m = _prescan_sq(X2, C, xsq, csq, k0, buf)
     top = _warm_set(m, min(_PRUNE_WARM, C.shape[0]))
-    h2 = float(_exact_min_sq(C[top], X2, xsq, csq[top], buf).max())
+    h2 = _exact_max_sq(C[top], csq[top], np.full(top.shape[0], np.inf), 0, X2, xsq, buf, -math.inf)
     if k0 == n:
         m[top] = -np.inf
         return max(h2, float(m.max()))
-
-    def exact(idx, h2):
-        c = C[idx]
-        cs = csq[idx]
-        mm = m[idx] - cs
-        j, b = k0, k0
-        while j < n and idx.shape[0]:
-            # blocks double from k0 until they fill buf; a tail that fits
-            # goes in one shot
-            cap = buf.shape[0] // idx.shape[0]
-            k = n - j if n - j <= cap else min(b, cap)
-            np.minimum(mm, _block_min(c, X2, xsq, j, k, buf), out=mm)
-            alive = (mm + cs) > h2
-            if alive.mean() < 0.7:
-                keep = np.flatnonzero(alive)
-                idx, c, cs, mm = idx[keep], c[keep], cs[keep], mm[keep]
-            j += k
-            b *= 2
-        return float((mm + cs).max()) if idx.shape[0] else -math.inf
-
-    return _best_first(m, top, h2, exact)
+    return _best_first(m, top, h2, lambda idx, lo: _exact_max_sq(
+        C[idx], csq[idx], m[idx] - csq[idx], k0, X2, xsq, buf, lo))
 
 
 def _grid_cells(C):

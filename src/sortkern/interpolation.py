@@ -153,8 +153,13 @@ def rmse_stderr(diff):
     """Root mean square of pointwise differences and its standard error.
 
     The standard error is the delta-method one for the square root of the
-    sample mean of diff**2; it is 0 for one sample or an exact fit.
+    sample mean of diff**2; it is 0 for one sample or an exact fit. diff
+    is a 1-D array-like with at least one value; anything else raises
+    DimensionMismatchError.
     """
+    diff = np.asarray(diff, dtype=float)
+    if diff.ndim != 1 or diff.shape[0] < 1:
+        raise DimensionMismatchError(f"differences must have shape (n,) with n >= 1, got shape {diff.shape}")
     sq = diff * diff
     mean = float(sq.mean())
     rmse = mean ** 0.5

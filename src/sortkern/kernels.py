@@ -45,9 +45,6 @@ PERM_SINGLE_DIM_CAP = 6
 # elements.
 _TILE_ELEMS = 16384
 
-# rows per band in which _gram mirrors the Gram matrix's upper triangle
-_MIRROR_ROWS = 256
-
 _HERMITE_GRID = 20001  # 1-D maximization grid on [-1, 1]
 _SAFETY = 1.01
 
@@ -80,7 +77,9 @@ class KernelSpec:
 
 
 def check_mode_cap(mode, d):
-    """Raise if the averaged mode's d! term count is over its cap."""
+    """Raise if mode is not a KernelMode, or if the averaged mode's d! term count is over its cap."""
+    if not isinstance(mode, KernelMode):
+        raise ConfigError(f"unknown kernel mode {mode!r}")
     if mode is KernelMode.PERM_SINGLE and d > PERM_SINGLE_DIM_CAP:
         raise CapExceededError(
             f"{mode.value} is averaged over d! terms; d={d} exceeds the cap {PERM_SINGLE_DIM_CAP}")
@@ -146,9 +145,12 @@ def _evaluate(k, W, Z, terms, upper=False, coeffs=None):
     evaluation: squared differences summed from coordinate 0 upwards,
     division by -2 bw^2, exp, amplitude product, terms summed in order,
     and one final division by the term count. With upper (W and Z the same
-    design) a tile's columns start at its first row's diagonal, so below
-    the diagonal only the entries in each tile's diagonal block are set;
-    the caller mirrors the upper triangle over them.
+    design) a tile's columns start at its first row's diagonal, and the
+    thread that computed the tile copies it onto the lower triangle: the
+    strip below the tile gets the tile's columns past its diagonal block,
+    transposed, and the diagonal block gets its lower half from its own
+    transpose. The tiles' regions are disjoint, so the result is exactly
+    symmetric with each unordered pair's value computed once.
 
     With coeffs (an (m,) vector, upper False) the result is the (n,)
     vector of the kernel matrix times coeffs: each tile's values go to one
@@ -218,6 +220,10 @@ def _evaluate(k, W, Z, terms, upper=False, coeffs=None):
             np.divide(acc, len(terms), out=acc)
         if contract:
             np.matmul(acc, coeffs, out=out[r0:r1])
+        elif upper:
+            out[r1:, r0:r1] = out[r0:r1, r1:].T
+            D = out[r0:r1, r0:r1]
+            np.copyto(D, D.T, where=np.tri(r1 - r0, k=-1, dtype=bool))
 
     _fan_out(tile, list(spans))
     return out
@@ -265,25 +271,13 @@ def gram(k, mode, X):
 
 
 def _gram(k, mode, X):
-    # gram on a design the caller has validated or drawn
+    # gram on a design the caller has validated or drawn; each tile of the
+    # upper triangle mirrors itself onto the lower one (_evaluate)
     if mode is KernelMode.SORTED and not _distinct_orbits(X):
         raise DuplicateOrbitError(
             "design has points in the same permutation orbit; the sorted "
             "kernel matrix would be singular")
-    G = _cross(k, mode, X, X, upper=True)
-    # the strict upper triangle is copied onto the lower one in bands of
-    # _MIRROR_ROWS rows: left of the diagonal block, a band is the transposed
-    # column band above it, and the diagonal block takes its lower half from
-    # its own transpose. No index array is built, and no temporary is larger
-    # than one diagonal block.
-    n = G.shape[0]
-    below = np.tri(_MIRROR_ROWS, k=-1, dtype=bool)
-    for r0 in range(0, n, _MIRROR_ROWS):
-        r1 = min(n, r0 + _MIRROR_ROWS)
-        G[r0:r1, :r0] = G[:r0, r0:r1].T
-        D = G[r0:r1, r0:r1]
-        np.copyto(D, D.T, where=below[:r1 - r0, :r1 - r0])
-    return G
+    return _cross(k, mode, X, X, upper=True)
 
 
 def _partitions(total, max_parts, _cap=None):

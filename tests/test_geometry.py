@@ -249,19 +249,19 @@ class TestPrunedScanOracle:
             assert got.view(np.uint64) == np.float64(oracle.maxmin_sq_pruned(A, B)).view(np.uint64)
 
     def test_exact_pass_sees_only_the_warm_set(self, monkeypatch):
-        # the prescan of a 10-point design sees every point: the exact pass
-        # gets the warm set and no other candidate
+        # the prescan of a 10-point design sees every point: the exact loop
+        # runs once, on the warm set, and on no other candidate
         rng = np.random.default_rng(16)
         X, C = rng.random((10, 6)), rng.random((200_000, 6))
-        exact, rows = geometry._exact_min_sq, []
+        exact, rows = geometry._exact_max_sq, []
 
         def counted(c, *args):
             rows.append(c.shape[0])
             return exact(c, *args)
 
-        monkeypatch.setattr(geometry, "_exact_min_sq", counted)
+        monkeypatch.setattr(geometry, "_exact_max_sq", counted)
         assert geometry._maxmin_sq_pruned(X, C) == oracle.maxmin_sq_pruned(X, C)
-        assert sum(rows) <= geometry._PRUNE_WARM
+        assert len(rows) == 1 and rows[0] <= 512
 
     @pytest.mark.parametrize("d", [6, 12])
     def test_peak_memory_is_bounded(self, d):
@@ -283,7 +283,8 @@ class TestPrunedScanOracle:
         # score visits them, with tied scores across the warm boundary
         X, C = adversarial_cloud(kind, 6, 200, 4165, seed=1)
         xsq = np.einsum("ij,ij->i", X, X)
-        m = geometry._prescan_sq(X, C, xsq, np.einsum("ij,ij->i", C, C), 32)
+        buf = np.empty(geometry._BLOCK_ELEMS)
+        m = geometry._prescan_sq(-2.0 * X, C, xsq, np.einsum("ij,ij->i", C, C), 32, buf)
         order = np.argsort(-m, kind="stable")
         assert m[order[511]] == m[order[512]]
         top = geometry._warm_set(m, 512)
@@ -302,7 +303,8 @@ class TestPrunedScanOracle:
         T = C @ X[:32].T
         T *= -2.0
         T += xsq[:32][None, :]
-        assert np.array_equal(geometry._prescan_sq(X, C, xsq, csq, 32), T.min(axis=1) + csq)
+        buf = np.empty(geometry._BLOCK_ELEMS)
+        assert np.array_equal(geometry._prescan_sq(-2.0 * X, C, xsq, csq, 32, buf), T.min(axis=1) + csq)
 
     @settings(max_examples=60, deadline=None)
     @given(d=st.integers(5, 9), n=st.integers(1, 120), nc=st.integers(1, 1500),

@@ -18,6 +18,7 @@ from sortkern.interpolation import (
     interpolant_norm_sq,
     l2_error,
     make_invariant_target,
+    rmse_stderr,
 )
 from sortkern import _linalg, _pool, interpolation, kernels
 from sortkern.experiments import (
@@ -449,6 +450,20 @@ class TestInvariantTarget:
 
 
 class TestL2Error:
+    def test_rmse_stderr_counts_samples(self):
+        # a list is an array of its values; a 2-D or empty input is refused,
+        # where one row of two samples read a standard error of 0.0
+        diff = np.array([0.3, -1.2, 0.5, 2.0])
+        assert rmse_stderr(list(diff)) == rmse_stderr(diff)
+        rmse, se = rmse_stderr(diff)
+        sq = diff * diff
+        assert rmse == math.sqrt(sq.mean())
+        assert se == sq.std(ddof=1) / 2.0 / (2.0 * rmse)
+        assert rmse_stderr([0.5]) == (0.5, 0.0)
+        for bad in ([[1.0, 2.0]], np.array([[1.0], [2.0]]), [], np.empty(0), 1.0):
+            with pytest.raises(DimensionMismatchError, match="shape"):
+                rmse_stderr(bad)
+
     def test_zero_target_zero_fit(self):
         k = unit_kernel()
         rng = np.random.default_rng(12)

@@ -15,10 +15,11 @@ import _oracles as oracle
 from conftest import pool_threads
 from sortkern import _pool, kernels
 from sortkern.errors import CapExceededError, ConfigError, DimensionMismatchError, DuplicateOrbitError
-from sortkern.interpolation import Interpolant, evaluate, make_invariant_target
+from sortkern.interpolation import Interpolant, evaluate, fit, make_invariant_target
 from sortkern.kernels import (
     KernelMode,
     KernelSpec,
+    check_mode_cap,
     gram,
     kernel_cross,
     kernel_value,
@@ -188,12 +189,15 @@ class TestGram:
                     assert G[i, j] == pytest.approx(kernel_value(k, mode, X[i], X[j]), rel=1e-13)
 
     @pytest.mark.parametrize("mode", list(KernelMode))
-    @pytest.mark.parametrize("n", [1, 2, kernels._MIRROR_ROWS - 1, kernels._MIRROR_ROWS,
-                                   kernels._MIRROR_ROWS + 1, 2000])
+    @pytest.mark.parametrize("n", [1, 2, 229, 255, 256, 257, 2000])
     def test_banded_mirror_matches_index_mirror(self, mode, n, monkeypatch):
-        # the bands copy the entries the strict lower triangle's index
-        # gather copied, bit for bit, and the evaluator computes the upper
-        # triangle only: tiles start at their diagonal column
+        # each tile fills the column band below it and its diagonal block's
+        # lower half with the entries the strict lower triangle's index
+        # gather copied, bit for bit, on two workers, and the evaluator
+        # computes the upper triangle only: tiles start at their diagonal
+        # column. At n = 229 the plain and sorted modes' last tile is one
+        # row (d = 3); the averaged mode's never is at d = 3.
+        monkeypatch.setattr(_pool, "_worker_count", lambda: 2)
         k = unit_kernel(0.3)
         X = np.random.default_rng(n).random((n, 3))
         want = kernels._cross(k, mode, X, X)
@@ -551,6 +555,29 @@ class TestCheckedOnce:
         }
         with pytest.raises(CapExceededError, match="averaged"):
             calls[entry]()
+
+    @pytest.mark.parametrize("mode", ["plain", "sorted", None, 3])
+    @pytest.mark.parametrize("entry", ["kernel_cross", "kernel_value", "gram", "fit", "nystrom_spectrum"])
+    def test_mode_that_is_not_a_kernel_mode_rejected(self, entry, mode):
+        # a mode's value or any other object ran the sorted kernel; the
+        # design has two points of one orbit, which a sorted Gram refuses
+        k = unit_kernel()
+        X = np.array([[0.1, 0.2], [0.2, 0.1]])
+        calls = {
+            "kernel_cross": lambda: kernel_cross(k, mode, X, X),
+            "kernel_value": lambda: kernel_value(k, mode, X[0], X[1]),
+            "gram": lambda: gram(k, mode, X),
+            "fit": lambda: fit(k, mode, X, [1.0, 2.0]),
+            "nystrom_spectrum": lambda: nystrom_spectrum(k, mode, 4, 2, seed=1),
+        }
+        with pytest.raises(ConfigError, match="unknown kernel mode"):
+            calls[entry]()
+
+    @pytest.mark.parametrize("mode", ["perm_single", None, 3])
+    def test_check_mode_cap_rejects_what_is_not_a_kernel_mode(self, mode):
+        for d in (1, 9):
+            with pytest.raises(ConfigError, match="unknown kernel mode"):
+                check_mode_cap(mode, d)
 
     @pytest.mark.parametrize("mode", list(KernelMode))
     def test_gram_rejects_nan_design(self, mode):

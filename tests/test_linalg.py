@@ -42,6 +42,49 @@ def test_only_linalg_imports_scipy():
     assert importers <= {"_linalg.py"}
 
 
+def thread_starters(source):
+    """What a source uses that could run work on threads or processes of its own.
+
+    threading.Thread, concurrent.futures and multiprocessing, by import,
+    attribute or import call, and any call with a workers= keyword (the
+    kd-tree query's own thread pool).
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found += [f"{node.module}.{a.name}" for a in node.names]
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            found.append(f"{node.value.id}.{node.attr}")
+        elif isinstance(node, ast.keyword) and node.arg == "workers":
+            found.append("workers=")
+        elif (isinstance(node, ast.Call) and node.args
+              and isinstance(node.args[0], ast.Constant) and isinstance(node.args[0].value, str)
+              and getattr(node.func, "attr", getattr(node.func, "id", None))
+              in ("import_module", "__import__")):
+            found.append(node.args[0].value)
+    return [n for n in found
+            if n in ("threading.Thread", "workers=")
+            or n.split(".")[0] == "multiprocessing"
+            or n == "concurrent" or n.startswith("concurrent.futures")]
+
+
+def test_only_the_pool_starts_threads():
+    # the Gram tiles mirror themselves onto the lower triangle, which is
+    # safe only because the tiles run through _pool._fan_out and nothing
+    # else spreads work over threads or processes
+    assert sorted(thread_starters(
+        "import threading, multiprocessing.pool\nfrom concurrent import futures\n"
+        "from threading import Thread, Lock\nt = threading.Thread(target=f)\n"
+        "lock = threading.Lock()\ntree.query(C, k=1, workers=2)\n"
+        "def f():\n    import concurrent.futures as cf\n    importlib.import_module('multiprocessing')"
+    )) == ["concurrent.futures", "concurrent.futures", "multiprocessing", "multiprocessing.pool",
+           "threading.Thread", "threading.Thread", "workers="]
+    users = {p.name for p in SRC.glob("*.py") if thread_starters(p.read_text())}
+    assert users == {"_pool.py"}
+
+
 def test_import_loads_no_scipy_module():
     assert fresh_python(
         "import sys, sortkern.cli\n"
