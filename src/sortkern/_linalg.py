@@ -93,9 +93,11 @@ def _kdtree_module():
 def cho_factor(a):
     """Cholesky factor L of the symmetric float64 matrix a, in its lower triangle.
 
-    A Fortran-ordered a is factorized in place and returned; the upper
-    triangle keeps a's entries. Raises np.linalg.LinAlgError where a is not
-    positive definite.
+    A Fortran-ordered a is factorized in place and returned; the strict
+    upper triangle keeps a's entries, also where the factorization fails.
+    fit relies on this: it factorizes the transpose of its Gram matrix and
+    rebuilds the matrix from that triangle. Raises np.linalg.LinAlgError
+    where a is not positive definite.
     """
     c, info = load().dpotrf(a, lower=1, overwrite_a=1, clean=0)
     if info > 0:

@@ -21,11 +21,17 @@ from .rng import stream
 # diagonal jitter escalation, relative to mean diagonal magnitude
 _JITTER_LADDER = (0.0, 1e-12, 1e-11, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6)
 _RESIDUAL_TOL = 1e-8
+# columns per band of the Gram restore after each factorization in fit;
+# narrow bands keep each transposed strip's reads within cache
+_BAND_COLS = 64
 
 
 @dataclass(frozen=True)
 class Interpolant:
-    """Fitted minimal-norm interpolant (immutable)."""
+    """Fitted minimal-norm interpolant (immutable).
+
+    fit stores read-only arrays: a copy of the design and the coefficients.
+    """
 
     kernel: KernelSpec
     mode: KernelMode
@@ -40,7 +46,8 @@ class InvariantTarget:
 
     The target value at x is sum_j weights[j] * K_perm(x, atoms[j]) where
     K_perm is the permutation-averaged kernel, so the squared RKHS norm is
-    the quadratic form weights' K_perm(Z, Z) weights.
+    the quadratic form weights' K_perm(Z, Z) weights. make_invariant_target
+    stores read-only atoms and weights.
     """
 
     atoms: np.ndarray
@@ -67,6 +74,23 @@ def _expansion(kernel, mode, centres, coeffs, x):
     return float(out[0]) if single else out
 
 
+def _restore(G, diag):
+    # G's upper triangle and diagonal rebuilt from its strict lower triangle,
+    # which dpotrf on G.T never touches, and the saved diagonal. Band by
+    # band of columns: the strip above a band's diagonal block takes the
+    # rows left of the block, transposed, which share no memory with it;
+    # the block takes its upper half from its own transpose, the one copy
+    # numpy makes, at most _BAND_COLS square.
+    n = G.shape[0]
+    upper = np.tri(_BAND_COLS, k=-1, dtype=bool).T
+    for c0 in range(0, n, _BAND_COLS):
+        c1 = min(n, c0 + _BAND_COLS)
+        G[:c0, c0:c1] = G[c0:c1, :c0].T
+        D = G[c0:c1, c0:c1]
+        np.copyto(D, D.T, where=upper[:c1 - c0, :c1 - c0])
+    G.flat[::n + 1] = diag
+
+
 def fit(k, mode, X, y):
     """Solve the Gram system for the minimal-norm interpolant.
 
@@ -76,7 +100,8 @@ def fit(k, mode, X, y):
     data through the unjittered matrix to within 1e-8 * (1 + max|y|);
     jitter_used records the diagonal shift actually applied.
     """
-    X = as_design(X)
+    X = as_design(X).copy()
+    X.flags.writeable = False
     y = np.asarray(y, dtype=float)
     if y.ndim != 1 or y.shape[0] != X.shape[0]:
         raise DimensionMismatchError(
@@ -86,33 +111,36 @@ def fit(k, mode, X, y):
     G = _gram(k, mode, X)
     n = X.shape[0]
     scale = np.trace(G) / n
+    diag = G.diagonal().copy()
     tol = _RESIDUAL_TOL * (1.0 + float(np.max(np.abs(y))))
-    # Each rung factorizes A, a copy of G with the shift added to its
-    # diagonal, in place. A is exactly symmetric, so its transpose is the
-    # Fortran-ordered matrix LAPACK works on, and no other Gram-sized array
-    # is made. Every Gram entry is >= +0.0, so A equals G + shift * I bit
-    # for bit. A failed rung leaves only its message: its exception's
-    # traceback would pin this frame, G and A until the cyclic collector
-    # runs, and numpy allocations never trigger it.
-    A = np.empty_like(G)
+    # Each rung puts its shift on G's own diagonal and factorizes G in
+    # place. G is exactly symmetric, so G.T is the Fortran-ordered matrix
+    # LAPACK works on, and every Gram entry is >= +0.0, so the shifted G is
+    # G + shift * I bit for bit. dpotrf writes its lower factor over G's
+    # upper triangle and diagonal only, failed factorizations included, so
+    # _restore rebuilds G bit for bit from the strict lower triangle and the
+    # saved diagonal, and the residual is taken against the unshifted G.
+    # fit holds one Gram-sized array. A failed rung leaves only its message:
+    # its exception's traceback would pin this frame and G until the cyclic
+    # collector runs, and numpy allocations never trigger it.
     last_err = None
     for delta in _JITTER_LADDER:
         shift = delta * scale
-        np.copyto(A, G)
         if shift:
-            A.flat[::n + 1] += shift
+            G.flat[::n + 1] = diag + shift
         try:
-            c = cho_factor(A.T)
+            coeffs = cho_solve(cho_factor(G.T), y)
         except np.linalg.LinAlgError as e:
             last_err = str(e)
             continue
-        coeffs = cho_solve(c, y)
+        finally:
+            _restore(G, diag)
         resid = float(np.max(np.abs(G @ coeffs - y)))
         if resid <= tol:
+            coeffs.flags.writeable = False
             return Interpolant(kernel=k, mode=mode, design=X, coeffs=coeffs,
                                jitter_used=shift)
         last_err = f"residual {resid:.3e} above tolerance {tol:.3e} at jitter {shift:.3e}"
-    diag = np.diag(G)
     raise FactorizationError(
         "Gram factorization failed at maximum jitter "
         f"(n={n}, diag range [{diag.min():.3e}, {diag.max():.3e}]): {last_err}")
@@ -146,6 +174,8 @@ def make_invariant_target(k, d, m, seed):
     weights = g.uniform(-1.0, 1.0, m)
     Gz = _gram(k, KernelMode.PERM_SINGLE, atoms)
     norm_sq = max(float(weights @ Gz @ weights), 0.0)
+    atoms.flags.writeable = False
+    weights.flags.writeable = False
     return InvariantTarget(atoms=atoms, weights=weights, kernel=k, norm_sq=norm_sq)
 
 

@@ -14,16 +14,17 @@ _spec.loader.exec_module(bench_pair)
 MACHINE = {"nproc": 2, "cpu_model": "test cpu", "python": "3.11.7"}
 
 
-def result_file(path, wall, rss, trace=0, seed=20240601, digest="abc"):
+def result_file(path, wall, rss, trace=0, seed=20240601, digest="abc", correct=True,
+                csv_exact=1):
     # the shape perfbench/run.py writes: details and result of one run
     children = [{"code": 0, "wall_s": wall, "cpu_s": 1.5 * wall, "rss_mb": rss}] * 2
     data = {
-        "details": {"digest": digest, "csv_exact": 1, "failed_frac": 0.0, "problems": [],
+        "details": {"digest": digest, "csv_exact": csv_exact, "failed_frac": 0.0, "problems": [],
                     "workload": "interp_lowd", "seed": seed, "trace": trace,
                     "cli_args": ["interp_compare", "--seed", str(seed)],
                     "samples": {"children": children, "setup_s": [0.4, 0.5, 0.45]},
                     "machine": MACHINE},
-        "result": {"correct": True, "attempted": 9, "failed": 0,
+        "result": {"correct": correct, "attempted": 9, "failed": 0,
                    "metrics": {"wall_s": {"value": wall, "unit": "s"},
                                "trials_per_s": {"value": 3.0 / wall, "unit": "1/s"},
                                "setup_s": {"value": 0.45, "unit": "s"},
@@ -80,6 +81,31 @@ def test_a_moved_digest_is_reported(tmp_path, capsys):
     w = json.loads(out.read_text())["workloads"]["interp_lowd"]
     assert w["digests_equal"] is False
     assert [r["digest"] for r in w["runs"]["change"]] == ["abc", "abd"]
+
+
+def test_summary_names_incorrect_and_inexact_runs(tmp_path, capsys):
+    # both facts are stored per run; the summary line names the runs
+    parent = [result_file(tmp_path / f"p{i}.json", 2.5, 230.0, correct=i != 1)
+              for i in range(3)]
+    change = [result_file(tmp_path / f"c{i}.json", 2.0, 230.0, csv_exact=exact)
+              for i, exact in enumerate((0, 1, None))]
+    out = tmp_path / "BENCH.json"
+    assert bench_pair.main(["--parent", *parent, "--change", *change, "--out", str(out)]) == 0
+    line = capsys.readouterr().out.strip()
+    assert line.endswith(", not correct: parent run 1, csv_exact 0: change run 0, "
+                         "csv_exact None: change run 2")
+    runs = json.loads(out.read_text())["workloads"]["interp_lowd"]["runs"]
+    assert [r["correct"] for r in runs["parent"]] == [True, False, True]
+    assert [r["csv_exact"] for r in runs["change"]] == [0, 1, None]
+
+
+def test_summary_is_quiet_about_good_runs(tmp_path, capsys):
+    parent = [result_file(tmp_path / "p.json", 2.5, 230.0)]
+    change = [result_file(tmp_path / "c.json", 2.5, 230.0)]
+    assert bench_pair.main(["--parent", *parent, "--change", *change,
+                            "--out", str(tmp_path / "BENCH.json")]) == 0
+    out = capsys.readouterr().out
+    assert "not correct" not in out and "csv_exact" not in out
 
 
 @pytest.mark.parametrize("problem", ["traced", "seed", "count"])

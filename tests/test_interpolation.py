@@ -2,6 +2,7 @@
 
 import gc
 import math
+import re
 import tracemalloc
 from itertools import permutations
 
@@ -168,6 +169,76 @@ class TestFit:
         with pytest.raises(FactorizationError, match="jitter"):
             fit(k, KernelMode.SORTED, X, [1.0, -1.0, 0.5])
 
+    def test_failure_reports_the_unshifted_diagonal(self):
+        # one orbit with two values defeats every rung; the averaged kernel's
+        # diagonal varies over the design, and the message gives G's own
+        # range, not that of a shifted or factorized diagonal
+        k = unit_kernel()
+        X = np.array([[0.1, 0.2], [0.2, 0.1], [0.7, 0.3]])
+        D = np.diag(gram(k, KernelMode.PERM_SINGLE, X))
+        assert D.min() < D.max()
+        with pytest.raises(FactorizationError,
+                           match=re.escape(f"diag range [{D.min():.3e}, {D.max():.3e}]")):
+            fit(k, KernelMode.PERM_SINGLE, X, [1.0, -1.0, 0.5])
+
+    @pytest.mark.parametrize("design", [well_conditioned, near_duplicate_orbits, interp_lowd_trial])
+    def test_rejected_residual_moves_to_the_next_rung(self, design, monkeypatch):
+        # A first solution that fails the residual check sends fit one rung
+        # up. That rung factorizes G rebuilt after the solve, plus its shift,
+        # so its coefficients are those of G + shift * I bit for bit.
+        k, mode, X, y = design()
+        G = gram(k, mode, X)
+        n = len(X)
+        scale = np.trace(G) / n
+        rung = [delta * scale for delta in interpolation._JITTER_LADDER].index(
+            fit(k, mode, X, y).jitter_used)
+        solve = interpolation.cho_solve
+        calls = []
+
+        def perturbed(c, b):
+            calls.append(1)
+            x = solve(c, b)
+            return x + 1.0 if len(calls) == 1 else x
+
+        monkeypatch.setattr(interpolation, "cho_solve", perturbed)
+        f = fit(k, mode, X, y)
+        shift = interpolation._JITTER_LADDER[rung + 1] * scale
+        want = cho_solve(cho_factor(G + shift * np.eye(n), lower=True), y)
+        assert len(calls) == 2 and f.jitter_used == shift
+        assert same_bits(f.coeffs, want)
+
+    def test_peak_memory_is_one_gram_matrix(self, monkeypatch):
+        # G is factorized in place and rebuilt after every rung, so fit holds
+        # one Gram-sized array; the rest is tile scratch (two workers' worth
+        # here). A shifted copy of G per fit peaked at 2.0 Gram sizes.
+        monkeypatch.setattr(_pool, "_worker_count", lambda: 2)
+        k, mode, X, y = interp_lowd_trial()
+        n = len(X)
+        _linalg.load()
+        tracemalloc.start()
+        try:
+            f = fit(k, mode, X, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert f.jitter_used > 0.0
+        assert peak <= 1.5 * n * n * 8
+
+    def test_stored_arrays_are_read_only_copies(self):
+        # The interpolant used to keep the caller's design: after the caller
+        # moved a point, the same evaluate read -0.5611 instead of -0.5606.
+        rng = np.random.default_rng(9)
+        X = rng.random((20, 2))
+        f = fit(KernelSpec(amplitude=AMP, bandwidth=0.2), KernelMode.PLAIN, X,
+                rng.normal(size=20))
+        before = evaluate(f, [0.1, 0.2])
+        X[0] = [0.9, 0.9]
+        assert evaluate(f, [0.1, 0.2]) == before
+        t = make_invariant_target(unit_kernel(), 2, 3, seed=8)
+        for a in (f.design, f.coeffs, t.atoms, t.weights):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.5
+
 
 def same_bits(a, b):
     return np.array_equal(np.asarray(a).view(np.uint64), np.asarray(b).view(np.uint64))
@@ -224,6 +295,24 @@ class TestLapackCalls:
             _linalg.cho_factor(G.copy().T)
         assert type(got.value) is type(want.value)
         assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("design, fails", [
+        (well_conditioned, False), (near_duplicate_orbits, True), (interp_lowd_trial, True)])
+    def test_factor_keeps_the_other_triangle(self, design, fails):
+        # fit rebuilds G from its strict lower triangle after factorizing
+        # G.T in place, on success and on a not-positive-definite failure
+        k, mode, X, _ = design()
+        G = gram(k, mode, X)
+        A = G.copy()
+        try:
+            _linalg.cho_factor(A.T)
+            failed = False
+        except np.linalg.LinAlgError:
+            failed = True
+        assert failed == fails
+        lower = np.tril_indices(len(X), -1)
+        assert same_bits(A[lower], G[lower])
+        assert not same_bits(A, G)
 
     @pytest.mark.parametrize("design", [well_conditioned, near_duplicate_orbits, interp_lowd_trial])
     def test_fit_lands_on_scipy_rung(self, design):

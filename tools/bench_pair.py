@@ -25,8 +25,10 @@ Per workload it also holds digests_equal: whether every run of both sides
 reported the same CSV digest, so whether the change kept the output's bytes.
 Per run it holds the per-child samples, the CSV digest, csv_exact, correct
 and the machine facts. On stdout each workload gets one line: the wall_s
-medians and wins, whether the digests agree, and every metric that a
-verdict flags.
+medians and wins, whether the digests agree, every metric that a verdict
+flags, and every run (side and position, from 0) whose result is not
+correct or whose csv_exact is not 1, grouped by its csv_exact (None where
+golden.json has no digest for the run's seed).
 """
 
 import argparse
@@ -148,6 +150,14 @@ def main(argv=None):
             flagged = [m for m, r in w["metrics"].items() if r[verdict]]
             if flagged:
                 parts.append(f"{verdict.replace('_', ' ')}: {', '.join(flagged)}")
+        bad = {}
+        for side, runs in w["runs"].items():
+            for i, r in enumerate(runs):
+                if not r["correct"]:
+                    bad.setdefault("not correct", []).append(f"{side} run {i}")
+                if r["csv_exact"] != 1:
+                    bad.setdefault(f"csv_exact {r['csv_exact']}", []).append(f"{side} run {i}")
+        parts += [f"{label}: {', '.join(names)}" for label, names in bad.items()]
         print(f"{name}: {', '.join(parts)}")
     return 0
 
