@@ -213,11 +213,21 @@ def run_interp_compare(cfg):
     Fit failures leave nan in the measured columns and the run continues.
     Returned rows additionally carry fill_distance and bound_valid fields
     that the CSV omits.
+
+    Every unit's fill distances are measured first, one unit at a time in
+    (d, n, trial) order, and only their two floats are kept. The fill
+    passes then start from the import's memory rather than from what the
+    kernel work leaves resident (BLAS buffers, Monte Carlo arrays), which
+    keeps them off the run's peak; running them on the pool instead would
+    hold several candidate arrays at once. The kernel loop redraws each
+    design from its unit's stream rather than keeping every design.
     """
     exp_id = _EXPERIMENT_IDS[Experiment.INTERP_COMPARE]
     # the targets and the PermSingle rows are averaged; fail before any trial
     for d in cfg.dims:
         check_mode_cap(KernelMode.PERM_SINGLE, d)
+    fills = {(d, n, t): _fill_unit(cfg, exp_id, (d, n, t))
+             for d in cfg.dims for n in cfg.ns for t in range(cfg.trials)}
     # LAPACK loads here, so the first fit_ms times no load
     _linalg.load()
     rows = []
@@ -229,11 +239,10 @@ def run_interp_compare(cfg):
                    for t in range(cfg.trials)]
         for n in cfg.ns:
             for t, target in enumerate(targets):
-                X, C = _trial_draws(cfg, exp_id, d, n, t)
-                fill = dict(zip((KernelMode.PLAIN, KernelMode.SORTED), _fill_distances(X, C)))
-                # the candidates are done with; freeing them lowers the peak
-                # that the kernel work below adds to
-                del C
+                # the unit's design: the first n*d draws of its stream, as
+                # _trial_draws takes them
+                X = stream(cfg.seed, exp_id, d, n, t).random((n, d))
+                fill = dict(zip((KernelMode.PLAIN, KernelMode.SORTED), fills[d, n, t]))
                 y = target.value(X)
                 b = BoundInputs(nu=cfg.nu, d=d, c_k0=c_k0, c_knu=c_knu,
                                 norm_h=math.sqrt(target.norm_sq),

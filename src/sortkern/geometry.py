@@ -200,7 +200,7 @@ def _exact_max_sq(c, cs, mm, j, X2, xsq, buf, lo):
     return float((mm + cs).max()) if c.shape[0] else -math.inf
 
 
-def _prescan_sq(X2, C, xsq, csq, k0, buf):
+def _prescan_sq(X2, C, xsq, k0, buf):
     """Squared distance from each row of C to its nearest point among the first k0.
 
     X2 is -2 times the design (scaling by a power of two is exact) and xsq
@@ -209,10 +209,13 @@ def _prescan_sq(X2, C, xsq, csq, k0, buf):
     squared norm, min over the k0 points, plus the candidate's squared
     norm. The product is formed transposed, (k0, cols) per column tile, so
     the (N, k0) matrix never exists and the min is an elementwise minimum
-    of contiguous rows. The product tile and the zero-padded last tile of
-    candidates are views of buf, and each fits in _PRESCAN_TILE_BYTES.
-    Every tile has the same width, a multiple of 64: a partial micro-tile
-    at a ragged edge of a BLAS product can round differently.
+    of contiguous rows. Each tile adds its own candidates' squared norms,
+    so no array of all N norms is held; a row's norm is the same float
+    whatever rows it is computed with. The product tile and the
+    zero-padded last tile of candidates are views of buf, and each fits in
+    _PRESCAN_TILE_BYTES. Every tile has the same width, a multiple of 64:
+    a partial micro-tile at a ragged edge of a BLAS product can round
+    differently.
     """
     N, d = C.shape
     cols = max(64, _PRESCAN_TILE_BYTES // (8 * max(k0, d)) // 64 * 64)
@@ -231,7 +234,7 @@ def _prescan_sq(X2, C, xsq, csq, k0, buf):
         np.matmul(XT, tile.T, out=T)
         T += xs
         np.minimum.reduce(T[:, :e - s], axis=0, out=m[s:e])
-    m += csq
+        m[s:e] += np.einsum("ij,ij->i", C[s:e], C[s:e])
     return m
 
 
@@ -239,14 +242,22 @@ def _warm_set(m, warm):
     """The first `warm` indices of the best-first order, in that order.
 
     Best-first is descending score or bound with ties in index order, the
-    order of a stable sort of -m. A partial selection finds the warm set,
-    so only it and the warm pass's survivors are ever sorted.
+    order of a stable sort of -m. The warm-th largest value of a strided
+    sample of about 16 warm scores is at most the warm-th largest score, so
+    only the scores at or above it (about N/16 of them) are copied and
+    partitioned for the exact threshold: no copy as long as m is made
+    unless nearly every score ties. Only the warm set and the warm pass's
+    survivors are ever sorted.
     """
-    kth = np.partition(m, m.shape[0] - warm)[m.shape[0] - warm]
-    top = np.flatnonzero(m > kth)
+    sample = m[::max(1, m.shape[0] // (16 * warm))]
+    lb = np.partition(sample, sample.shape[0] - warm)[sample.shape[0] - warm]
+    idx = np.flatnonzero(m >= lb)
+    v = m[idx]
+    kth = np.partition(v, v.shape[0] - warm)[v.shape[0] - warm]
+    top = idx[v > kth]
     # ties at the boundary go in by lowest index; each run of equal scores
     # stays ascending, which the stable sort keeps
-    top = np.concatenate([top, np.flatnonzero(m == kth)[:warm - top.shape[0]]])
+    top = np.concatenate([top, idx[v == kth][:warm - top.shape[0]]])
     return top[np.argsort(-m[top], kind="stable")]
 
 
@@ -285,26 +296,33 @@ def _maxmin_sq_pruned(X, C):
     other scores are exact already; otherwise _best_first visits the rest.
     _exact_max_sq computes both: the warm set over the whole design, and
     each survivor chunk from its prescan minimum over the design past k0,
-    dropping a candidate once it falls to the running max. Every product,
-    the prescan's included, is formed in one work buffer of _BLOCK_ELEMS
-    elements (more only for d in the thousands). The returned value equals
-    the full brute-force max-min exactly. X and C are finite; the caller
-    checks them.
+    dropping a candidate once it falls to the running max. Candidate norms
+    are computed where they are used, tile by tile or for the gathered
+    rows, never for all N at once. Every product, the prescan's included,
+    is formed in one work buffer of _BLOCK_ELEMS elements (more only for d
+    in the thousands). The returned value equals the full brute-force
+    max-min exactly. X and C are finite; the caller checks them.
     """
     n = X.shape[0]
     xsq = np.einsum("ij,ij->i", X, X)
-    csq = np.einsum("ij,ij->i", C, C)
     X2 = -2.0 * X
     k0 = min(_PRUNE_PRESCAN, n)
     buf = np.empty(max(_BLOCK_ELEMS, 64 * (k0 + C.shape[1])))
-    m = _prescan_sq(X2, C, xsq, csq, k0, buf)
+    m = _prescan_sq(X2, C, xsq, k0, buf)
     top = _warm_set(m, min(_PRUNE_WARM, C.shape[0]))
-    h2 = _exact_max_sq(C[top], csq[top], np.full(top.shape[0], np.inf), 0, X2, xsq, buf, -math.inf)
+    c = C[top]
+    h2 = _exact_max_sq(c, np.einsum("ij,ij->i", c, c), np.full(top.shape[0], np.inf),
+                       0, X2, xsq, buf, -math.inf)
     if k0 == n:
         m[top] = -np.inf
         return max(h2, float(m.max()))
-    return _best_first(m, top, h2, lambda idx, lo: _exact_max_sq(
-        C[idx], csq[idx], m[idx] - csq[idx], k0, X2, xsq, buf, lo))
+
+    def exact(idx, lo):
+        c = C[idx]
+        cs = np.einsum("ij,ij->i", c, c)
+        return _exact_max_sq(c, cs, m[idx] - cs, k0, X2, xsq, buf, lo)
+
+    return _best_first(m, top, h2, exact)
 
 
 def _grid_cells(C):

@@ -193,3 +193,25 @@ def test_summary_names_every_claimed_metric(parent_rss, change_rss, change_walls
     assert capsys.readouterr().out.strip().endswith(f"claim met: {met}")
     metrics = json.loads(out.read_text())["workloads"]["interp_lowd"]["metrics"]
     assert [m for m, r in metrics.items() if r["claim_met"]] == met.split(", ")
+
+
+@pytest.mark.parametrize("change_rss, shown", [
+    # a claimed peak and a regressed one get their medians and wins; a peak
+    # that moved within its bound does not
+    (100.2, "peak_rss_mb 117.700 -> 100.200 MB, change won 10/10 pairs"),
+    (125.0, "peak_rss_mb 117.700 -> 125.000 MB, change won 0/10 pairs"),
+    (118.0, None),
+])
+def test_summary_gives_medians_of_flagged_metrics(change_rss, shown, tmp_path, capsys):
+    parent = [result_file(tmp_path / f"p{i}.json", wall, 117.7)
+              for i, wall in enumerate(PARENT_WALLS)]
+    change = [result_file(tmp_path / f"c{i}.json", wall, change_rss)
+              for i, wall in enumerate(PARENT_WALLS)]
+    assert bench_pair.main(["--parent", *parent, "--change", *change,
+                            "--out", str(tmp_path / "BENCH.json")]) == 0
+    line = capsys.readouterr().out.strip()
+    assert line.startswith("interp_lowd: wall_s 3.450 -> 3.450 s, change won 0/10 pairs, ")
+    if shown:
+        assert f", {shown}, digests equal" in line
+    else:
+        assert "peak_rss_mb " not in line

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import pool_threads
-from sortkern import _pool, experiments, geometry, kernels
+from sortkern import _linalg, _pool, experiments, geometry, kernels
 from sortkern.errors import CapExceededError, ConfigError
 from sortkern.experiments import (
     Experiment,
@@ -271,6 +271,43 @@ class TestInterpCompare:
         run_interp_compare(cfg(tmp_path, "ic.csv", Experiment.INTERP_COMPARE,
                                dims=(2,), trials=2, mc_samples=500))
         assert sorted(points) == sorted([40, 500, 1000] * 2)
+
+    def test_fills_run_first_and_fits_get_the_unit_designs(self, tmp_path, monkeypatch):
+        # every unit's fill runs, serially and in (d, n, trial) order, before
+        # LAPACK loads and before the first fit; each fit then gets the design
+        # its unit's fill measured, redrawn from the unit's stream
+        events = []
+        fill_unit, load, fit = experiments._fill_unit, _linalg.load, experiments.fit
+
+        def spy_fill(c, exp_id, key):
+            events.append(("fill", key))
+            return fill_unit(c, exp_id, key)
+
+        def spy_load():
+            events.append(("load", None))
+            return load()
+
+        def spy_fit(k, mode, X, y):
+            events.append(("fit", X.copy()))
+            return fit(k, mode, X, y)
+
+        monkeypatch.setattr(experiments, "_fill_unit", spy_fill)
+        monkeypatch.setattr(_linalg, "load", spy_load)
+        monkeypatch.setattr(experiments, "fit", spy_fit)
+        c = cfg(tmp_path, "ic.csv", Experiment.INTERP_COMPARE, dims=(2, 5), ns=(40, 160),
+                trials=2, mc_samples=500)
+        run_interp_compare(c)
+        keys = [(d, n, t) for d in (2, 5) for n in (40, 160) for t in range(2)]
+        kinds = [kind for kind, _ in events]
+        assert [v for kind, v in events if kind == "fill"] == keys
+        assert kinds[:len(keys)] == ["fill"] * len(keys)
+        assert kinds[len(keys)] == "load"
+        designs = [v for kind, v in events if kind == "fit"]
+        assert len(designs) == 3 * len(keys)
+        exp_id = experiments._EXPERIMENT_IDS[Experiment.INTERP_COMPARE]
+        for i, X in enumerate(designs):
+            want = experiments._trial_draws(c, exp_id, *keys[i // 3])[0]
+            assert np.array_equal(X.view(np.uint64), want.view(np.uint64))
 
     def test_dim_above_averaged_cap_rejected(self, tmp_path):
         c = cfg(tmp_path, "ic.csv", Experiment.INTERP_COMPARE, dims=(9,))

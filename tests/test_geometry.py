@@ -277,6 +277,20 @@ class TestPrunedScanOracle:
                 tracemalloc.stop()
             assert peak <= 16e6
 
+    @pytest.mark.parametrize("d", [6, 12])
+    def test_pass_holds_one_score_array(self, d):
+        # the prescan scores are the one array as long as the candidates: no
+        # array of candidate norms, and the warm set copies no score array
+        rng = np.random.default_rng(d)
+        for X, C in in_domain_pairs(rng.random((50, d)), rng.random((200_000, d))):
+            tracemalloc.start()
+            try:
+                geometry._maxmin_sq_pruned(X, C)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 1.25 * (C.shape[0] + geometry._BLOCK_ELEMS) * 8
+
     @pytest.mark.parametrize("kind", ["lattice", "duplicates", "all_tied"])
     def test_visit_order_matches_stable_sort(self, kind):
         # warm set and survivors in the order a stable argsort of every
@@ -284,7 +298,7 @@ class TestPrunedScanOracle:
         X, C = adversarial_cloud(kind, 6, 200, 4165, seed=1)
         xsq = np.einsum("ij,ij->i", X, X)
         buf = np.empty(geometry._BLOCK_ELEMS)
-        m = geometry._prescan_sq(-2.0 * X, C, xsq, np.einsum("ij,ij->i", C, C), 32, buf)
+        m = geometry._prescan_sq(-2.0 * X, C, xsq, 32, buf)
         order = np.argsort(-m, kind="stable")
         assert m[order[511]] == m[order[512]]
         top = geometry._warm_set(m, 512)
@@ -304,7 +318,7 @@ class TestPrunedScanOracle:
         T *= -2.0
         T += xsq[:32][None, :]
         buf = np.empty(geometry._BLOCK_ELEMS)
-        assert np.array_equal(geometry._prescan_sq(-2.0 * X, C, xsq, csq, 32, buf), T.min(axis=1) + csq)
+        assert np.array_equal(geometry._prescan_sq(-2.0 * X, C, xsq, 32, buf), T.min(axis=1) + csq)
 
     @settings(max_examples=60, deadline=None)
     @given(d=st.integers(5, 9), n=st.integers(1, 120), nc=st.integers(1, 1500),
@@ -319,6 +333,55 @@ class TestPrunedScanOracle:
             C = np.vstack([C, X, C[: nc // 2]])
         want = cdist(C, X, "sqeuclidean").min(axis=1).max()
         assert abs(geometry._maxmin_sq_pruned(X, C) - want) <= 1e-12
+
+
+def warm_scores(kind, N, seed):
+    # scores for the warm-set selection: tied, on few levels, or with every
+    # high score off the sample's stride
+    rng = np.random.default_rng(seed)
+    if kind == "all_tied":
+        return np.full(N, 0.25)
+    if kind == "levels":
+        return rng.integers(0, 5, N) / 4.0
+    if kind == "off_stride":
+        m = np.zeros(N)
+        m[1::2] = rng.random(N // 2)
+        return m
+    return rng.random(N)
+
+
+class TestWarmSet:
+    """_warm_set against the first `warm` indices of a stable sort of -m."""
+
+    @staticmethod
+    def check(m, warm):
+        want = np.argsort(-m, kind="stable")[:warm]
+        assert np.array_equal(geometry._warm_set(m, warm), want)
+
+    @pytest.mark.parametrize("kind", ["uniform", "levels", "all_tied", "off_stride"])
+    @pytest.mark.parametrize("warm", [1, 7, 512])
+    def test_sizes_around_the_sample(self, kind, warm):
+        # N = 1, N = warm, and N on both sides of 16 and 32 times warm, where
+        # the sample's stride goes from 1 to 2
+        for N in sorted({1, warm, 16 * warm - 1, 16 * warm, 16 * warm + 1,
+                         32 * warm - 1, 32 * warm + 1, 200 * warm + 3}):
+            m = warm_scores(kind, N, seed=N + warm)
+            self.check(m, min(warm, N))
+
+    def test_ties_straddle_the_threshold(self):
+        m = warm_scores("levels", 40_000, seed=3)
+        order = np.argsort(-m, kind="stable")
+        assert m[order[510]] == m[order[511]] == m[order[512]]
+        self.check(m, 512)
+
+    @pytest.mark.parametrize("kind", ["uniform", "lattice", "duplicates", "design_rows", "all_tied"])
+    @pytest.mark.parametrize("n", [32, 200])
+    def test_prescan_scores(self, kind, n):
+        X, C = adversarial_cloud(kind, 6, n, 20_000, seed=n)
+        for A, B in in_domain_pairs(X, C):
+            xsq = np.einsum("ij,ij->i", A, A)
+            buf = np.empty(geometry._BLOCK_ELEMS)
+            self.check(geometry._prescan_sq(-2.0 * A, B, xsq, 32, buf), 512)
 
 
 class TestCandidateValidation:

@@ -24,9 +24,10 @@ pairs the change won (ties count for neither), and three verdicts:
 Per workload it also holds digests_equal: whether every run of both sides
 reported the same CSV digest, so whether the change kept the output's bytes.
 Per run it holds the per-child samples, the CSV digest, csv_exact, correct
-and the machine facts. On stdout each workload gets one line: the wall_s
-medians and wins, whether the digests agree, every metric that a verdict
-flags, and every run (side and position, from 0) whose result is not
+and the machine facts. On stdout each workload gets one line: the parent and
+change medians and the change's wins of wall_s and of every metric flagged
+claim_met or regressed, whether the digests agree, every metric that a
+verdict flags, and every run (side and position, from 0) whose result is not
 correct or whose csv_exact is not 1, grouped by its csv_exact (None where
 golden.json has no digest for the run's seed).
 """
@@ -142,9 +143,10 @@ def main(argv=None):
         return 1
     Path(args.out).write_text(json.dumps({"workloads": workloads}, indent=1) + "\n")
     for name, w in workloads.items():
-        wall = w["metrics"].get("wall_s")
-        parts = [f"wall_s {wall['parent']['median']:.3f} -> {wall['change']['median']:.3f} s, "
-                 f"change won {wall['change_wins']}/{wall['pairs']} pairs"] if wall else []
+        parts = [f"{m} {r['parent']['median']:.3f} -> {r['change']['median']:.3f} {r['unit']}, "
+                 f"change won {r['change_wins']}/{r['pairs']} pairs"
+                 for m, r in w["metrics"].items()
+                 if m == "wall_s" or r["claim_met"] or r["regressed"]]
         parts.append(f"digests {'equal' if w['digests_equal'] else 'differ'}")
         for verdict in ("claim_met", "unresolved", "regressed"):
             flagged = [m for m, r in w["metrics"].items() if r[verdict]]
