@@ -16,12 +16,15 @@ goes into sys.modules under its own name, so a later import of
 scipy.linalg or scipy.spatial reuses it. Where a file is missing or fails
 to load, the public scipy.linalg.lapack or scipy.spatial stands in.
 
-The LAPACK calls pass the arguments scipy.linalg's cho_factor(a,
-lower=True, overwrite_a=True), cho_solve and eigh(a, eigvals_only=True,
-overwrite_a=True) pass for a float64 matrix, so they give the same bits.
-They skip scipy's finiteness checks: fit and nystrom_spectrum factor only
-Gram matrices of validated designs. A runner that times its fits calls
-load() first, so no timing absorbs the load.
+shifted_solve and eigh are the only code that knows how a Gram matrix
+meets LAPACK. Each takes the C-ordered, exactly symmetric matrix, hands
+its transpose, the Fortran-ordered matrix LAPACK works on, to the solver
+in place, and passes the arguments scipy.linalg's Cholesky factor and
+solve (lower, overwriting) and eigh(eigvals_only=True, overwrite_a=True)
+pass for a float64 matrix, so they give the same bits. They skip scipy's
+finiteness checks: fit and nystrom_spectrum solve only Gram matrices of
+validated designs. A runner that times its fits calls load() first, so no
+timing absorbs the load.
 """
 
 import os
@@ -33,6 +36,9 @@ import numpy as np
 _LOCK = threading.Lock()
 # scipy's private module name -> the module loaded for it
 _modules = {}
+# columns of G per band of shifted_solve's rebuild of G after each
+# factorization; narrow bands keep each transposed strip's reads within cache
+_BAND_COLS = 64
 
 
 def _extension_path(name):
@@ -90,44 +96,64 @@ def _kdtree_module():
     return _module("scipy.spatial._ckdtree", "scipy.spatial")
 
 
-def cho_factor(a):
-    """Cholesky factor L of the symmetric float64 matrix a, in its lower triangle.
+def _mirror(A, r0, r1):
+    # rows r0..r1 of A's upper triangle, diagonal block included, copied onto
+    # the lower triangle: the strip below the rows takes the columns past
+    # their diagonal block, transposed, which share no memory with it, and
+    # the block takes its lower half from its own transpose, the one copy
+    # numpy makes. On the transpose of a matrix it copies the lower triangle
+    # up instead.
+    A[r1:, r0:r1] = A[r0:r1, r1:].T
+    D = A[r0:r1, r0:r1]
+    np.copyto(D, D.T, where=np.tri(r1 - r0, k=-1, dtype=bool))
 
-    A Fortran-ordered a is factorized in place and returned; the strict
-    upper triangle keeps a's entries, also where the factorization fails.
-    fit relies on this: it factorizes the transpose of its Gram matrix and
-    rebuilds the matrix from that triangle. Raises np.linalg.LinAlgError
-    where a is not positive definite.
+
+def shifted_solve(G, y, shift):
+    """Solution x of (G + shift * I) x = y by Cholesky, in G's own storage.
+
+    G is a C-ordered, exactly symmetric float64 matrix whose diagonal
+    entries are >= +0.0, as a Gram matrix's are, so the shifted diagonal is
+    G's own at shift 0. The shift goes onto G's diagonal and G.T, the
+    Fortran-ordered matrix LAPACK works on, is factorized in place. dpotrf
+    writes only G's upper triangle and diagonal, failed factorizations
+    included, so G is rebuilt from its lower triangle and its saved
+    diagonal and comes back bit for bit, also after a raise. Raises
+    np.linalg.LinAlgError where G + shift * I is not positive definite.
     """
-    c, info = load().dpotrf(a, lower=1, overwrite_a=1, clean=0)
-    if info > 0:
-        raise np.linalg.LinAlgError(
-            f"{info}-th leading minor of the array is not positive definite")
-    if info < 0:
-        raise ValueError(
-            f'LAPACK reported an illegal value in {-info}-th argument on entry to "POTRF".')
-    return c
-
-
-def cho_solve(c, b):
-    """Solution x of L L' x = b for a factor c from cho_factor."""
-    x, info = load().dpotrs(c, b, lower=1)
-    if info != 0:
-        raise ValueError(f"illegal value in {-info}th argument of internal potrs")
+    lapack = load()
+    n = G.shape[0]
+    diag = G.diagonal().copy()
+    G.flat[::n + 1] = diag + shift
+    try:
+        c, info = lapack.dpotrf(G.T, lower=1, overwrite_a=1, clean=0)
+        if info > 0:
+            raise np.linalg.LinAlgError(
+                f"{info}-th leading minor of the array is not positive definite")
+        if info < 0:
+            raise ValueError(
+                f'LAPACK reported an illegal value in {-info}-th argument on entry to "POTRF".')
+        x, info = lapack.dpotrs(c, y, lower=1)
+        if info != 0:
+            raise ValueError(f"illegal value in {-info}th argument of internal potrs")
+    finally:
+        for c0 in range(0, n, _BAND_COLS):
+            _mirror(G.T, c0, min(n, c0 + _BAND_COLS))
+        G.flat[::n + 1] = diag
     return x
 
 
-def eigh(a):
-    """Eigenvalues of the symmetric float64 matrix a, ascending, from its lower triangle.
+def eigh(G):
+    """Eigenvalues of the C-ordered symmetric float64 matrix G, ascending.
 
-    A Fortran-ordered a is overwritten. Raises np.linalg.LinAlgError where
-    the solver fails.
+    G is overwritten: G.T, the Fortran-ordered matrix LAPACK works on, goes
+    to the solver in place. Raises np.linalg.LinAlgError where the solver
+    fails.
     """
     lapack = load()
-    lwork, liwork, info = lapack.dsyevr_lwork(a.shape[0], lower=1)
+    lwork, liwork, info = lapack.dsyevr_lwork(G.shape[0], lower=1)
     if info != 0:
         raise ValueError(f"Internal work array size computation failed: {info}")
-    w, _, _, _, info = lapack.dsyevr(a, compute_v=0, lower=1, overwrite_a=1,
+    w, _, _, _, info = lapack.dsyevr(G.T, compute_v=0, lower=1, overwrite_a=1,
                                      lwork=int(lwork), liwork=int(liwork))
     if info != 0:
         raise np.linalg.LinAlgError(f"dsyevr failed with info {info}")

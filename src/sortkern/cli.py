@@ -114,7 +114,8 @@ def _config_from_args(args):
         experiment=experiment, kernel=kernel, dims=args.d, ns=args.n,
         trials=args.trials, eps_grid=args.eps, nu=args.nu, alpha=args.alpha,
         mc_samples=args.mc_samples, candidate_count=args.candidates,
-        seed=args.seed, out_path=args.out or f"{experiment.value}.csv")
+        seed=args.seed,
+        out_path=f"{experiment.value}.csv" if args.out is None else args.out)
 
 
 def _check_out_path(path):

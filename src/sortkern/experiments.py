@@ -93,6 +93,8 @@ class ExperimentConfig:
         _above("alpha", self.alpha, 1.0)
         _int_at_least("mc_samples", self.mc_samples, 1)
         _int_at_least("candidate_count", self.candidate_count, 1)
+        if not self.out_path:
+            raise ConfigError("output path must not be empty")
 
 
 def _fmt(x):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import cho_factor, cho_solve
+from ._linalg import shifted_solve
 from .errors import ConfigError, DimensionMismatchError, FactorizationError, _int_at_least
 from .geometry import _sorted_copy, as_design, as_point
 from .kernels import KernelMode, KernelSpec, _cross, _gram
@@ -21,9 +21,6 @@ from .rng import stream
 # diagonal jitter escalation, relative to mean diagonal magnitude
 _JITTER_LADDER = (0.0, 1e-12, 1e-11, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6)
 _RESIDUAL_TOL = 1e-8
-# columns per band of the Gram restore after each factorization in fit;
-# narrow bands keep each transposed strip's reads within cache
-_BAND_COLS = 64
 
 
 @dataclass(frozen=True)
@@ -74,23 +71,6 @@ def _expansion(kernel, mode, centres, coeffs, x):
     return float(out[0]) if single else out
 
 
-def _restore(G, diag):
-    # G's upper triangle and diagonal rebuilt from its strict lower triangle,
-    # which dpotrf on G.T never touches, and the saved diagonal. Band by
-    # band of columns: the strip above a band's diagonal block takes the
-    # rows left of the block, transposed, which share no memory with it;
-    # the block takes its upper half from its own transpose, the one copy
-    # numpy makes, at most _BAND_COLS square.
-    n = G.shape[0]
-    upper = np.tri(_BAND_COLS, k=-1, dtype=bool).T
-    for c0 in range(0, n, _BAND_COLS):
-        c1 = min(n, c0 + _BAND_COLS)
-        G[:c0, c0:c1] = G[c0:c1, :c0].T
-        D = G[c0:c1, c0:c1]
-        np.copyto(D, D.T, where=upper[:c1 - c0, :c1 - c0])
-    G.flat[::n + 1] = diag
-
-
 def fit(k, mode, X, y):
     """Solve the Gram system for the minimal-norm interpolant.
 
@@ -111,36 +91,26 @@ def fit(k, mode, X, y):
     G = _gram(k, mode, X)
     n = X.shape[0]
     scale = np.trace(G) / n
-    diag = G.diagonal().copy()
     tol = _RESIDUAL_TOL * (1.0 + float(np.max(np.abs(y))))
-    # Each rung puts its shift on G's own diagonal and factorizes G in
-    # place. G is exactly symmetric, so G.T is the Fortran-ordered matrix
-    # LAPACK works on, and every Gram entry is >= +0.0, so the shifted G is
-    # G + shift * I bit for bit. dpotrf writes its lower factor over G's
-    # upper triangle and diagonal only, failed factorizations included, so
-    # _restore rebuilds G bit for bit from the strict lower triangle and the
-    # saved diagonal, and the residual is taken against the unshifted G.
-    # fit holds one Gram-sized array. A failed rung leaves only its message:
-    # its exception's traceback would pin this frame and G until the cyclic
-    # collector runs, and numpy allocations never trigger it.
+    # shifted_solve gives G back unshifted, so fit holds one Gram-sized
+    # array. A failed rung leaves only its message: its exception's traceback
+    # would pin this frame and G until the cyclic collector runs, and numpy
+    # allocations never trigger it.
     last_err = None
     for delta in _JITTER_LADDER:
         shift = delta * scale
-        if shift:
-            G.flat[::n + 1] = diag + shift
         try:
-            coeffs = cho_solve(cho_factor(G.T), y)
+            coeffs = shifted_solve(G, y, shift)
         except np.linalg.LinAlgError as e:
             last_err = str(e)
             continue
-        finally:
-            _restore(G, diag)
         resid = float(np.max(np.abs(G @ coeffs - y)))
         if resid <= tol:
             coeffs.flags.writeable = False
             return Interpolant(kernel=k, mode=mode, design=X, coeffs=coeffs,
                                jitter_used=shift)
         last_err = f"residual {resid:.3e} above tolerance {tol:.3e} at jitter {shift:.3e}"
+    diag = G.diagonal()
     raise FactorizationError(
         "Gram factorization failed at maximum jitter "
         f"(n={n}, diag range [{diag.min():.3e}, {diag.max():.3e}]): {last_err}")

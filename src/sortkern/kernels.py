@@ -26,6 +26,7 @@ from itertools import permutations
 import numpy as np
 from numpy.polynomial import hermite_e
 
+from ._linalg import _mirror
 from ._pool import _fan_out
 from .errors import CapExceededError, ConfigError, DuplicateOrbitError, _above, _int_at_least
 from .geometry import _distinct_orbits, _sorted_copy, as_design, as_point
@@ -146,11 +147,9 @@ def _evaluate(k, W, Z, terms, upper=False, coeffs=None):
     division by -2 bw^2, exp, amplitude product, terms summed in order,
     and one final division by the term count. With upper (W and Z the same
     design) a tile's columns start at its first row's diagonal, and the
-    thread that computed the tile copies it onto the lower triangle: the
-    strip below the tile gets the tile's columns past its diagonal block,
-    transposed, and the diagonal block gets its lower half from its own
-    transpose. The tiles' regions are disjoint, so the result is exactly
-    symmetric with each unordered pair's value computed once.
+    thread that computed the tile copies it onto the lower triangle
+    (_linalg._mirror). The tiles' regions are disjoint, so the result is
+    exactly symmetric with each unordered pair's value computed once.
 
     With coeffs (an (m,) vector, upper False) the result is the (n,)
     vector of the kernel matrix times coeffs: each tile's values go to one
@@ -221,9 +220,7 @@ def _evaluate(k, W, Z, terms, upper=False, coeffs=None):
         if contract:
             np.matmul(acc, coeffs, out=out[r0:r1])
         elif upper:
-            out[r1:, r0:r1] = out[r0:r1, r1:].T
-            D = out[r0:r1, r0:r1]
-            np.copyto(D, D.T, where=np.tri(r1 - r0, k=-1, dtype=bool))
+            _mirror(out, r0, r1)
 
     _fan_out(tile, list(spans))
     return out

@@ -39,10 +39,8 @@ def nystrom_spectrum(k, mode, m, d, seed):
     X = stream(seed).random((m, d))
     G = _gram(k, mode, X)
     trace = float(np.trace(G)) / m
-    # G is exactly symmetric, so its transpose is the Fortran-ordered matrix
-    # LAPACK works on, and the solver overwrites it instead of copying it
     try:
-        vals = eigh(G.T)
+        vals = eigh(G)
     except np.linalg.LinAlgError as e:
         raise NumericalError(f"symmetric eigensolver failed for m={m}, d={d}: {e}") from e
     vals = vals[::-1] / m

@@ -125,6 +125,18 @@ class TestExitCodes:
         assert err.startswith("sortkern: error: output ")
         assert err.count("\n") == 1
 
+    def test_empty_out_path_fails_before_running(self, monkeypatch, capsys, tmp_path):
+        # an empty --out once read as no --out, so the CSV landed in the
+        # working directory under the experiment's default name
+        def never(cfg):
+            raise AssertionError("the experiment ran")
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "run", never)
+        assert run_cli(["bounds_report", "--d", "3", "--out", ""]) == 1
+        err = capsys.readouterr().err
+        assert err == "sortkern: error: output path must not be empty\n"
+        assert list(tmp_path.iterdir()) == []
+
 
 def one_line_failure(argv, out, capsys):
     # exit 1 with a single stderr line, no warning and no output file

@@ -67,6 +67,10 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="alpha"):
             cfg(tmp_path, "x.csv", Experiment.TABLE1, alpha=1.0)
 
+    def test_empty_out_path_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="^output path must not be empty$"):
+            cfg(tmp_path, "x.csv", Experiment.TABLE1, out_path="")
+
     def test_non_enum_experiment_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="experiment"):
             cfg(tmp_path, "x.csv", "table1")

@@ -192,15 +192,16 @@ class TestFit:
         scale = np.trace(G) / n
         rung = [delta * scale for delta in interpolation._JITTER_LADDER].index(
             fit(k, mode, X, y).jitter_used)
-        solve = interpolation.cho_solve
+        solve = interpolation.shifted_solve
         calls = []
 
-        def perturbed(c, b):
+        def perturbed(G, b, shift):
+            # counts solutions: a rung that fails to factorize raises first
+            x = solve(G, b, shift)
             calls.append(1)
-            x = solve(c, b)
             return x + 1.0 if len(calls) == 1 else x
 
-        monkeypatch.setattr(interpolation, "cho_solve", perturbed)
+        monkeypatch.setattr(interpolation, "shifted_solve", perturbed)
         f = fit(k, mode, X, y)
         shift = interpolation._JITTER_LADDER[rung + 1] * scale
         want = cho_solve(cho_factor(G + shift * np.eye(n), lower=True), y)
@@ -261,7 +262,7 @@ def scipy_rung(k, mode, X, y):
 
 
 class TestLapackCalls:
-    """_linalg's Cholesky calls give scipy.linalg's bits, failures included."""
+    """_linalg.shifted_solve gives scipy.linalg's bits, failures included, and gives G back."""
 
     @pytest.mark.parametrize("mode, d, n, bandwidth", [
         (KernelMode.PLAIN, 2, 200, 0.1), (KernelMode.SORTED, 3, 150, 0.3),
@@ -270,49 +271,43 @@ class TestLapackCalls:
         rng = stream(7)
         G = gram(KernelSpec(AMP, bandwidth), mode, rng.random((n, d)))
         y = rng.normal(size=n)
-        want = cho_factor(G, lower=True)
-        # in place on the transpose of a copy, as fit calls it
-        got = _linalg.cho_factor(G.copy().T)
-        assert same_bits(got, want[0])
-        assert same_bits(_linalg.cho_solve(got, y), cho_solve(want, y))
+        want = cho_solve(cho_factor(G, lower=True), y)
+        assert same_bits(_linalg.shifted_solve(G.copy(), y, 0.0), want)
 
     def test_shifted_factor_matches_scipy(self):
         # the interp_lowd trial's plain system at the rung it needs
         k, mode, X, y = interp_lowd_trial()
         G = gram(k, mode, X)
-        A = G + 1e-12 * np.trace(G) / len(X) * np.eye(len(X))
-        want = cho_factor(A, lower=True)
-        got = _linalg.cho_factor(A.copy().T)
-        assert same_bits(got, want[0])
-        assert same_bits(_linalg.cho_solve(got, y), cho_solve(want, y))
+        shift = 1e-12 * np.trace(G) / len(X)
+        want = cho_solve(cho_factor(G + shift * np.eye(len(X)), lower=True), y)
+        assert same_bits(_linalg.shifted_solve(G.copy(), y, shift), want)
 
     def test_not_positive_definite_raises_as_scipy(self):
-        k, mode, X, _ = near_duplicate_orbits()
+        k, mode, X, y = near_duplicate_orbits()
         G = gram(k, mode, X)
         with pytest.raises(LinAlgError) as want:
             cho_factor(G, lower=True)
         with pytest.raises(np.linalg.LinAlgError) as got:
-            _linalg.cho_factor(G.copy().T)
+            _linalg.shifted_solve(G.copy(), y, 0.0)
         assert type(got.value) is type(want.value)
         assert str(got.value) == str(want.value)
 
-    @pytest.mark.parametrize("design, fails", [
-        (well_conditioned, False), (near_duplicate_orbits, True), (interp_lowd_trial, True)])
-    def test_factor_keeps_the_other_triangle(self, design, fails):
-        # fit rebuilds G from its strict lower triangle after factorizing
-        # G.T in place, on success and on a not-positive-definite failure
-        k, mode, X, _ = design()
+    @pytest.mark.parametrize("design, delta, fails", [
+        (well_conditioned, 0.0, False), (interp_lowd_trial, 1e-12, False),
+        (near_duplicate_orbits, 0.0, True), (interp_lowd_trial, 0.0, True)])
+    def test_gives_the_gram_matrix_back(self, design, delta, fails):
+        # dpotrf overwrites G's upper triangle and diagonal, also where it
+        # fails; fit takes its residual against the G it gets back
+        k, mode, X, y = design()
         G = gram(k, mode, X)
         A = G.copy()
         try:
-            _linalg.cho_factor(A.T)
+            _linalg.shifted_solve(A, y, delta * np.trace(G) / len(X))
             failed = False
         except np.linalg.LinAlgError:
             failed = True
         assert failed == fails
-        lower = np.tril_indices(len(X), -1)
-        assert same_bits(A[lower], G[lower])
-        assert not same_bits(A, G)
+        assert same_bits(A, G)
 
     @pytest.mark.parametrize("design", [well_conditioned, near_duplicate_orbits, interp_lowd_trial])
     def test_fit_lands_on_scipy_rung(self, design):

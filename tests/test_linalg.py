@@ -42,6 +42,41 @@ def test_only_linalg_imports_scipy():
     assert importers <= {"_linalg.py"}
 
 
+def transposed_linalg_args(source):
+    """Calls that pass a .T attribute to a function a source takes from _linalg."""
+    tree = ast.parse(source)
+    functions, modules = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "_linalg":
+            functions |= {a.asname or a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            modules |= {a.asname or a.name for a in node.names if a.name == "_linalg"}
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        f = node.func
+        if (isinstance(f, ast.Name) and f.id in functions
+                or isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name)
+                and f.value.id in modules):
+            args = [*node.args, *(k.value for k in node.keywords)]
+            if any(isinstance(a, ast.Attribute) and a.attr == "T" for a in args):
+                found.append(ast.unparse(node))
+    return found
+
+
+def test_only_linalg_transposes_for_lapack():
+    # _linalg alone knows that LAPACK works on a Gram matrix's transpose
+    assert sorted(transposed_linalg_args(
+        "from ._linalg import eigh, cKDTree as tree\nfrom . import _linalg as la\n"
+        "from .kernels import gram\neigh(G)\ntree(X.T)\nla.shifted_solve(G, y, s=A.T)\n"
+        "gram(G.T)\nla.eigh(G.copy())\nnp.dot(G.T, y)\n"
+    )) == ["la.shifted_solve(G, y, s=A.T)", "tree(X.T)"]
+    flagged = {p.name: transposed_linalg_args(p.read_text())
+               for p in SRC.glob("*.py") if p.name != "_linalg.py"}
+    assert {name: calls for name, calls in flagged.items() if calls} == {}
+
+
 def thread_starters(source):
     """What a source uses that could run work on threads or processes of its own.
 
@@ -177,8 +212,8 @@ elif setup == "missing":
 elif setup == "broken":
     _linalg._extension_path = lambda name: broken
 G, y, X, C = np.load(inputs).values()
-c = _linalg.cho_factor(G.copy().T)
-parts = [c, _linalg.cho_solve(c, y), _linalg.eigh(G.copy().T), _linalg.cKDTree(X).query(C)[0]]
+parts = [_linalg.shifted_solve(G.copy(), y, 0.0), _linalg.eigh(G.copy()),
+         _linalg.cKDTree(X).query(C)[0]]
 standalone = "scipy.linalg" not in sys.modules and "scipy.spatial" not in sys.modules
 if setup == "after":
     import scipy.linalg, scipy.spatial
@@ -204,8 +239,7 @@ def test_same_bits_with_and_without_public_scipy(setup, standalone, tmp_path):
     np.savez(tmp_path / "inputs.npz", G=G, y=y, X=X, C=C)
     broken = tmp_path / "broken.so"
     broken.write_bytes(b"not a shared object")
-    c = scipy.linalg.cho_factor(G, lower=True)
-    want = digest([c[0], scipy.linalg.cho_solve(c, y),
+    want = digest([scipy.linalg.cho_solve(scipy.linalg.cho_factor(G, lower=True), y),
                    scipy.linalg.eigh(G, eigvals_only=True), cKDTree(X).query(C)[0]])
     got = fresh_python(CHILD_DIGEST, setup, str(tmp_path / "inputs.npz"), str(broken))
     assert got == f"{standalone} {want}"
