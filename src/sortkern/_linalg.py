@@ -5,8 +5,22 @@ path up to d = 4 needs scipy's cKDTree. This module, the only one in
 sortkern that touches scipy, loads the compiled modules that hold them,
 scipy/linalg/_flapack and scipy/spatial/_ckdtree, from their files alone on
 first use. Importing scipy.linalg instead loads numpy.f2py, numpy.testing
-and numpy.ma through scipy's array-API layer, about 0.25 s and 16 MB;
-_ckdtree still imports scipy.sparse, which loads them too.
+and numpy.ma through scipy's array-API layer, about 0.25 s and 16 MB.
+
+_ckdtree imports scipy.sparse and scipy._lib._util when it loads, which
+load the same three, and reads only copy_if_needed from them. So it loads
+with a stand-in for each of the two that is not imported yet: a bare
+module, holding copy_if_needed by scipy's own rule for _util, that leaves
+sys.modules when the load ends. The module keeps the real scipy package
+and the value None, so cKDTree is scipy's own, and a later import of
+scipy.sparse or scipy.spatial gets the real modules. For the ~10 ms of the
+load this thread holds both names' import locks (importlib's private
+_ModuleLockManager), and each stand-in's spec says it is still
+initialising, so another thread's import of either waits for the load and
+then gets the real module; a stand-in that thread was handed reads from the
+real module too. Without that lock API, or on any failure of the load with
+stand-ins, the stand-ins and the half-loaded module go and the load runs
+without them.
 
 Each module loads once, under one lock: the pool's threads reach their
 first kd-tree together, and a Cython module that a second thread loads
@@ -27,9 +41,12 @@ validated designs. A runner that times its fits calls load() first, so no
 timing absorbs the load.
 """
 
+import contextlib
+import functools
 import os
 import sys
 import threading
+import types
 
 import numpy as np
 
@@ -39,6 +56,17 @@ _modules = {}
 # columns of G per band of shifted_solve's rebuild of G after each
 # factorization; narrow bands keep each transposed strip's reads within cache
 _BAND_COLS = 64
+# per compiled module, the modules it imports when it loads and sortkern
+# never uses, in the order scipy's own imports lock them (scipy.sparse
+# imports _util), each with the values the load reads from it;
+# copy_if_needed follows scipy's rule for released numpy
+_STAND_INS = {
+    "scipy.spatial._ckdtree": {
+        "scipy.sparse": {},
+        "scipy._lib._util": {
+            "copy_if_needed": None if np.lib.NumpyVersion(np.__version__) >= "2.0.0" else False},
+    },
+}
 
 
 def _extension_path(name):
@@ -56,22 +84,93 @@ def _extension_path(name):
     return None
 
 
-def _standalone(name):
-    # scipy's compiled module `name` loaded from its file alone, or None
+def _exec(name, path):
+    # the module `name` executed from the file at path; on a failure it
+    # leaves sys.modules
     import importlib.util
 
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    try:
+        spec.loader.exec_module(module)
+    except BaseException:
+        sys.modules.pop(name, None)
+        raise
+    return module
+
+
+@contextlib.contextmanager
+def _stood_in(names):
+    # a bare module, holding the given values, in sys.modules for each of
+    # `names` (name -> values) not yet imported, while the block runs. The
+    # names' import locks are held throughout, taken in scipy's own import
+    # order, and each stand-in's spec says it is still initialising, so
+    # another thread's import of one waits on its lock and, once the
+    # stand-in is gone, loads the real module. ImportError where importlib
+    # has no _ModuleLockManager.
+    import importlib
+    from importlib._bootstrap import _ModuleLockManager
+    from importlib.machinery import ModuleSpec
+
+    # the parent packages load for real before the window, which then runs
+    # only the module's own code
+    for name in names:
+        importlib.import_module(name.rpartition(".")[0])
+    made = {}
+    with contextlib.ExitStack() as locks:
+        try:
+            for name, values in names.items():
+                locks.enter_context(_ModuleLockManager(name))
+                if name in sys.modules:
+                    continue
+                module = types.ModuleType(name)
+                module.__dict__.update(values)
+                module.__getattr__ = functools.partial(_read_through, name, module)
+                module.__spec__ = ModuleSpec(name, None)
+                module.__spec__._initializing = True
+                made[name] = sys.modules[name] = module
+            yield
+        finally:
+            for name, module in made.items():
+                if sys.modules.get(name) is module:
+                    del sys.modules[name]
+
+
+def _read_through(name, stand_in, attr):
+    # a name the stand-in for `name` lacks: none for the loading thread,
+    # whose import lock is re-entrant; for another thread that the stand-in
+    # reached before the load ended (`from scipy.sparse import x`, or the
+    # parent of a submodule it imports), the real module's, once the load
+    # has ended
+    import importlib
+    from importlib._bootstrap import _ModuleLockManager
+
+    with _ModuleLockManager(name):
+        pass
+    if sys.modules.get(name) is stand_in:
+        raise AttributeError(f"module {name!r} has no attribute {attr!r}")
+    return getattr(importlib.import_module(name), attr)
+
+
+def _standalone(name):
+    # scipy's compiled module `name` loaded from its file alone, or None;
+    # first with stand-ins for what _STAND_INS lists for it, then without
     path = _extension_path(name)
     if path is None:
         return None
-    spec = importlib.util.spec_from_file_location(name, path)
+    if name in _STAND_INS:
+        try:
+            with _stood_in(_STAND_INS[name]):
+                return _exec(name, path)
+        except Exception:
+            # a scipy whose module reads more than the stand-ins hold, or an
+            # importlib without the lock API, takes the plain load
+            pass
     try:
-        module = importlib.util.module_from_spec(spec)
-        sys.modules[name] = module
-        spec.loader.exec_module(module)
+        return _exec(name, path)
     except ImportError:
-        sys.modules.pop(name, None)
         return None
-    return module
 
 
 def _module(name, public):

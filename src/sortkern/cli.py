@@ -12,7 +12,6 @@ import argparse
 import ctypes
 import dataclasses
 import math
-import os
 import sys
 
 from .errors import ConfigError, FactorizationError, NumericalError, SortkernError
@@ -118,17 +117,6 @@ def _config_from_args(args):
         out_path=f"{experiment.value}.csv" if args.out is None else args.out)
 
 
-def _check_out_path(path):
-    # fail before the experiment runs, not after it has spent its time
-    folder = os.path.dirname(os.path.abspath(path))
-    if not os.path.isdir(folder):
-        raise ConfigError(f"output directory {folder!r} does not exist")
-    if not os.access(folder, os.W_OK):
-        raise ConfigError(f"output directory {folder!r} is not writable")
-    if os.path.isdir(path):
-        raise ConfigError(f"output path {path!r} is a directory")
-
-
 def _map_large_blocks():
     """Pin malloc's mmap threshold, so every large array is mapped on its own.
 
@@ -152,7 +140,6 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         cfg = _config_from_args(args)
-        _check_out_path(cfg.out_path)
         _map_large_blocks()
         run(cfg)
     # numerical failures are SortkernErrors too, so they are caught first

@@ -1,10 +1,12 @@
 """Seeded Monte Carlo experiment runners with CSV output.
 
-Each runner consumes an ExperimentConfig, derives one independent
-counter-based random stream per (experiment, d, n, trial) key from the
-master seed, writes a CSV file with a header row and floats at 17
-significant digits, and returns the rows as dictionaries (the returned
-dictionaries may carry extra diagnostic fields beyond the CSV columns).
+Each runner consumes an ExperimentConfig, checks its output path before
+any work (ConfigError where the folder is missing or not writable, or the
+path is a folder), derives one independent counter-based random stream per
+(experiment, d, n, trial) key from the master seed, writes a CSV file with
+a header row and floats at 17 significant digits, and returns the rows as
+dictionaries (the returned dictionaries may carry extra diagnostic fields
+beyond the CSV columns).
 Identical configs produce byte-identical files, except the wall-clock
 fit_ms column of the interpolation comparison. The fill-distance trials
 of table1 and tail_curves run on every CPU the process may use, and so
@@ -103,6 +105,17 @@ def _fmt(x):
     return str(x)
 
 
+def _check_out_path(path):
+    # fail before the experiment runs, not after it has spent its time
+    folder = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(folder):
+        raise ConfigError(f"output directory {folder!r} does not exist")
+    if not os.access(folder, os.W_OK):
+        raise ConfigError(f"output directory {folder!r} is not writable")
+    if os.path.isdir(path):
+        raise ConfigError(f"output path {path!r} is a directory")
+
+
 def _write_csv(path, header, rows):
     # written beside the target and moved into place, so a run that fails
     # while writing leaves neither a partial CSV nor the temporary file
@@ -158,6 +171,7 @@ def _fill_trials(cfg, exp_id):
 
 def run_table1(cfg):
     """Mean fill distances (plain and sorted) per (d, n) over seeded trials."""
+    _check_out_path(cfg.out_path)
     cells = _fill_trials(cfg, _EXPERIMENT_IDS[Experiment.TABLE1])
     rows = []
     for d in cfg.dims:
@@ -178,6 +192,7 @@ def run_table1(cfg):
 
 def run_tail_curves(cfg):
     """Empirical exceedance P[h > eps] against the closed-form tail bounds."""
+    _check_out_path(cfg.out_path)
     if not cfg.eps_grid:
         raise ConfigError("tail curves need a nonempty eps grid")
     cells = _fill_trials(cfg, _EXPERIMENT_IDS[Experiment.TAIL_CURVES])
@@ -224,6 +239,7 @@ def run_interp_compare(cfg):
     hold several candidate arrays at once. The kernel loop redraws each
     design from its unit's stream rather than keeping every design.
     """
+    _check_out_path(cfg.out_path)
     exp_id = _EXPERIMENT_IDS[Experiment.INTERP_COMPARE]
     # the targets and the PermSingle rows are averaged; fail before any trial
     for d in cfg.dims:
@@ -313,6 +329,7 @@ def run_eigen_decay(cfg):
     from j=5 down to the shared resolved depth so the noise floor never
     enters the fit, and trace_err reports the worst trace-identity gap.
     """
+    _check_out_path(cfg.out_path)
     exp_id = _EXPERIMENT_IDS[Experiment.EIGEN_DECAY]
     d = cfg.dims[0]
     m = cfg.ns[0]
@@ -354,6 +371,7 @@ def run_eigen_decay(cfg):
 
 def run_bounds_report(cfg):
     """All theoretical constants per (d, nu), nu swept from 1 to cfg.nu."""
+    _check_out_path(cfg.out_path)
     rows = []
     for d in cfg.dims:
         cube = cone_parameters(d, Domain.CUBE)

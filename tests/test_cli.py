@@ -117,9 +117,10 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("where", ["missing/x.csv", "."])
     def test_bad_out_path_fails_before_running(self, where, monkeypatch, capsys, tmp_path):
-        def never(cfg):
+        # the runner checks the path before its first unit
+        def never(*args):
             raise AssertionError("the experiment ran")
-        monkeypatch.setattr(cli, "run", never)
+        monkeypatch.setattr(experiments, "_fill_unit", never)
         assert run_cli(["table1", "--out", str(tmp_path / where)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("sortkern: error: output ")

@@ -654,3 +654,32 @@ class TestTrialPool:
             assert np.array_equal(X, g.random((40, d)))
             want = np.vstack([g.random((300, d)), cube_corners(d)])
             assert C.flags.c_contiguous and np.array_equal(C, want)
+
+
+class TestOutputPathFirst:
+    # a library run checks its output path before any unit, fit or spectrum
+    # runs, and raises ConfigError with the command's message
+    RUNNERS = {
+        Experiment.TABLE1: (run_table1, {}),
+        Experiment.TAIL_CURVES: (run_tail_curves, {"eps_grid": (0.1, 0.2)}),
+        Experiment.INTERP_COMPARE: (run_interp_compare, {"dims": (2,), "trials": 1}),
+        Experiment.EIGEN_DECAY: (run_eigen_decay, {"ns": (40,), "trials": 1}),
+        Experiment.BOUNDS_REPORT: (run_bounds_report, {}),
+    }
+
+    @pytest.mark.parametrize("experiment", list(RUNNERS), ids=lambda e: e.value)
+    def test_missing_folder_fails_before_any_work(self, experiment, tmp_path, monkeypatch):
+        called = []
+
+        def spy(name):
+            real = getattr(experiments, name)
+            return lambda *args, **kw: called.append(name) or real(*args, **kw)
+
+        for name in ("_fill_unit", "fit", "nystrom_spectrum"):
+            monkeypatch.setattr(experiments, name, spy(name))
+        runner, kw = self.RUNNERS[experiment]
+        c = cfg(tmp_path, "missing/out.csv", experiment, **kw)
+        with pytest.raises(ConfigError, match="^output directory .* does not exist$"):
+            runner(c)
+        assert called == []
+        assert list(tmp_path.iterdir()) == []

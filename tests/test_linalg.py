@@ -243,3 +243,149 @@ def test_same_bits_with_and_without_public_scipy(setup, standalone, tmp_path):
                    scipy.linalg.eigh(G, eigvals_only=True), cKDTree(X).query(C)[0]])
     got = fresh_python(CHILD_DIGEST, setup, str(tmp_path / "inputs.npz"), str(broken))
     assert got == f"{standalone} {want}"
+
+
+# the modules the kd-tree load stands in for, and what they would load
+STOOD_IN = ("scipy.sparse", "scipy._lib._util")
+HEAVY = (*STOOD_IN, "scipy._lib._array_api", "numpy.f2py", "numpy.testing", "numpy.ma")
+
+TREE_QUERY = """
+import sys
+import numpy as np
+from sortkern import _linalg
+
+def bare():
+    # the stood-in names whose module in sys.modules has no file of its own
+    return [n for n in {names} if n in sys.modules and "__file__" not in vars(sys.modules[n])]
+
+def query():
+    rng = np.random.default_rng(5)
+    return _linalg.cKDTree(rng.random((40, 2))).query(rng.random((300, 2)))[0]
+"""
+
+
+def tree_child(code, *args):
+    return fresh_python(TREE_QUERY.format(names=STOOD_IN) + code, *args)
+
+
+def test_fill_distance_loads_no_heavy_module():
+    # the d <= 4 fill path loads the kd-tree without scipy.sparse and what it
+    # loads; numpy.matrixlib, always loaded, shares a prefix with numpy.ma
+    loaded = tree_child(
+        "from sortkern.geometry import Domain, fill_distance_estimate\n"
+        "rng = np.random.default_rng(3)\n"
+        "fill_distance_estimate(rng.random((30, 2)), Domain.CUBE, rng.random((500, 2)))\n"
+        "assert 'scipy.spatial._ckdtree' in sys.modules and 'numpy.matrixlib' in sys.modules\n"
+        f"print(sorted(m for m in sys.modules if any(m == h or m.startswith(h + '.') for h in {HEAVY})))")
+    assert loaded == "[]"
+
+
+def test_tree_load_leaves_no_stand_in():
+    # neither name stays imported, and the module keeps the real scipy
+    # package and scipy's own copy_if_needed, and no module of either name
+    assert tree_child(
+        "query()\n"
+        f"print(bare(), [n for n in {STOOD_IN} if n in sys.modules])\n"
+        "tree = _linalg._kdtree_module()\n"
+        f"held = [k for k, v in vars(tree).items() if getattr(v, '__name__', None) in {STOOD_IN}]\n"
+        "import scipy._lib._util\n"
+        "print(held, tree.scipy is sys.modules['scipy'],"
+        " tree.copy_if_needed is scipy._lib._util.copy_if_needed)") == "[] []\n[] True True"
+
+
+def test_later_scipy_imports_get_the_real_modules():
+    # the public package reuses the loaded class, and scipy.sparse, which the
+    # class needs only for sparse_distance_matrix, imports for real
+    assert tree_child(
+        "query()\n"
+        "import scipy.spatial, scipy.sparse\n"
+        "assert scipy.spatial.cKDTree is _linalg._kdtree_module().cKDTree\n"
+        "t = scipy.spatial.cKDTree(np.eye(3))\n"
+        "D = t.sparse_distance_matrix(t, 1.5)\n"
+        "assert scipy.sparse.issparse(D) and type(D).__module__.startswith('scipy.sparse.')\n"
+        "print(bare(), scipy.sparse.__file__ is not None, D.nnz)") == "[] True 9"
+
+
+def test_imported_scipy_sparse_stays_the_same_object():
+    assert tree_child(
+        "import scipy.sparse\n"
+        "before = sys.modules['scipy.sparse']\n"
+        "query()\n"
+        "print(sys.modules['scipy.sparse'] is before, bare())") == "True []"
+
+
+WINDOW_IMPORT = """
+import threading, time
+opened, done = threading.Event(), threading.Event()
+exec_module = _linalg._exec
+
+def held_open(name, path):
+    # the load with its stand-ins in place waits until the importing thread
+    # is blocked on an import lock
+    if bare():
+        opened.set()
+        done.wait(30)
+    return exec_module(name, path)
+
+_linalg._exec = held_open
+got = {}
+
+def importer():
+    opened.wait(30)
+    ns = {}
+    try:
+        exec(sys.argv[1], ns)
+        got["module"] = sys.modules[ns["m"] if isinstance(ns["m"], str) else ns["m"].__name__]
+    except BaseException as e:
+        got["error"] = repr(e)
+
+def blocked(thread):
+    frame = sys._current_frames().get(thread.ident)
+    return frame is not None and frame.f_code.co_name == "acquire" and "importlib" in frame.f_code.co_filename
+
+def release(thread):
+    opened.wait(30)
+    got["blocked"] = any(blocked(thread) or time.sleep(0.001) for _ in range(10000))
+    done.set()
+
+t = threading.Thread(target=importer)
+r = threading.Thread(target=release, args=(t,))
+t.start(); r.start()
+query()
+t.join(30); r.join(30)
+assert not t.is_alive() and not r.is_alive()
+print(got.get("error"), got["blocked"], hasattr(got.get("module"), "__file__"), bare())
+"""
+
+
+@pytest.mark.parametrize("statement", [
+    "import scipy.sparse as m",
+    "from scipy.sparse import csr_matrix; m = csr_matrix.__module__",
+    "from scipy._lib._util import check_random_state; m = check_random_state.__module__",
+    "import scipy.sparse.linalg as m",
+])
+def test_import_on_another_thread_waits_for_the_real_module(statement):
+    # a thread that imports a stood-in module while the load runs waits on
+    # its import lock, then gets the real module, also through a name read
+    # from the stand-in (`from ... import`) or a submodule of it
+    assert tree_child(WINDOW_IMPORT, statement) == "None True True []"
+
+
+@pytest.mark.parametrize("setup", [
+    # a _ckdtree that reads a name the stand-ins lack
+    "_linalg._STAND_INS['scipy.spatial._ckdtree']['scipy._lib._util'] = {}",
+    # an importlib without the private module-lock API
+    "import importlib.util, importlib.machinery, types\n"
+    "sys.modules['importlib._bootstrap'] = types.ModuleType('importlib._bootstrap')",
+])
+def test_load_without_working_stand_ins_takes_the_plain_path(setup):
+    # the load runs again without stand-ins, importing scipy.sparse, and its
+    # queries give the public class's bits
+    rng = np.random.default_rng(5)
+    X, C = rng.random((40, 2)), rng.random((300, 2))
+    want = digest([cKDTree(X).query(C)[0]])
+    got = tree_child(
+        f"import hashlib\n{setup}\n"
+        "print(hashlib.sha256(query().tobytes()).hexdigest(), bare(), 'scipy.sparse' in sys.modules,"
+        " _linalg._kdtree_module().copy_if_needed)")
+    assert got == f"{want} [] True None"
