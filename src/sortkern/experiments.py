@@ -29,7 +29,7 @@ from . import _linalg
 from ._pool import _fan_out
 from .errors import ConfigError, FactorizationError, _above, _int_at_least
 from .geometry import Domain, _fill_distances, cone_parameters, cube_corners
-from .interpolation import evaluate, fit, make_invariant_target, mc_points, rmse_stderr
+from .interpolation import _sorted_and_averaged, evaluate, fit, make_invariant_target, mc_points, rmse_stderr
 from .kernels import KernelMode, KernelSpec, check_mode_cap, sup_kernel_constant
 from .rng import stream, substream_seed
 from .spectral import decay_slope, nystrom_spectrum
@@ -224,6 +224,42 @@ _INTERP_MODES = (
 )
 
 
+# each group is fitted, then evaluated, before the next; the sorted and the
+# averaged interpolants, fitted in that order, share one evaluator pass
+_FIT_GROUPS = ((KernelMode.PLAIN,), (KernelMode.SORTED, KernelMode.PERM_SINGLE))
+
+
+def _timed_fit(k, mode, X, y):
+    # (interpolant, or None where the fit fails, and the fit's milliseconds)
+    t0 = time.perf_counter()
+    try:
+        f = fit(k, mode, X, y)
+    except FactorizationError:
+        f = None
+    return f, (time.perf_counter() - t0) * 1000.0
+
+
+def _errors(fits, Xmc, y_mc, P, y_pw):
+    """{mode: (l2_error, pointwise_max_error)} of each interpolant in fits that is not None.
+
+    A fitted sorted and averaged pair comes out of one evaluator pass per
+    point set (_sorted_and_averaged); a lone interpolant is evaluated on
+    its own. Each pass is reduced to its floats as soon as it returns, so
+    no value array outlives its step.
+    """
+    fitted = {mode: f for mode, f in fits.items() if f is not None}
+    if len(fitted) == 2:
+        values_at = functools.partial(_sorted_and_averaged, *fitted.values())
+    elif fitted:
+        (f,) = fitted.values()
+        values_at = lambda x: (evaluate(f, x),)
+    else:
+        return {}
+    l2 = [rmse_stderr(y_mc - v)[0] for v in values_at(Xmc)]
+    pw = [float(np.max(np.abs(y_pw - v))) for v in values_at(P)]
+    return dict(zip(fitted, zip(l2, pw)))
+
+
 def run_interp_compare(cfg):
     """Fit/measure/bound comparison of Plain, Sorted, PermSingle modes.
 
@@ -273,23 +309,20 @@ def run_interp_compare(cfg):
                 P = stream(substream_seed(cfg.seed, exp_id, d, n, t, 14)).random(
                     (POINTWISE_POINTS, d))
                 y_pw = target.value(P)
+                fit_ms, errors = {}, {}
+                for group in _FIT_GROUPS:
+                    fits = {}
+                    for mode in group:
+                        fits[mode], fit_ms[mode] = _timed_fit(cfg.kernel, mode, X, y)
+                    errors.update(_errors(fits, Xmc, y_mc, P, y_pw))
                 for mode, bound_mode in _INTERP_MODES:
                     h = fill[bound_mode]
                     report = l2_bound(b, h, bound_mode)
-                    t0 = time.perf_counter()
-                    try:
-                        f = fit(cfg.kernel, mode, X, y)
-                        fit_ms = (time.perf_counter() - t0) * 1000.0
-                        err, _ = rmse_stderr(y_mc - evaluate(f, Xmc))
-                        pw = float(np.max(np.abs(y_pw - evaluate(f, P))))
-                    except FactorizationError:
-                        fit_ms = (time.perf_counter() - t0) * 1000.0
-                        err = math.nan
-                        pw = math.nan
+                    err, pw = errors.get(mode, (math.nan, math.nan))
                     rows.append({
                         "d": d, "n": n, "trial": t, "mode": mode.value,
                         "l2_error": err, "l2_bound_value": report.value,
-                        "pointwise_max_error": pw, "fit_ms": fit_ms,
+                        "pointwise_max_error": pw, "fit_ms": fit_ms[mode],
                         "fill_distance": h, "bound_valid": report.validity,
                     })
     _write_csv(cfg.out_path,

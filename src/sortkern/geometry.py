@@ -148,8 +148,12 @@ def distinct_orbits(X):
 
 
 def _distinct_orbits(X):
-    # distinct_orbits on a design its caller has validated
-    return np.unique(_sorted_copy(X), axis=0).shape[0] == X.shape[0]
+    # distinct_orbits on a design its caller has validated. A lexicographic
+    # sort puts equal rows side by side; np.unique(axis=0) would say the
+    # same but imports numpy.ma on first use
+    S = _sorted_copy(X)
+    S = S[np.lexsort(S.T[::-1])]
+    return not np.any(np.all(S[1:] == S[:-1], axis=1))
 
 
 def cube_corners(d):

@@ -124,6 +124,20 @@ def evaluate(f, x):
     return _expansion(f.kernel, f.mode, f.design, f.coeffs, x)
 
 
+def _sorted_and_averaged(fs, fa, x):
+    """(evaluate(fs, x), evaluate(fa, x)) from one pass of the evaluator.
+
+    fs and fa are the sorted and the averaged interpolant fitted on one
+    design with one kernel. Both modes evaluate on the canonicalized
+    arguments, where the sorted kernel is the averaged kernel's first term,
+    so the evaluator contracts each tile with fs's coefficients right after
+    that term (kernels._evaluate). x is an (N, d) array, checked here once.
+    """
+    X = as_design(x, d=fa.design.shape[1])
+    averaged, first = _cross(fa.kernel, fa.mode, X, fa.design, coeffs=fa.coeffs, first=fs.coeffs)
+    return first, averaged
+
+
 def interpolant_norm_sq(f):
     """Squared RKHS norm of the interpolant, coeffs' G coeffs."""
     G = _gram(f.kernel, f.mode, as_design(f.design))

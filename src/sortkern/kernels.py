@@ -13,7 +13,11 @@ bit for bit, the result of building one full distance matrix per
 permutation term. Given a coefficient vector, it contracts each tile with
 it and returns the kernel expansion without ever holding the kernel
 matrix; with BLAS at one thread that is bit for bit the product of the
-full matrix with the vector.
+full matrix with the vector. Given a second vector, it also contracts each
+tile right after its first term: on the canonical arguments both modes
+share, the averaged mode's first term (the identity permutation) is the
+sorted kernel, so one averaged pass yields the sorted expansion too, bit
+for bit.
 """
 
 import math
@@ -136,7 +140,7 @@ def _tile_rows(m, nbuf, contract=False):
     return max(4, rows - rows % 4) if contract else rows
 
 
-def _evaluate(k, W, Z, terms, upper=False, coeffs=None):
+def _evaluate(k, W, Z, terms, upper=False, coeffs=None, first=None):
     """Average over terms pi of amplitude * exp(-||W[pi] - Z||^2 / (2 bw^2)).
 
     Rows of W are processed in tiles of about _buffer_elems elements per
@@ -157,14 +161,23 @@ def _evaluate(k, W, Z, terms, upper=False, coeffs=None):
     into the tile's rows of the result. Tiles then have a multiple of 4
     rows (_tile_rows), and a last tile of one row joins the one before it,
     because numpy takes a one-row product through dot, not gemv.
+
+    With first as well (an (m,) vector, coeffs given) the result is the
+    pair (expansion with coeffs, expansion of terms[0] alone with first).
+    Each tile contracts its accumulator with first right after term 0,
+    before term 1 adds into it, so no buffer is added. Every contracted
+    tile starts at a multiple of 4 rows whatever its height, so with BLAS
+    at one thread the first-term values are bit for bit those of an
+    evaluation over [terms[0]] alone with first as its coefficients.
     """
     n, d = W.shape
     m = Z.shape[0]
     contract = coeffs is not None
     out = np.empty(n if contract else (n, m))
+    out_first = None if first is None else np.zeros(n)
     if n == 0 or m == 0:
         out.fill(0.0)
-        return out
+        return out if first is None else (out, out_first)
     pairs, steps = _plan(terms)
     npairs = len(pairs)
     nbuf = _buffer_count(npairs, d) + contract
@@ -212,6 +225,8 @@ def _evaluate(k, W, Z, terms, upper=False, coeffs=None):
                 np.exp(dist, out=dist)
                 if j == 0:
                     np.multiply(dist, k.amplitude, out=acc)
+                    if first is not None:
+                        np.matmul(acc, first, out=out_first[r0:r1])
                 else:
                     np.multiply(dist, k.amplitude, out=dist)
                     np.add(acc, dist, out=acc)
@@ -223,7 +238,7 @@ def _evaluate(k, W, Z, terms, upper=False, coeffs=None):
             _mirror(out, r0, r1)
 
     _fan_out(tile, list(spans))
-    return out
+    return out if first is None else (out, out_first)
 
 
 def kernel_cross(k, mode, W, Z):
@@ -237,9 +252,10 @@ def kernel_cross(k, mode, W, Z):
     return _cross(k, mode, W, as_design(Z, min_rows=0, d=W.shape[1]))
 
 
-def _cross(k, mode, W, Z, upper=False, coeffs=None):
+def _cross(k, mode, W, Z, upper=False, coeffs=None, first=None):
     # kernel_cross on arguments the caller has validated; upper (for a Gram
-    # matrix) and coeffs (for a kernel expansion) as in _evaluate
+    # matrix), coeffs (for a kernel expansion) and first (for the first
+    # term's expansion too) as in _evaluate
     d = W.shape[1]
     check_mode_cap(mode, d)
     # sorted mode is defined on the canonical representatives; the averaged
@@ -248,7 +264,7 @@ def _cross(k, mode, W, Z, upper=False, coeffs=None):
     # for any permutation of w or z, making the invariance exact in floats
     if mode is not KernelMode.PLAIN:
         W, Z = _sorted_copy(W), _sorted_copy(Z)
-    return _evaluate(k, W, Z, _terms(mode, d), upper, coeffs)
+    return _evaluate(k, W, Z, _terms(mode, d), upper, coeffs, first)
 
 
 def kernel_value(k, mode, w, z):

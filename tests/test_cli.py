@@ -375,19 +375,34 @@ def test_first_fit_ms_times_no_import(tmp_path):
     assert fresh_python(FIRST_FIT_PROBE, str(tmp_path / "out.csv")) == "[True, True, True]"
 
 
-@pytest.mark.parametrize("argv", [
+SMALL_COMMANDS = [
     "eigen_decay --d 3 --n 200 --trials 1",
     "interp_compare --d 2 --n 80 --trials 1 --mc-samples 200 --candidates 2000",
     "interp_compare --d 5 --n 40 --trials 1 --mc-samples 200 --candidates 2000",
     "table1 --d 3,6 --n 50 --trials 2 --candidates 2000",
-])
+]
+
+
+def loaded_after(argv, modules, tmp_path):
+    # which of modules a fresh interpreter holds after running the command
+    code = ("import sys, sortkern.cli\n"
+            "assert sortkern.cli.main(sys.argv[1:-1]) == 0\n"
+            "print([m for m in sys.argv[-1].split(',') if m in sys.modules])")
+    return fresh_python(code, *argv.split(), "--out", str(tmp_path / "out.csv"), ",".join(modules))
+
+
+@pytest.mark.parametrize("argv", SMALL_COMMANDS)
 def test_commands_leave_scipy_linalg_and_spatial_unloaded(argv, tmp_path):
     # LAPACK and the kd-tree (interp_compare at d = 2, table1 at d = 3) come
     # from scipy's compiled modules alone
-    code = ("import sys, sortkern.cli\n"
-            "assert sortkern.cli.main(sys.argv[1:]) == 0\n"
-            "print([m for m in ('scipy.linalg', 'scipy.spatial') if m in sys.modules])")
-    assert fresh_python(code, *argv.split(), "--out", str(tmp_path / "out.csv")) == "[]"
+    assert loaded_after(argv, ["scipy.linalg", "scipy.spatial"], tmp_path) == "[]"
+
+
+@pytest.mark.parametrize("argv", SMALL_COMMANDS)
+def test_commands_leave_numpy_ma_unloaded(argv, tmp_path):
+    # the sorted Gram matrix's orbit check once loaded numpy.ma through
+    # np.unique(axis=0), so the first sorted fit_ms timed the import
+    assert loaded_after(argv, ["numpy.ma"], tmp_path) == "[]"
 
 
 class TestMallocPin:

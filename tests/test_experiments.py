@@ -14,7 +14,7 @@ import pytest
 
 from conftest import pool_threads
 from sortkern import _linalg, _pool, experiments, geometry, kernels
-from sortkern.errors import CapExceededError, ConfigError
+from sortkern.errors import CapExceededError, ConfigError, FactorizationError
 from sortkern.experiments import (
     Experiment,
     _write_csv,
@@ -312,6 +312,58 @@ class TestInterpCompare:
         for i, X in enumerate(designs):
             want = experiments._trial_draws(c, exp_id, *keys[i // 3])[0]
             assert np.array_equal(X.view(np.uint64), want.view(np.uint64))
+
+    def test_sorted_and_averaged_share_one_pass_per_point_set(self, tmp_path, monkeypatch):
+        # the expansions over a unit's design: plain on the MC and on the
+        # pointwise sample, then one pass for sorted and averaged on each.
+        # Gram matrices (no coefficients) and the target (its atoms as
+        # centres) are not counted
+        c = cfg(tmp_path, "ic.csv", Experiment.INTERP_COMPARE, kernel=NARROW,
+                dims=(2,), ns=(15, 40), trials=2, mc_samples=500)
+        exp_id = experiments._EXPERIMENT_IDS[Experiment.INTERP_COMPARE]
+        designs = [experiments._trial_draws(c, exp_id, 2, n, t)[0]
+                   for n in c.ns for t in range(c.trials)]
+        evaluate, calls = kernels._evaluate, []
+
+        def spy(k, W, Z, terms, upper=False, coeffs=None, *rest):
+            if coeffs is not None:
+                calls.append(next((i for i, X in enumerate(designs)
+                                   if any(np.array_equal(Z, D) for D in (X, geometry.sort_points(X)))),
+                                  None))
+            return evaluate(k, W, Z, terms, upper, coeffs, *rest)
+
+        monkeypatch.setattr(kernels, "_evaluate", spy)
+        run_interp_compare(c)
+        assert [calls.count(i) for i in range(len(designs))] == [4] * len(designs)
+
+    @pytest.mark.parametrize("failing", ["sorted", "perm_single"])
+    def test_one_failed_fit_leaves_the_other_rows_alone(self, failing, tmp_path, monkeypatch):
+        # where the sorted or the averaged fit fails, its row reads nan and
+        # the other mode is evaluated on its own, to the same bytes
+        def csv_without_fit_ms(c):
+            run_interp_compare(c)
+            rows = read_rows(c.out_path)
+            for r in rows:
+                del r["fit_ms"]
+            return rows
+
+        kw = dict(kernel=NARROW, dims=(2, 3), ns=(15,), trials=2, mc_samples=500)
+        want = csv_without_fit_ms(cfg(tmp_path, "a.csv", Experiment.INTERP_COMPARE, **kw))
+        fit = experiments.fit
+
+        def failing_fit(k, mode, X, y):
+            if mode.value == failing:
+                raise FactorizationError("no factorization")
+            return fit(k, mode, X, y)
+
+        monkeypatch.setattr(experiments, "fit", failing_fit)
+        got = csv_without_fit_ms(cfg(tmp_path, "b.csv", Experiment.INTERP_COMPARE, **kw))
+        assert len(got) == len(want) == 12
+        for g, w in zip(got, want):
+            if g["mode"] == failing:
+                assert g["l2_error"] == g["pointwise_max_error"] == "nan"
+                g["l2_error"], g["pointwise_max_error"] = w["l2_error"], w["pointwise_max_error"]
+            assert g == w
 
     def test_dim_above_averaged_cap_rejected(self, tmp_path):
         c = cfg(tmp_path, "ic.csv", Experiment.INTERP_COMPARE, dims=(9,))

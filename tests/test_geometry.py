@@ -102,6 +102,25 @@ class TestDistinctOrbits:
     def test_single_point(self):
         assert distinct_orbits([[0.5, 0.5]]) is True
 
+    @pytest.mark.parametrize("X, want", [
+        (np.empty((0, 3)), True),
+        ([[0.3, 0.1]], True),
+        ([[0.3, 0.1], [0.3, 0.1]], False),
+        ([[0.3, 0.1], [0.1, 0.3]], False),
+        ([[0.5, 0.25, 0.0], [0.0, 0.5, 0.25], [1.0, 0.5, 0.25]], False),
+        ([[0.5, 0.25, 0.0], [0.25, 0.5, 0.5], [1.0, 0.5, 0.25]], True),
+        ([[0.0, 0.5], [0.5, -0.0]], False),
+        ([[-0.0, -0.0], [0.0, 0.0], [1.0, 0.0]], False),
+        ([[0.25, 0.0], [0.5, 0.25], [1.0, 0.0], [0.0, 1.0]], False),
+        ([[0.25], [0.5], [0.25]], False),
+    ])
+    def test_matches_unique_rows(self, X, want):
+        # rows equal after the sort map, with -0.0 equal to +0.0, are one orbit,
+        # as np.unique(axis=0) counts them
+        X = np.asarray(X, dtype=float)
+        assert (np.unique(sort_points(X), axis=0).shape[0] == X.shape[0]) is want
+        assert distinct_orbits(X) is want
+
 
 class TestFillDistance:
     def test_center_to_corners(self):

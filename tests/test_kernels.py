@@ -15,7 +15,7 @@ import _oracles as oracle
 from conftest import pool_threads
 from sortkern import _pool, kernels
 from sortkern.errors import CapExceededError, ConfigError, DimensionMismatchError, DuplicateOrbitError
-from sortkern.interpolation import Interpolant, evaluate, fit, make_invariant_target
+from sortkern.interpolation import Interpolant, _sorted_and_averaged, evaluate, fit, make_invariant_target
 from sortkern.kernels import (
     KernelMode,
     KernelSpec,
@@ -361,6 +361,39 @@ class TestEvaluatorPool:
                 X = rng.random((n, d))
                 want = kernels._cross(self.K, mode, X, centres) @ f.coeffs
                 assert np.array_equal(evaluate(f, X).view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_fused_contraction_matches_each_evaluation(self, workers, d, monkeypatch):
+        # one averaged pass that also contracts each tile after its first
+        # term gives the sorted and the averaged expansions bit for bit,
+        # though the two modes alone tile the rows at different heights.
+        # Centres and point counts as in test_contraction_matches_one_product
+        monkeypatch.setattr(_pool, "_worker_count", lambda: workers)
+        monkeypatch.setattr(kernels, "_TILE_ELEMS", 20)
+        rng = np.random.default_rng(140 + d)
+        perm = KernelMode.PERM_SINGLE
+        _, elems = tile_geometry(7, perm, d, contract=True)
+        for m in (7, elems + 1):
+            rows, _ = tile_geometry(m, perm, d, contract=True)
+            centres = rng.random((m, d))
+            fs = Interpolant(self.K, KernelMode.SORTED, centres, rng.uniform(-1.0, 1.0, m), 0.0)
+            fa = Interpolant(self.K, perm, centres, rng.uniform(-1.0, 1.0, m), 0.0)
+            for n in (1, 2, 3, 4, 5, rows - 1, rows, rows + 1, rows + 2, rows + 3,
+                      3 * rows + 1, 3 * rows + 2, 3 * rows + 3):
+                X = rng.random((n, d))
+                for got, f in zip(_sorted_and_averaged(fs, fa, X), (fs, fa)):
+                    assert np.array_equal(got.view(np.uint64), evaluate(f, X).view(np.uint64))
+
+    @pytest.mark.parametrize("n, m", [(0, 5), (6, 0), (0, 0)])
+    def test_fused_contraction_without_rows_or_centres(self, n, m):
+        rng = np.random.default_rng(7)
+        W, Z = rng.random((n, 3)), rng.random((m, 3))
+        got = kernels._cross(self.K, KernelMode.PERM_SINGLE, W, Z,
+                             coeffs=rng.random(m), first=rng.random(m))
+        assert len(got) == 2
+        for values in got:
+            assert values.shape == (n,) and not values.any()
 
     def test_overflowing_divide_is_silent_on_every_thread(self, monkeypatch):
         # numpy keeps its error state per thread, so each helper sets its own
