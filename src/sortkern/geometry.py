@@ -204,8 +204,14 @@ def _exact_max_sq(c, cs, mm, j, X2, xsq, buf, lo):
     return float((mm + cs).max()) if c.shape[0] else -math.inf
 
 
-def _prescan_sq(X2, C, xsq, k0, buf):
-    """Squared distance from each row of C to its nearest point among the first k0.
+def _prescan_cols(k0, d):
+    # columns of a prescan tile: a multiple of 64, and a float64 (k0, cols)
+    # or (cols, d) array fits in _PRESCAN_TILE_BYTES where it can
+    return max(64, _PRESCAN_TILE_BYTES // (8 * max(k0, d)) // 64 * 64)
+
+
+def _prescan_sq(X2, C, xsq, k0, buf, idx=None):
+    """Squared distance from each row of C, or of C[idx], to its nearest point among the first k0.
 
     X2 is -2 times the design (scaling by a power of two is exact) and xsq
     its rows' squared norms. Every element sees the operations of one
@@ -216,13 +222,16 @@ def _prescan_sq(X2, C, xsq, k0, buf):
     of contiguous rows. Each tile adds its own candidates' squared norms,
     so no array of all N norms is held; a row's norm is the same float
     whatever rows it is computed with. The product tile and the
-    zero-padded last tile of candidates are views of buf, and each fits in
+    zero-padded tile of candidates are views of buf, and each fits in
     _PRESCAN_TILE_BYTES. Every tile has the same width, a multiple of 64:
     a partial micro-tile at a ragged edge of a BLAS product can round
-    differently.
+    differently, but a column of a full-width product does not depend on
+    the other columns. So the rows C[idx] are gathered into the padded tile
+    with np.take, one tile at a time, and each gets the float the pass
+    over all of C gives it; no copy of C[idx] is made.
     """
-    N, d = C.shape
-    cols = max(64, _PRESCAN_TILE_BYTES // (8 * max(k0, d)) // 64 * 64)
+    N, d = C.shape if idx is None else (idx.shape[0], C.shape[1])
+    cols = _prescan_cols(k0, d)
     XT = X2[:k0]
     xs = xsq[:k0, None]
     m = np.empty(N)
@@ -230,32 +239,109 @@ def _prescan_sq(X2, C, xsq, k0, buf):
     pad = buf[k0 * cols:(k0 + d) * cols].reshape(cols, d)
     for s in range(0, N, cols):
         e = min(N, s + cols)
-        tile = C[s:e]
-        if e - s < cols:
-            pad[:e - s] = tile
+        if idx is None and e - s == cols:
+            tile = C[s:e]
+        else:
+            if idx is None:
+                pad[:e - s] = C[s:e]
+            else:
+                # mode="clip" writes straight into out; "raise" buffers it
+                np.take(C, idx[s:e], axis=0, out=pad[:e - s], mode="clip")
             pad[e - s:] = 0.0
             tile = pad
         np.matmul(XT, tile.T, out=T)
         T += xs
         np.minimum.reduce(T[:, :e - s], axis=0, out=m[s:e])
-        m[s:e] += np.einsum("ij,ij->i", C[s:e], C[s:e])
+        m[s:e] += np.einsum("ij,ij->i", tile[:e - s], tile[:e - s])
     return m
+
+
+def _screen_sq(X2, C, xsq, k0, buf):
+    """A float32 screen of _prescan_sq's scores: (v, E), or None where it is not safe.
+
+    v[i] is the score of row i of C in float32: per column tile of
+    _prescan_sq's width the rows are copied, transposed, into a
+    (d + 1, cols) float32 tile whose last row is ones, so one product with
+    [X2[:k0] | xsq[:k0]] gives each dot product plus its design point's
+    squared norm; then the min over the k0 points, plus the row's float32
+    squared norm. The tiles are views of buf; the only array as long as C
+    is v. E bounds |v[i] - m[i]| for every i, where m is _prescan_sq's
+    float64 score: with R >= |c| + |x| over the candidates and the first
+    k0 design points, each score is an inner product of total magnitude
+    at most R^2, so each precision's rounding is at most gamma_k R^2 with
+    gamma_k = k u / (1 - k u) and k = 2d + 8 (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., 2002, section 3.1), any
+    summation order and FMA included; underflow adds at most 2^-150 per
+    operation, which the absolute term k 2^-149 (1 + R)^2 covers. E is
+    twice their sum. None where some v is not finite or R^2 exceeds
+    2^100, far from float32's overflow.
+    """
+    N, d = C.shape
+    k = 2 * d + 8
+    if k * 2.0 ** -24 >= 0.5:
+        return None
+    cols = _prescan_cols(k0, d)
+    A = np.empty((k0, d + 1), dtype=np.float32)
+    A[:, :d] = X2[:k0]
+    A[:, d] = xsq[:k0]
+    f = buf.view(np.float32)
+    T = f[:k0 * cols].reshape(k0, cols)
+    B = f[k0 * cols:(k0 + d + 1) * cols].reshape(d + 1, cols)
+    B[d] = 1.0
+    v = np.empty(N, dtype=np.float32)
+    cmax = 0.0
+    # a candidate past float32's range becomes inf here and sends the pass
+    # to the float64 prescan
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s in range(0, N, cols):
+            e = min(N, s + cols)
+            B[:d, :e - s] = C[s:e].T
+            B[:d, e - s:] = 0.0
+            np.matmul(A, B, out=T)
+            np.minimum.reduce(T[:, :e - s], axis=0, out=v[s:e])
+            cs = np.einsum("ij,ij->j", B[:d, :e - s], B[:d, :e - s])
+            v[s:e] += cs
+            cmax = max(cmax, float(cs.max()))
+        vmax = float(v.max())
+    gamma = k * 2.0 ** -24 / (1.0 - k * 2.0 ** -24) + k * 2.0 ** -53 / (1.0 - k * 2.0 ** -53)
+    # cmax is a float32 norm, so it is widened by its own relative error
+    R = math.sqrt(cmax * (1.0 + gamma)) + math.sqrt(float(xsq[:k0].max()) * (1.0 + gamma))
+    if not (math.isfinite(vmax) and R * R <= 2.0 ** 100):
+        return None
+    return v, 2.0 * (gamma * R * R + k * 2.0 ** -149 * (1.0 + R) ** 2)
+
+
+def _at_most(t, dtype):
+    """The largest value of the float dtype at or below the float t.
+
+    A threshold rounded to nearest could exclude a score the bound says
+    must stay in.
+    """
+    r = dtype.type(t)
+    return np.nextafter(r, dtype.type(-np.inf)) if float(r) > t else r
+
+
+def _sample_floor(m, warm):
+    """The warm-th largest value of a strided sample of about 16 warm values of m.
+
+    At least warm values of m are at or above it, so it is at most the
+    warm-th largest of m.
+    """
+    sample = m[::max(1, m.shape[0] // (16 * warm))]
+    return float(np.partition(sample, sample.shape[0] - warm)[sample.shape[0] - warm])
 
 
 def _warm_set(m, warm):
     """The first `warm` indices of the best-first order, in that order.
 
     Best-first is descending score or bound with ties in index order, the
-    order of a stable sort of -m. The warm-th largest value of a strided
-    sample of about 16 warm scores is at most the warm-th largest score, so
-    only the scores at or above it (about N/16 of them) are copied and
-    partitioned for the exact threshold: no copy as long as m is made
-    unless nearly every score ties. Only the warm set and the warm pass's
-    survivors are ever sorted.
+    order of a stable sort of -m. Only the scores at or above
+    _sample_floor (about N/16 of them) are copied and partitioned for the
+    exact threshold: no copy as long as m is made unless nearly every
+    score ties. Only the warm set and the warm pass's survivors are ever
+    sorted.
     """
-    sample = m[::max(1, m.shape[0] // (16 * warm))]
-    lb = np.partition(sample, sample.shape[0] - warm)[sample.shape[0] - warm]
-    idx = np.flatnonzero(m >= lb)
+    idx = np.flatnonzero(m >= _sample_floor(m, warm))
     v = m[idx]
     kth = np.partition(v, v.shape[0] - warm)[v.shape[0] - warm]
     top = idx[v > kth]
@@ -300,49 +386,77 @@ def _maxmin_sq_pruned(X, C):
     other scores are exact already; otherwise _best_first visits the rest.
     _exact_max_sq computes both: the warm set over the whole design, and
     each survivor chunk from its prescan minimum over the design past k0,
-    dropping a candidate once it falls to the running max. Candidate norms
-    are computed where they are used, tile by tile or for the gathered
-    rows, never for all N at once. Every product, the prescan's included,
-    is formed in one work buffer of _BLOCK_ELEMS elements (more only for d
-    in the thousands). The returned value equals the full brute-force
-    max-min exactly. X and C are finite; the caller checks them.
+    dropping a candidate once it falls to the running max.
+
+    Every decision reads the float64 prescan score m of _prescan_sq, but m
+    is computed only for the candidates where it decides something, and
+    the float32 screen v of _screen_sq, with |v - m| <= E, finds them:
+    - the warm set: the warm-th largest m is at least the sample floor of
+      v less E, so every candidate it can take has v >= that floor less
+      2E. Those are scored in index order, so _warm_set over their scores
+      takes the warm set of all N scores, ties included;
+    - the survivors: every candidate with m > h2 has v > h2 - E. Those
+      outside the warm set are scored, and the survivors, their order, the
+      chunks and each survivor's starting value m - |c|^2 come from them.
+    So every float of the pass is the one a full float64 prescan gives.
+    Where the screen is not safe, v is that full prescan and E is 0.
+    Candidate norms are computed where they are used, tile by tile or for
+    the gathered rows, never for all N at once. Every product, the
+    prescan's included, is formed in one work buffer of _BLOCK_ELEMS
+    elements (more only for d in the thousands). The returned value equals
+    the full brute-force max-min exactly. X and C are finite; the caller
+    checks them.
     """
     n = X.shape[0]
     xsq = np.einsum("ij,ij->i", X, X)
     X2 = -2.0 * X
     k0 = min(_PRUNE_PRESCAN, n)
     buf = np.empty(max(_BLOCK_ELEMS, 64 * (k0 + C.shape[1])))
-    m = _prescan_sq(X2, C, xsq, k0, buf)
-    top = _warm_set(m, min(_PRUNE_WARM, C.shape[0]))
+    warm = min(_PRUNE_WARM, C.shape[0])
+    screen = _screen_sq(X2, C, xsq, k0, buf)
+    v, E = screen if screen is not None else (_prescan_sq(X2, C, xsq, k0, buf), 0.0)
+    S = np.flatnonzero(v >= _at_most(_sample_floor(v, warm) - 2.0 * E, v.dtype))
+    top = S[_warm_set(_prescan_sq(X2, C, xsq, k0, buf, S), warm)]
     c = C[top]
     h2 = _exact_max_sq(c, np.einsum("ij,ij->i", c, c), np.full(top.shape[0], np.inf),
                        0, X2, xsq, buf, -math.inf)
+    live = v > _at_most(h2 - E, v.dtype)
+    live[top] = False
+    P = np.flatnonzero(live)
+    del v, live
+    m = _prescan_sq(X2, C, xsq, k0, buf, P)
     if k0 == n:
-        m[top] = -np.inf
-        return max(h2, float(m.max()))
+        return max(h2, float(m.max(initial=-np.inf)))
 
-    def exact(idx, lo):
-        c = C[idx]
+    def exact(i, lo):
+        c = C[P[i]]
         cs = np.einsum("ij,ij->i", c, c)
-        return _exact_max_sq(c, cs, m[idx] - cs, k0, X2, xsq, buf, lo)
+        return _exact_max_sq(c, cs, m[i] - cs, k0, X2, xsq, buf, lo)
 
-    return _best_first(m, top, h2, exact)
+    # P holds no candidate of the warm set
+    return _best_first(m, P[:0], h2, exact)
 
 
-def _grid_cells(C):
+def _cells_per_axis(N, d, share=1.0):
+    # k for about N / _CELL_CANDIDATES occupied cells where the candidates
+    # occupy a share `share` of the k^d cells, and at most N cells in all
+    return max(1, min(int((N / _CELL_CANDIDATES / share) ** (1.0 / d)), int(N ** (1.0 / d))))
+
+
+def _grid_cells(C, k=None):
     """Grid cell of each candidate: (cell numbers, cells per axis, origin, width, top).
 
     The scalar bounding box [C.min(), C.max()]^d is cut into k cells per
-    axis, about N / _CELL_CANDIDATES in all; cell (i_0, ..., i_{d-1}) has
-    number sum_j i_j k^(d-1-j) and spans [origin + i_j width,
-    origin + (i_j + 1) width] on axis j; origin and top are C.min() and
-    C.max(). One cell is used where there are too few candidates for more,
-    or where the width would not be a normal float (zero or tiny span);
-    that cell is bounded like any other.
+    axis, by default about N / _CELL_CANDIDATES in all; cell
+    (i_0, ..., i_{d-1}) has number sum_j i_j k^(d-1-j) and spans
+    [origin + i_j width, origin + (i_j + 1) width] on axis j; origin and
+    top are C.min() and C.max(). One cell is used where there are too few
+    candidates for more, or where the width would not be a normal float
+    (zero or tiny span); that cell is bounded like any other.
     """
     N, d = C.shape
     origin, top = float(C.min()), float(C.max())
-    k = max(1, int((N / _CELL_CANDIDATES) ** (1.0 / d)))
+    k = _cells_per_axis(N, d) if k is None else k
     if (top - origin) / k < np.finfo(float).tiny:
         k = 1
     width = (top - origin) / k
@@ -357,17 +471,18 @@ def _grid_cells(C):
     return cell, k, origin, width, top
 
 
-def _cell_bounds(C, nearest):
+def _cell_bounds(C, nearest, grid=None):
     """Per candidate of C, the bound of its grid cell on its nearest() value.
 
-    nearest(P) gives the distance from each row of P to the design. Each
-    occupied cell of _grid_cells is bounded by
-    ub = nearest(centre) + half-diagonal, widened by _CELL_REL and by
-    _CELL_ULPS ulps of the largest coordinate, which cover the rounding of
-    the binning, the centres and every computed distance; so by the
-    triangle inequality no candidate's nearest() exceeds its cell's ub.
+    nearest(P) gives the distance from each row of P to the design, and
+    grid is _grid_cells(C, k) for some k, _grid_cells(C) by default. Each
+    occupied cell is bounded by ub = nearest(centre) + half-diagonal,
+    widened by _CELL_REL and by _CELL_ULPS ulps of the largest coordinate,
+    which cover the rounding of the binning, the centres and every
+    computed distance; so by the triangle inequality no candidate's
+    nearest() exceeds its cell's ub.
     """
-    cell, k, origin, width, top = _grid_cells(C)
+    cell, k, origin, width, top = _grid_cells(C) if grid is None else grid
     d = C.shape[1]
     occupied = np.flatnonzero(np.bincount(cell, minlength=k ** d))
     centres = origin + (np.stack(np.unravel_index(occupied, (k,) * d), axis=1) + 0.5) * width
@@ -381,20 +496,33 @@ def _maxmin_tree(X, C):
     """Exact max-min distance from the rows of C to X through one kd-tree of X.
 
     _best_first runs over _cell_bounds from the min(_PRUNE_WARM, N)
-    candidates with the highest bounds. A pruned candidate's distance is
-    <= the running max, and every queried one gets the float one query of
-    all of C returns for it, so the result is
-    float(cKDTree(X).query(C)[0].max()) bit for bit.
+    candidates with the highest bounds. Where more candidates beat the
+    warm set's max than the grid has cells, as where sorted candidates
+    leave most cells of their bounding box empty and crowd the rest, the
+    bounds are taken again from a finer grid whose occupied cells hold
+    about _CELL_CANDIDATES each: querying its centres is cheaper than
+    querying those candidates. A pruned candidate's distance is <= the
+    running max, and every queried one gets the float one query of all of
+    C returns for it, so the result is float(cKDTree(X).query(C)[0].max())
+    bit for bit.
     """
     tree = cKDTree(X)
 
     def nearest(P):
         return tree.query(P, k=1)[0]
 
-    ub = _cell_bounds(C, nearest)
-    top = _warm_set(ub, min(_PRUNE_WARM, C.shape[0]))
-    return _best_first(ub, top, float(nearest(C[top]).max()),
-                       lambda idx, lo: float(nearest(C[idx]).max()))
+    N, d = C.shape
+    grid = _grid_cells(C)
+    ub = _cell_bounds(C, nearest, grid)
+    top = _warm_set(ub, min(_PRUNE_WARM, N))
+    lo = float(nearest(C[top]).max())
+    if np.count_nonzero(ub > lo) > N / _CELL_CANDIDATES:
+        cell, k = grid[:2]
+        share = np.count_nonzero(np.bincount(cell, minlength=k ** d)) / k ** d
+        fine = _cells_per_axis(N, d, share)
+        if fine > k:
+            ub = _cell_bounds(C, nearest, _grid_cells(C, fine))
+    return _best_first(ub, top, lo, lambda idx, lo: float(nearest(C[idx]).max()))
 
 
 def fill_distance_estimate(X, domain, candidates):

@@ -5,9 +5,11 @@ import hashlib
 import io
 import math
 import os
+import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -735,3 +737,42 @@ class TestOutputPathFirst:
             runner(c)
         assert called == []
         assert list(tmp_path.iterdir()) == []
+
+
+def without_fit_ms(data):
+    # the CSV bytes without the wall-clock fit_ms column, where it has one
+    lines = data.split(b"\n")
+    if b"fit_ms" not in lines[0].split(b","):
+        return data
+    col = lines[0].split(b",").index(b"fit_ms")
+    return b"\n".join(b",".join(f for i, f in enumerate(line.split(b",")) if i != col)
+                      for line in lines)
+
+
+class TestFillPathBytes:
+    """The benchmark's table1 and interp_perm commands keep their CSV bytes.
+
+    Each runs in a child with BLAS at one thread, whose bytes do not depend
+    on the host's core count; the digests hash the CSV without fit_ms. The
+    table1 digest at the default seed is perfbench/golden.json's.
+    """
+
+    TABLE1 = ("table1", "--d", "3,6,9,12", "--n", "50,500,5000", "--trials", "1")
+    INTERP_PERM = ("interp_compare", "--d", "5", "--n", "40,160", "--trials", "1",
+                   "--bandwidth", "0.08", "--amplitude", "0.15915494309189535")
+
+    @pytest.mark.parametrize("args,seed,want", [
+        (TABLE1, 20240601, "90999eb0c05fe00dde1ad41d8644734c017b5994beb8bc6c1b80db08e3513ea0"),
+        (TABLE1, 777, "b47e411a3214b7b2219e41e85076b776cbd8c006fe44d8a9a56c8ee4d16a9b9f"),
+        (INTERP_PERM, 777, "240a9f842230d3a1af05e32938aa179efe00b85f596ce54ae31ff0df030d8476"),
+    ], ids=["table1-20240601", "table1-777", "interp_perm-777"])
+    def test_cli_digest(self, args, seed, want, tmp_path):
+        src = str(Path(experiments.__file__).resolve().parents[1])
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        out = tmp_path / "out.csv"
+        proc = subprocess.run([sys.executable, "-m", "sortkern.cli", *args, "--seed", str(seed),
+                               "--out", str(out)],
+                              env=env, capture_output=True, text=True, timeout=600)
+        assert proc.returncode == 0, proc.stderr
+        assert hashlib.sha256(without_fit_ms(out.read_bytes())).hexdigest() == want

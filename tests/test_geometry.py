@@ -298,8 +298,9 @@ class TestPrunedScanOracle:
 
     @pytest.mark.parametrize("d", [6, 12])
     def test_pass_holds_one_score_array(self, d):
-        # the prescan scores are the one array as long as the candidates: no
-        # array of candidate norms, and the warm set copies no score array
+        # the float32 screen is the one array as long as the candidates: no
+        # float64 score array, no array of candidate norms, and the warm set
+        # copies no score array
         rng = np.random.default_rng(d)
         for X, C in in_domain_pairs(rng.random((50, d)), rng.random((200_000, d))):
             tracemalloc.start()
@@ -308,7 +309,7 @@ class TestPrunedScanOracle:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak <= 1.25 * (C.shape[0] + geometry._BLOCK_ELEMS) * 8
+            assert peak <= 1.25 * (4 * C.shape[0] + 8 * geometry._BLOCK_ELEMS)
 
     @pytest.mark.parametrize("kind", ["lattice", "duplicates", "all_tied"])
     def test_visit_order_matches_stable_sort(self, kind):
@@ -352,6 +353,145 @@ class TestPrunedScanOracle:
             C = np.vstack([C, X, C[: nc // 2]])
         want = cdist(C, X, "sqeuclidean").min(axis=1).max()
         assert abs(geometry._maxmin_sq_pruned(X, C) - want) <= 1e-12
+
+    @pytest.mark.parametrize("kind", ["uniform", "lattice", "duplicates", "design_rows", "all_tied"])
+    @pytest.mark.parametrize("d", [5, 6, 12])
+    @pytest.mark.parametrize("n", [10, 200])
+    def test_screen_within_its_bound(self, kind, d, n):
+        # |v - m| <= E for every candidate, the bound every screened
+        # decision rests on
+        X, C = adversarial_cloud(kind, d, n, 5000, seed=10 * d + n)
+        for A, B in in_domain_pairs(X, C):
+            m, (v, E) = prescan_and_screen(A, B)
+            assert v.dtype == np.float32 and 0.0 < E < 1e-3
+            assert np.all(np.abs(v.astype(float) - m) <= E)
+            assert_pruned_matches_oracle(A, B)
+
+    @pytest.mark.parametrize("scale", [2.0 ** 51, 1e20, 1e39, 1e150])
+    @pytest.mark.parametrize("n", [10, 200])
+    def test_float32_overflow_takes_the_float64_prescan(self, scale, n, monkeypatch):
+        # a few candidates past the screen's safe range: at 2^51, R^2 exceeds
+        # 2^100; at 1e20 their float32 squares overflow, at 1e39 the cast
+        # itself; at 1e150 every float32 step does, while the float64
+        # squares stay finite
+        rng = np.random.default_rng(7)
+        X, C = rng.random((n, 6)), rng.random((5000, 6))
+        C[::997] *= scale
+        assert prescan_and_screen(X, C)[1] is None
+        full, prescan = [], geometry._prescan_sq
+
+        def spy(X2, C, xsq, k0, buf, idx=None):
+            full.append(idx is None)
+            return prescan(X2, C, xsq, k0, buf, idx)
+
+        monkeypatch.setattr(geometry, "_prescan_sq", spy)
+        assert_pruned_matches_oracle(X, C)
+        assert full[0]
+
+    @pytest.mark.parametrize("scale", [1e-20, 1e-39, 1e-310])
+    def test_subnormal_coordinates(self, scale):
+        # at 1e-20 the float32 squares are subnormal, at 1e-39 the float32
+        # coordinates too and at 1e-310 the float64 ones: the screen keeps
+        # few or no bits of the scores, which the bound's absolute term covers
+        rng = np.random.default_rng(8)
+        X, C = scale * rng.random((200, 6)), scale * rng.random((3000, 6))
+        for A, B in in_domain_pairs(X, C):
+            m, (v, E) = prescan_and_screen(A, B)
+            assert np.all(np.abs(v.astype(float) - m) <= E)
+            assert_pruned_matches_oracle(A, B)
+
+    @pytest.mark.parametrize("shift,scale", [(-1.0, 3.0), (1e3, 1.0), (-2e6, 4e6)])
+    def test_out_of_cube_candidates(self, shift, scale):
+        # finite candidates outside the cube, which fill_distance_estimate
+        # accepts: the screen still runs, with a bound that grows with them
+        rng = np.random.default_rng(9)
+        X, C = rng.random((200, 6)), shift + scale * rng.random((5000, 6))
+        for A, B in in_domain_pairs(X, C):
+            m, (v, E) = prescan_and_screen(A, B)
+            assert np.all(np.abs(v.astype(float) - m) <= E)
+            assert_pruned_matches_oracle(A, B)
+        want = np.float64(math.sqrt(oracle.maxmin_sq_pruned(X, C)))
+        assert same_bits(fill_distance_estimate(X, Domain.CUBE, C), want)
+
+    @pytest.mark.parametrize("kind", ["lattice", "near_tied"])
+    def test_warm_set_is_the_stable_sorts(self, kind, monkeypatch):
+        # the exact pass gets the warm set that a stable sort of every
+        # float64 score picks, in that order: on a lattice cloud whose 512th
+        # and 513th best-first scores tie, and on 4000 candidates within
+        # 3e-7 of one point, where the sample floor is the 512th largest
+        # screen score itself and float32 rounding reorders the scores
+        if kind == "lattice":
+            X, C = adversarial_cloud("lattice", 6, 200, 20_000, seed=5)
+        else:
+            rng = np.random.default_rng(5)
+            X, C = rng.random((200, 6)), rng.random(6) + 3e-7 * rng.random((4000, 6))
+        m = prescan_and_screen(X, C)[0]
+        order = np.argsort(-m, kind="stable")
+        if kind == "lattice":
+            assert m[order[511]] == m[order[512]]
+        passes, exact = [], geometry._exact_max_sq
+
+        def recorded(c, *args):
+            passes.append(c.copy())
+            return exact(c, *args)
+
+        monkeypatch.setattr(geometry, "_exact_max_sq", recorded)
+        assert_pruned_matches_oracle(X, C)
+        assert np.array_equal(passes[0], C[order[:512]])
+
+    def test_survivor_just_above_the_warm_max(self):
+        # 512 far candidates, each on a later design point's doorstep, are
+        # the warm set; one candidate past the first design point, whose
+        # distance beats theirs by E/4, must survive on its screen score
+        rng = np.random.default_rng(11)
+        near = np.vstack([np.zeros((1, 6)), 0.01 + 0.09 * rng.random((31, 6))])
+        far = 0.5 + 0.5 * rng.random((512, 6))
+        step = rng.normal(size=(512, 6))
+        X = np.vstack([near, far + 0.01 * step / np.linalg.norm(step, axis=1, keepdims=True)])
+        C = np.vstack([far, near + 1e-6 * rng.random((32, 6))])
+        h2 = oracle.maxmin_sq_pruned(X, C)
+        E = prescan_and_screen(X, C)[1][1]
+        C = np.vstack([C, -math.sqrt((h2 + E / 4) / 6) * np.ones((1, 6))])
+        assert oracle.maxmin_sq_pruned(X, C) > h2
+        assert_pruned_matches_oracle(X, C)
+
+    @pytest.mark.parametrize("n", [10, 200])
+    @pytest.mark.parametrize("nc", [2047, 2049, 7000])
+    def test_gathered_scores_match_the_full_pass(self, n, nc):
+        # random and ragged index subsets, sorted or not and with repeats,
+        # gathered tile by tile: each row gets the float of the full pass
+        rng = np.random.default_rng(nc + n)
+        X, C = rng.random((n, 9)), rng.random((nc, 9))
+        xsq = np.einsum("ij,ij->i", X, X)
+        buf = np.empty(geometry._BLOCK_ELEMS)
+        full = geometry._prescan_sq(-2.0 * X, C, xsq, min(32, n), buf)
+        for size in sorted({1, 63, 64, min(2048, nc), min(2049, nc), nc}):
+            for idx in (np.sort(rng.choice(nc, size, replace=False)), rng.integers(0, nc, size)):
+                got = geometry._prescan_sq(-2.0 * X, C, xsq, min(32, n), buf, idx)
+                assert np.array_equal(got.view(np.uint64), full[idx].view(np.uint64))
+
+    def test_thresholds_round_toward_inclusion(self):
+        rng = np.random.default_rng(10)
+        for t in np.concatenate([rng.normal(size=1000), [0.0, 1e-45, -1e-45, 2.0 ** -149]]):
+            r = geometry._at_most(float(t), np.dtype(np.float32))
+            assert r.dtype == np.float32 and float(r) <= t
+            assert float(np.nextafter(r, np.float32(np.inf))) > t
+            assert geometry._at_most(float(t), np.dtype(float)) == t
+
+
+def prescan_and_screen(X, C):
+    # the float64 prescan scores of X's first design points and the float32
+    # screen of them, (v, E) or None, as _maxmin_sq_pruned forms both
+    xsq = np.einsum("ij,ij->i", X, X)
+    k0 = min(geometry._PRUNE_PRESCAN, X.shape[0])
+    buf = np.empty(max(geometry._BLOCK_ELEMS, 64 * (k0 + X.shape[1])))
+    m = geometry._prescan_sq(-2.0 * X, C, xsq, k0, buf)
+    return m, geometry._screen_sq(-2.0 * X, C, xsq, k0, buf)
+
+
+def assert_pruned_matches_oracle(X, C):
+    got = np.float64(geometry._maxmin_sq_pruned(X, C))
+    assert got.view(np.uint64) == np.float64(oracle.maxmin_sq_pruned(X, C)).view(np.uint64)
 
 
 def warm_scores(kind, N, seed):
@@ -843,4 +983,72 @@ class TestTreeGrid:
         got = fill_distance_estimate(X, Domain.SORTED_SIMPLEX, C)
         monkeypatch.undo()
         assert same_bits(got, one_tree_query(X, C, Domain.SORTED_SIMPLEX))
+        assert sum(queried) < 40_000
+
+
+class TestOccupiedGrid:
+    """The kd-tree path's finer grid, taken where many candidates beat the warm set."""
+
+    @pytest.mark.parametrize("kind", TREE_ADVERSARIES)
+    @pytest.mark.parametrize("d", range(1, 5))
+    def test_finer_grids_bound_every_candidate(self, kind, d):
+        # the occupied-share grid and grids of 2 and 3 times the cells per
+        # axis keep the bound the pruning rests on
+        from scipy.spatial import cKDTree
+
+        X, C = tree_adversary(kind, d, 20 * d)
+        for dom in Domain:
+            A, B = in_domain(X, C, dom)
+            tree = cKDTree(A)
+
+            def nearest(P):
+                return tree.query(P, k=1)[0]
+
+            cell, k = geometry._grid_cells(B)[:2]
+            share = np.count_nonzero(np.bincount(cell, minlength=k ** d)) / k ** d
+            for fine in {geometry._cells_per_axis(*B.shape, share), 2 * k, 3 * k}:
+                grid = geometry._grid_cells(B, fine)
+                assert np.all(nearest(B) <= geometry._cell_bounds(B, nearest, grid))
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_sorted_cells_hold_about_16_candidates(self, d):
+        # the share of the box sorted candidates occupy sizes the finer
+        # grid; cube candidates occupy every cell, so theirs is the same
+        N = 200_000
+        C = np.random.default_rng(d).random((N, d))
+        for B, finer in ((C, False), (sort_points(C), True)):
+            cell, k = geometry._grid_cells(B)[:2]
+            share = np.count_nonzero(np.bincount(cell, minlength=k ** d)) / k ** d
+            fine = geometry._cells_per_axis(N, d, share)
+            assert (fine > k) is finer
+            occupied = np.count_nonzero(np.bincount(geometry._grid_cells(B, fine)[0]))
+            assert 0.5 * N / 16 <= occupied <= 1.1 * N / 16
+
+    def test_crowded_sorted_pass_takes_the_finer_grid(self, monkeypatch):
+        # table1's draw for (d = 3, n = 5000, trial 5) at its default seed:
+        # 145k of its 200k sorted candidates beat the warm set in the grid
+        # of all cells, and the pass queried them all
+        from scipy.spatial import cKDTree
+
+        queried, grids = [], []
+
+        class CountingTree(cKDTree):
+            def query(self, x, *args, **kwargs):
+                queried.append(len(x))
+                return super().query(x, *args, **kwargs)
+
+        bounds = geometry._cell_bounds
+
+        def recorded(C, nearest, grid=None):
+            grids.append(grid[1])
+            return bounds(C, nearest, grid)
+
+        cfg = ExperimentConfig(experiment=Experiment.TABLE1, kernel=KernelSpec(1.0, 1.0))
+        X, C = experiments._trial_draws(cfg, experiments._EXPERIMENT_IDS[Experiment.TABLE1], 3, 5000, 5)
+        monkeypatch.setattr(geometry, "cKDTree", CountingTree)
+        monkeypatch.setattr(geometry, "_cell_bounds", recorded)
+        got = fill_distance_estimate(X, Domain.SORTED_SIMPLEX, C)
+        monkeypatch.undo()
+        assert same_bits(got, one_tree_query(X, C, Domain.SORTED_SIMPLEX))
+        assert len(grids) == 2 and grids[1] > grids[0]
         assert sum(queried) < 40_000
